@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,15 +35,15 @@ from .errors import ConfigError, CovlindError
 from .gkls import DissipatorSpec, Channel, build_dissipator, instantaneous_attractor
 from .jaynes_cummings import (
     JCParams,
+    _autonomous_states,
     fit_gaussian_envelope,
-    jc_autonomous_trajectory,
     jc_eigenoperators,
     jc_semiclassical_hamiltonian,
     jc_semiclassical_propagator,
     touchard,
     touchard_asymptotic,
 )
-from .operators import DensityMatrix, qubit_ops, uhlmann_fidelity
+from .operators import DensityMatrix, qubit_ops, uhlmann_fidelity, validate_states
 from .propagate import TimeGrid
 
 _Q = qubit_ops()
@@ -83,12 +84,20 @@ def _bath_from_cfg(cfg: ExperimentConfig) -> BathSpec:
                     omega_hi=float(b.get("omega_hi", np.inf)))
 
 
+def _driven_qubit_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
+    """A copy of ``cfg`` whose jc section falls back to alpha = 2 and, unless
+    g is given, rabi = 0.4; the loaded config itself is left as it is."""
+    jc = {"alpha": 2.0, **cfg.jc}
+    if "g" not in jc:
+        jc.setdefault("rabi", 0.4)
+    return dataclasses.replace(cfg, jc=jc)
+
+
 def _pauli_series(states) -> dict[str, np.ndarray]:
-    out = {}
-    for name in ("sx", "sy", "sz"):
-        op = _Q[name]
-        out[name] = np.array([np.trace(op @ st.data).real for st in states])
-    return out
+    """<sx>, <sy>, <sz> over a list of DensityMatrix or a (T, 2, 2) stack."""
+    rhos = states if isinstance(states, np.ndarray) else np.array([st.data for st in states])
+    return {name: np.trace(_Q[name] @ rhos, axis1=1, axis2=2).real
+            for name in ("sx", "sy", "sz")}
 
 
 def _fig2_single(cfg: ExperimentConfig, alpha: complex):
@@ -96,13 +105,11 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
     t1 = float(cfg.grid.get("t1", 40.0 / p.rabi))
     steps = int(cfg.grid.get("steps", 2000))
     times = np.linspace(float(cfg.grid.get("t0", 0.0)), t1, steps + 1)
-    rho0 = DensityMatrix.from_matrix(cfg.initial_matrix(), (2,))
-    auto = jc_autonomous_trajectory(rho0, p, times)
-    sc = []
-    for t in times:
-        u = jc_semiclassical_propagator(t, p)
-        sc.append(DensityMatrix.from_matrix(u @ rho0.data @ u.conj().T, (2,)))
-    fid = np.array([uhlmann_fidelity(a, b) for a, b in zip(auto, sc)])
+    rho0 = DensityMatrix.from_matrix(cfg.initial_matrix(), (2,)).data
+    auto = _autonomous_states(rho0, p, times)
+    u = jc_semiclassical_propagator(times, p)
+    sc = validate_states(u @ rho0 @ u.conj().transpose(0, 2, 1))
+    fid = uhlmann_fidelity(auto, sc)
     pa, ps = _pauli_series(auto), _pauli_series(sc)
     try:
         envelope_rate = fit_gaussian_envelope(times, pa["sx"])
@@ -160,8 +167,7 @@ def run_jc_sim(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
     """Monodromy eigenfrequencies and deviation from the analytic forms."""
-    cfg.jc.setdefault("rabi", 0.4)
-    cfg.jc.setdefault("alpha", 2.0)
+    cfg = _driven_qubit_defaults(cfg)
     alpha = cfg.alphas()[0]
     if abs(alpha) == 0:
         omega_c = float(cfg.jc.get("omega_c", 1.0))
@@ -240,8 +246,7 @@ def run_attractor(cfg: ExperimentConfig, out: Path) -> dict:
 def run_coefficients(cfg: ExperimentConfig, out: Path) -> dict:
     """Kinetic-coefficient sweep over detuning or temperature."""
     bath = _bath_from_cfg(cfg)
-    cfg.jc.setdefault("rabi", 0.4)
-    cfg.jc.setdefault("alpha", 2.0)
+    cfg = _driven_qubit_defaults(cfg)
     base = cfg.jc_params()
     variable = cfg.sweep.get("variable", "delta")
     if variable not in ("delta", "temperature"):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -13,6 +13,7 @@ from .errors import ConfigError
 from .jaynes_cummings import JCParams
 
 EXPERIMENTS = ("fig2", "jc-sim", "eigenops", "attractor", "coefficients", "touchard")
+_SECTIONS = ("jc", "bath", "grid", "sweep", "touchard")
 
 # allowed keys per section; strict parsing rejects anything else by name
 _SCHEMA = {
@@ -75,16 +76,18 @@ class ExperimentConfig:
 
 
 def _as_complex(x, where: str) -> complex:
-    if isinstance(x, str):
-        try:
-            return complex(x.replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: cannot parse complex value {x!r}") from exc
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float, complex)):
-        return complex(x)
-    raise ConfigError(f"{where}: cannot parse complex value {x!r}")
+    try:
+        if isinstance(x, str):
+            z = complex(x.replace(" ", ""))
+        elif isinstance(x, (list, tuple)) and len(x) == 2:
+            z = complex(float(x[0]), float(x[1]))
+        else:
+            z = complex(x)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot parse complex value {x!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    return z
 
 
 def parse_initial_state(spec) -> np.ndarray:
@@ -108,6 +111,15 @@ def parse_initial_state(spec) -> np.ndarray:
     return mat / tr
 
 
+def _check_finite(where: str, val):
+    """Reject NaN and infinities, also inside (nested) lists."""
+    if isinstance(val, (list, tuple)):
+        for i, item in enumerate(val):
+            _check_finite(f"{where}[{i}]", item)
+    elif isinstance(val, (float, complex)) and not cmath.isfinite(val):
+        raise ConfigError(f"{where} must be finite, got {val}")
+
+
 def _validate_section(name: str, data, allowed):
     if allowed is None:
         return
@@ -117,8 +129,11 @@ def _validate_section(name: str, data, allowed):
         if key not in allowed:
             raise ConfigError(f"unknown key {name}.{key!r}")
     for key, val in data.items():
-        if isinstance(val, (int, float)) and not math.isfinite(val):
-            raise ConfigError(f"{name}.{key} must be finite, got {val}")
+        _check_finite(f"{name}.{key}", val)
+    if name == "grid" and "steps" in data:
+        steps = data["steps"]
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise ConfigError(f"grid.steps must be a positive integer, got {steps!r}")
 
 
 def load_config(path: str | None, experiment: str | None = None,
@@ -137,7 +152,7 @@ def load_config(path: str | None, experiment: str | None = None,
     for key in raw:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-    for name in ("jc", "bath", "grid", "sweep", "touchard"):
+    for name in _SECTIONS:
         if name in raw:
             _validate_section(name, raw[name], _SCHEMA[name])
     exp = experiment or raw.get("experiment")
@@ -171,4 +186,7 @@ def load_config(path: str | None, experiment: str | None = None,
             cfg.output = val
         else:
             raise ConfigError(f"unknown override {key!r}")
+    # the merged sections again, so CLI overrides get the same checks
+    for name in _SECTIONS:
+        _validate_section(name, getattr(cfg, name), _SCHEMA[name])
     return cfg

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ContractError, TruncationError
-from .operators import DensityMatrix, Operator, destroy, qubit_ops
+from .operators import DensityMatrix, Operator, destroy, qubit_ops, validate_states
 
 _Q = qubit_ops()
 
@@ -111,63 +111,75 @@ def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
     return np.exp(-1j * n * p.omega_c * t) * u
 
 
-def _kraus_stack(p: JCParams, ts: np.ndarray, window=None) -> np.ndarray:
-    """Kraus operators chi_m(t) = <m| U_D |alpha> on the Poisson window.
+# Kraus terms per chunk of times: 4 MiB of 2x2 complex128 blocks (64 B each)
+_KRAUS_CHUNK_TERMS = (4 << 20) // 64
 
-    Returns an array of shape (len(ts), n_window, 2, 2); summing
-    chi rho chi^dag over the window gives the exact reduced qubit state up
-    to the truncated Poisson tail.
-    """
+
+def _kraus_window(p: JCParams, window) -> tuple[int, int]:
     lo, hi = window if window is not None else default_kraus_window(p)
+    if not 0 <= lo <= hi:
+        raise ContractError(f"Kraus window [{lo}, {hi}] needs 0 <= lo <= hi")
+    return int(lo), int(hi)
+
+
+def _kraus_stack(p: JCParams, ts: np.ndarray, window=None) -> np.ndarray:
+    """Kraus operators chi_m(t) = e^{i m wc t} <m| U_D |alpha> on the window.
+
+    The factor e^{i m wc t} removes the global phase of the m'th Kraus
+    operator (the free phase of its excitation block); it cancels in
+    chi rho chi^dag and chi^dag chi, so the channel is unchanged.
+
+    Returns an array of shape (len(ts), 2, 2, M) over the M = hi - lo + 1
+    Fock indices m = lo..hi of the Poisson window, with the Fock index last
+    and contiguous, so chi[t].reshape(2, 2 M) is the row block that the
+    batched matmuls of ``_autonomous_states`` contract.  Summing
+    chi rho chi^dag over m gives the exact reduced qubit state up to the
+    truncated Poisson tail.  The block frequencies Omega_m enter at m and
+    m + 1, so their cosines and half-sincs are computed once over
+    lo..hi+1 and sliced.
+    """
+    lo, hi = _kraus_window(p, window)
     ms = np.arange(lo, hi + 1)
+    # coherent amplitudes <n|alpha> for n = lo-1 .. hi+1 (log-space Poisson
+    # weights); n = -1 has none
+    ext = np.arange(lo - 1, hi + 2)
+    n = ext[ext >= 0]
     a = abs(p.alpha)
-    theta = np.angle(p.alpha) if a else 0.0
-    # coherent amplitudes for indices m-1 .. m+1 (log-space Poisson weights)
-    ext = np.arange(max(0, lo - 1), hi + 2)
+    amp = np.zeros(len(ext), dtype=complex)
     if a == 0.0:
-        log_mod = np.where(ext == 0, 0.0, -np.inf)
+        amp[ext == 0] = 1.0
     else:
-        log_mod = -0.5 * a * a + ext * math.log(a) - 0.5 * gammaln(ext + 1.0)
-    camp_ext = np.exp(log_mod) * np.exp(1j * ext * theta)
+        log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
+        amp[ext >= 0] = np.exp(log_mod) * np.exp(1j * n * np.angle(p.alpha))
+    c_mm1, c_m, c_mp1 = amp[:-2], amp[1:-1], amp[2:]
 
-    def camp(idx):
-        out = np.zeros(idx.shape, dtype=complex)
-        ok = idx >= 0
-        out[ok] = camp_ext[idx[ok] - ext[0]]
-        return out
+    tcol = np.asarray(ts, dtype=float)[:, None]
+    om = p.omega_n(ext[1:])                      # Omega_m for m = lo .. hi+1
+    cos = np.cos(om * tcol / 2.0)
+    hs = _half_sinc(om, tcol)
+    phase = np.exp(-1j * p.omega_c * tcol)                # e^{-i wc t} on |e>
 
-    c_m = camp(ms)
-    c_mm1 = camp(ms - 1)
-    c_mp1 = camp(ms + 1)
-
-    ts = np.asarray(ts, dtype=float)
-    om_m = p.omega_n(ms)[None, :]
-    om_mp1 = p.omega_n(ms + 1)[None, :]
-    tcol = ts[:, None]
-    cos_m = np.cos(om_m * tcol / 2.0)
-    cos_mp1 = np.cos(om_mp1 * tcol / 2.0)
-    hs_m = (tcol / 2.0) * np.sinc(om_m * tcol / (2.0 * math.pi))
-    hs_mp1 = (tcol / 2.0) * np.sinc(om_mp1 * tcol / (2.0 * math.pi))
-    a_m = cos_m + 1j * p.delta * hs_m
-    a_mp1_conj = cos_mp1 - 1j * p.delta * hs_mp1
-    b_m = -2j * p.g * np.sqrt(ms)[None, :] * hs_m
-    b_mp1 = -2j * p.g * np.sqrt(ms + 1)[None, :] * hs_mp1
-
-    phase_m = np.exp(-1j * ms[None, :] * p.omega_c * tcol)
-    phase_c = np.exp(-1j * p.omega_c * tcol)
-
-    chi = np.empty((len(ts), len(ms), 2, 2), dtype=complex)
-    chi[:, :, 0, 0] = c_m[None, :] * phase_m * a_m
-    chi[:, :, 0, 1] = c_mm1[None, :] * phase_m * b_m
-    chi[:, :, 1, 0] = c_mp1[None, :] * phase_m * phase_c * b_mp1
-    chi[:, :, 1, 1] = c_m[None, :] * phase_m * phase_c * a_mp1_conj
+    chi = np.empty((len(tcol), 2, 2, len(ms)), dtype=complex)
+    chi[:, 0, 0] = c_m * (cos[:, :-1] + 1j * p.delta * hs[:, :-1])
+    chi[:, 0, 1] = (-2j * p.g * np.sqrt(ms) * c_mm1) * hs[:, :-1]
+    chi[:, 1, 0] = (-2j * p.g * np.sqrt(ms + 1) * c_mp1) * hs[:, 1:] * phase
+    chi[:, 1, 1] = c_m * (cos[:, 1:] - 1j * p.delta * hs[:, 1:]) * phase
     return chi
 
 
-def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
-    chi = _kraus_stack(p, np.array([t]), window)[0]
-    comp = np.einsum("mij,mik->jk", chi.conj(), chi)
+def _completeness_deficit(chi: np.ndarray, chi_conj: np.ndarray) -> float:
+    """max |sum_m chi_m^dag chi_m - I| over a (T, 2, 2, M) stack.
+
+    Takes the stack's conjugate too, so a caller that needs it again
+    computes it once.
+    """
+    comp = sum(chi_conj[:, i] @ chi[:, i].transpose(0, 2, 1) for i in range(2))
     return float(np.max(np.abs(comp - np.eye(2))))
+
+
+def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
+    chi = _kraus_stack(p, np.array([t]), window)
+    return _completeness_deficit(chi, chi.conj())
 
 
 def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
@@ -181,29 +193,54 @@ def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
     return jc_autonomous_trajectory(rho_s0, p, np.array([t]), window)[0]
 
 
-def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
-                             window=None, chunk: int = 256) -> list:
-    """Reduced qubit states at each time in ``ts`` (vectorized Kraus sums)."""
-    if rho_s0.data.shape[0] != 2:
-        raise ContractError("the autonomous reduction acts on a qubit state")
+def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None,
+                       chunk: int | None = None) -> np.ndarray:
+    """Validated reduced qubit states at each time, shape (len(ts), 2, 2).
+
+    Times go in chunks of ``chunk`` (default: as many as fit about 4 MiB of
+    Kraus terms, so memory stays bounded as alpha grows).  Per chunk,
+    Y = chi rho0 is one einsum and Y chi^dag one batched matmul over the
+    flattened (j, m) axis; every state depends on its own time only, so the
+    result is bitwise the same for any chunk size.
+    """
+    lo, hi = _kraus_window(p, window)
+    if chunk is None:
+        chunk = max(1, _KRAUS_CHUNK_TERMS // (hi - lo + 1))
+    if chunk < 1:
+        raise ContractError(f"chunk must be at least 1, got {chunk}")
     ts = np.asarray(ts, dtype=float)
-    rho0 = rho_s0.data
-    states = []
+    rhos = np.empty((len(ts), 2, 2), dtype=complex)
     for k0 in range(0, len(ts), chunk):
-        tchunk = ts[k0:k0 + chunk]
-        chi = _kraus_stack(p, tchunk, window)
-        comp = np.einsum("tmij,tmik->tjk", chi.conj(), chi)
-        deficit = float(np.max(np.abs(comp - np.eye(2)[None])))
+        part = slice(k0, k0 + chunk)
+        chi = _kraus_stack(p, ts[part], (lo, hi))
+        chi_conj = chi.conj()
+        deficit = _completeness_deficit(chi, chi_conj)
         if deficit > 1e-6:
             raise TruncationError(
-                f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6; "
-                "widen the Fock window", deficit=deficit)
-        rhos = np.einsum("tmij,jk,tmlk->til", chi, rho0, chi.conj())
-        for rho, t in zip(rhos, tchunk):
-            rho = rho / np.trace(rho).real
-            states.append(DensityMatrix.from_matrix(rho, (2,), trace_tol=1e-6,
-                                                    herm_tol=1e-9, eig_tol=1e-7))
-    return states
+                f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
+                f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
+                f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
+                deficit=deficit)
+        n_t, flat = chi.shape[0], 2 * chi.shape[-1]
+        y = np.einsum("tijm,jk->tikm", chi, rho0).reshape(n_t, 2, flat)
+        rhos[part] = y @ chi_conj.reshape(n_t, 2, flat).transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return validate_states(rhos, trace_tol=1e-6, herm_tol=1e-9, eig_tol=1e-7)
+
+
+def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
+                             window=None, chunk: int | None = None) -> list:
+    """Reduced qubit states at each time in ``ts`` (vectorized Kraus sums).
+
+    The states come from ``_autonomous_states``: chunks of times sized to
+    about 4 MiB of Kraus terms unless ``chunk`` is given, the Kraus stack
+    laid out (T, 2, 2, M) with the Fock index last.  They are validated and
+    normalized there and wrapped here as DensityMatrix objects as they are.
+    """
+    if rho_s0.data.shape[0] != 2:
+        raise ContractError("the autonomous reduction acts on a qubit state")
+    return [DensityMatrix(Operator(rho, (2,)))
+            for rho in _autonomous_states(rho_s0.data, p, ts, window, chunk)]
 
 
 def jc_semiclassical_hamiltonian(t: float, p: JCParams) -> np.ndarray:
@@ -213,24 +250,31 @@ def jc_semiclassical_hamiltonian(t: float, p: JCParams) -> np.ndarray:
     return 0.5 * p.omega_eg * _Q["sz"] + drive
 
 
-def jc_semiclassical_propagator(t: float, p: JCParams) -> np.ndarray:
+def jc_semiclassical_propagator(t, p: JCParams) -> np.ndarray:
     """Closed-form Rabi propagator in the (|g>, |e>) basis.
 
     Built by the rotating-frame construction: a z-rotation by -arg(alpha)
     makes the coupling real, the frame rotating at omega_c makes the
     Hamiltonian static, and the remaining 2x2 exponential is elementary.
-    Solves i dU/dt = H_sc(t) U with U(0) = I.
+    Solves i dU/dt = H_sc(t) U with U(0) = I.  ``t`` may be an array of
+    times, giving shape t.shape + (2, 2); a single time is a stack of one,
+    so it matches the same time inside an array bitwise.
     """
-    om = p.rabi
-    c = math.cos(om * t / 2.0)
-    hs = float(_half_sinc(om, t))
-    g_abs = 2.0 * p.g * abs(p.alpha)
-    u_eff = np.array([[c + 1j * p.delta * hs, -1j * g_abs * hs],
-                      [-1j * g_abs * hs, c - 1j * p.delta * hs]], dtype=complex)
-    phi = -np.angle(p.alpha) if p.alpha else 0.0
-    r = np.diag([np.exp(1j * phi / 2.0), np.exp(-1j * phi / 2.0)])
-    v = np.diag([np.exp(1j * p.omega_c * t / 2.0), np.exp(-1j * p.omega_c * t / 2.0)])
-    return v @ r @ u_eff @ r.conj().T
+    t = np.asarray(t, dtype=float)
+    ts = t.reshape(-1)
+    c = np.cos(p.rabi * ts / 2.0)
+    hs = _half_sinc(p.rabi, ts)
+    off = -2j * p.g * abs(p.alpha) * hs
+    # U = V R U_eff R^dag with V = diag(e^{i wc t/2}, e^{-i wc t/2}) and
+    # R = diag(e^{i phi/2}, e^{-i phi/2}), phi = -arg(alpha)
+    frame = np.exp(0.5j * p.omega_c * ts)
+    tilt = np.exp(-1j * np.angle(p.alpha)) if p.alpha else 1.0
+    u = np.empty((len(ts), 2, 2), dtype=complex)
+    u[:, 0, 0] = frame * (c + 1j * p.delta * hs)
+    u[:, 0, 1] = frame * tilt * off
+    u[:, 1, 0] = frame.conj() * np.conj(tilt) * off
+    u[:, 1, 1] = frame.conj() * (c - 1j * p.delta * hs)
+    return u.reshape(t.shape + (2, 2))
 
 
 def jc_eigenoperators(p: JCParams):

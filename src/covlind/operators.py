@@ -25,6 +25,15 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
 
+def _state_stack(x) -> np.ndarray:
+    """Operator, DensityMatrix or array (..., d, d); returns the complex array."""
+    a = x.op.data if isinstance(x, DensityMatrix) else (
+        x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
 def _as_matrix(x) -> np.ndarray:
     """Accept Operator, DensityMatrix or ndarray; return the complex matrix."""
     if isinstance(x, DensityMatrix):
@@ -128,26 +137,12 @@ class DensityMatrix:
                     eig_tol: float = POSITIVITY_TOL) -> "DensityMatrix":
         """Build a state, allowing looser tolerances for integrated dynamics.
 
-        The matrix is Hermitized and trace-normalized after the tolerance
-        check so downstream exact identities (trace one) hold.
+        The matrix goes through ``validate_states`` as a stack of one, so
+        it is Hermitized and trace-normalized after the tolerance check and
+        downstream exact identities (trace one) hold.
         """
-        a = np.asarray(data, dtype=complex)
-        tr = np.trace(a)
-        if abs(tr - 1.0) > trace_tol:
-            raise ContractError(f"trace {tr} deviates from 1 beyond {trace_tol}")
-        if np.max(np.abs(a - a.conj().T)) > herm_tol:
-            raise ContractError("matrix is not Hermitian within tolerance")
-        a = 0.5 * (a + a.conj().T)
-        wmin = float(np.linalg.eigvalsh(a)[0])
-        if wmin < -eig_tol:
-            raise ContractError(f"minimum eigenvalue {wmin} below -{eig_tol}")
-        a = a / np.trace(a).real
-        # clip the tiny negative tail so the validated invariants hold exactly
-        if wmin < -POSITIVITY_TOL:
-            w, v = np.linalg.eigh(a)
-            w = np.clip(w, 0.0, None)
-            a = (v * w) @ v.conj().T
-            a /= np.trace(a).real
+        a = validate_states(np.asarray(data, dtype=complex)[None],
+                            trace_tol, herm_tol, eig_tol)[0]
         return cls(Operator(a, dims))
 
     @classmethod
@@ -325,20 +320,83 @@ def partial_trace(rho, keep: int):
     return Operator(reduced, (dims[keep],))
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    a, b = _as_matrix(rho), _as_matrix(sigma)
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack (..., d, d)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Trace of every matrix in a stack (..., d, d)."""
+    return a.diagonal(0, -2, -1).sum(-1)
+
+
+def _first(mask: np.ndarray) -> str:
+    """Where the first flagged state of a stack sits, for error messages."""
+    return "" if mask.size == 1 else f" (state {int(np.flatnonzero(mask)[0])})"
+
+
+def validate_states(states, trace_tol: float = TRACE_TOL,
+                    herm_tol: float = HERMITICITY_TOL,
+                    eig_tol: float = POSITIVITY_TOL) -> np.ndarray:
+    """Check a stack (..., d, d) of density matrices and return a tidied copy.
+
+    Every matrix needs unit trace within ``trace_tol``, Hermiticity within
+    ``herm_tol`` and no eigenvalue below ``-eig_tol``; the first violation
+    raises ContractError.  The copy is Hermitized and trace-normalized, and
+    a matrix whose negative eigenvalue tail exceeds POSITIVITY_TOL has it
+    clipped, so the exact state invariants hold.  Each matrix is handled
+    on its own: a stack of one gives bitwise the same matrix as the same
+    state inside a longer stack.
+    """
+    a = _state_stack(states)
+    tr = _trace(a)
+    bad = ~(np.abs(tr - 1.0) <= trace_tol)
+    if bad.any():
+        raise ContractError(f"trace {tr[bad][0]} deviates from 1 beyond "
+                            f"{trace_tol}{_first(bad)}")
+    a_dag = _dagger(a)
+    bad = ~(np.abs(a - a_dag).max(axis=(-2, -1)) <= herm_tol)
+    if bad.any():
+        raise ContractError(f"matrix is not Hermitian within tolerance{_first(bad)}")
+    a = 0.5 * (a + a_dag)
+    wmin = np.linalg.eigvalsh(a)[..., 0]
+    bad = wmin < -eig_tol
+    if bad.any():
+        raise ContractError(f"minimum eigenvalue {wmin[bad][0]} below "
+                            f"-{eig_tol}{_first(bad)}")
+    a = a / _trace(a).real[..., None, None]
+    # clip the tiny negative tail so the validated invariants hold exactly
+    clip = wmin < -POSITIVITY_TOL
+    if clip.any():
+        w, v = np.linalg.eigh(a[clip])
+        fixed = (v * np.clip(w, 0.0, None)[..., None, :]) @ _dagger(v)
+        a[clip] = fixed / _trace(fixed).real[..., None, None]
+    return a
+
+
+def uhlmann_fidelity(rho, sigma):
+    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    Either a pair of states, giving a float, or two equal-shape stacks
+    (..., d, d), giving an array of fidelities.  A single pair is computed
+    as a stack of one, so it matches the same pair inside a stack bitwise.
+    """
+    a, b = _state_stack(rho), _state_stack(sigma)
     if a.shape != b.shape:
         raise DimensionError("states must share a dimension")
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
     for m in (a, b):
-        if abs(np.trace(m) - 1.0) > 1e-8 or np.max(np.abs(m - m.conj().T)) > 1e-8:
+        if (np.abs(_trace(m) - 1.0).max(initial=0.0) > 1e-8
+                or np.abs(m - _dagger(m)).max(initial=0.0) > 1e-8):
             raise ContractError("uhlmann_fidelity requires unit-trace Hermitian states")
     w, v = np.linalg.eigh(a)
-    sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     m = sqrt_a @ b @ sqrt_a
-    ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    f = float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
-    return min(max(f, 0.0), 1.0)
+    ev = np.linalg.eigvalsh(0.5 * (m + _dagger(m)))
+    f = np.clip(np.sum(np.sqrt(np.clip(ev, 0.0, None)), axis=-1) ** 2, 0.0, 1.0)
+    return float(f[0]) if single else f
 
 
 def _shannon(p: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from .operators import (
 
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_BREACH = 1e-6
+_HALVING_DIVISOR = {"rk4": 15.0, "expm": 3.0}
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,11 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     ``mode='rk4'`` integrates vec(rho) with a fixed-step classical RK4 using
     midpoint evaluations; ``mode='expm'`` uses a piecewise-constant
     exponential at each midpoint.  A step-halving (Richardson-style) error
-    estimate from a coarse companion run is stored in
-    ``metadata['step_halving_error']``.
+    estimate from a coarse companion run, scaled for the order of the
+    scheme, is stored in ``metadata['step_halving_error']``.
     """
+    if mode not in _HALVING_DIVISOR:
+        raise ContractError(f"mode must be 'rk4' or 'expm', got {mode!r}")
     d = rho0.data.shape[0]
     times = grid.times()
     _check_trace_annihilating(_lsuper_matrix(l_of_t, grid.t0), d, f"t={grid.t0}")
@@ -136,7 +139,9 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
 
     ys = sweep(times)
     coarse = sweep(times[::2]) if grid.steps >= 2 else ys
-    err = float(np.max(np.abs(ys[-1] - coarse[-1]))) / 15.0
+    # for a scheme of order p the fine run's error is about
+    # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
+    err = float(np.max(np.abs(ys[-1] - coarse[-1]))) / _HALVING_DIVISOR[mode]
 
     states = [rho0]
     for t, y in zip(times[1:], ys[1:]):

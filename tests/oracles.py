@@ -5,7 +5,11 @@ import math
 import numpy as np
 
 from covlind import JCParams, qubit_ops
-from covlind.jaynes_cummings import jc_eigenoperators, jc_semiclassical_propagator
+from covlind.jaynes_cummings import (
+    jc_block_propagator,
+    jc_eigenoperators,
+    jc_semiclassical_propagator,
+)
 
 Q = qubit_ops()
 
@@ -42,3 +46,34 @@ def decompose_sigma_x_amplitudes(p: JCParams, n_samples=3001, t_max=250.0):
 def random_hermitian(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def kraus_sum_oracle(rho0, p: JCParams, t: float, window):
+    """sum_m chi_m rho0 chi_m^dag, one m at a time from the block propagators.
+
+    chi_m = <m| U |alpha> on the qubit: |g, m> and |e, m - 1> share block m,
+    so chi_m = [[B_m[0,0] c_m, B_m[0,1] c_{m-1}], [B_{m+1}[1,0] c_{m+1},
+    B_{m+1}[1,1] c_m]] with the coherent amplitudes c_n; the uncoupled
+    |g, 0> only picks up the phase e^{i delta t / 2}.
+    """
+    lo, hi = window
+    a = abs(p.alpha)
+
+    def amp(n):
+        if n < 0:
+            return 0.0
+        log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * math.lgamma(n + 1.0)
+        return math.exp(log_mod) * np.exp(1j * n * np.angle(p.alpha))
+
+    def block(n):
+        if n == 0:
+            return np.diag([np.exp(0.5j * p.delta * t), 0.0])
+        return jc_block_propagator(n, t, p)
+
+    out = np.zeros((2, 2), dtype=complex)
+    for m in range(lo, hi + 1):
+        low, high = block(m), block(m + 1)
+        chi = np.array([[low[0, 0] * amp(m), low[0, 1] * amp(m - 1)],
+                        [high[1, 0] * amp(m + 1), high[1, 1] * amp(m)]])
+        out += chi @ rho0 @ chi.conj().T
+    return out

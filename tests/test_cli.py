@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from covlind.cli import main, write_csv
+from covlind.cli import main, run_coefficients, run_eigenops, write_csv
 from covlind.config import load_config, parse_initial_state
 from covlind.errors import ConfigError
 
@@ -81,6 +81,22 @@ class TestExitCodes:
                        " rabi: 4.0, alpha: 2.0}\n")
         assert run_cli(["attractor", "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("experiment, body", [
+        ("fig2", "jc:\n  alphas: [.nan]\n"),
+        ("coefficients", "sweep:\n  values: [.inf, 1.0]\n"),
+        ("fig2", "grid:\n  steps: -5\n"),
+        ("fig2", "grid:\n  steps: 2.5\n"),
+    ])
+    def test_malformed_values_are_2(self, tmp_path, capsys, experiment, body):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"experiment: {experiment}\n{body}")
+        code = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_override_is_2(self, tmp_path):
+        assert run_cli(["fig2", "--steps", "-5", "--out", str(tmp_path / "o")]) == 2
 
     def test_success_is_0(self, tmp_path):
         assert run_cli(["touchard", "--out", str(tmp_path / "o")]) == 0
@@ -188,6 +204,23 @@ class TestOutputs:
         path = tmp_path / "x.csv"
         write_csv(path, ["a"], [np.array([1.0 / 3.0])])
         assert path.read_text() == "a\n0.33333333333333331\n"
+
+
+class TestRunnerDefaults:
+    @pytest.mark.parametrize("runner", [run_eigenops, run_coefficients])
+    def test_runner_leaves_config_unchanged(self, tmp_path, runner):
+        cfg = load_config(None, experiment=runner.__name__[len("run_"):])
+        before = dict(cfg.jc)
+        runner(cfg, tmp_path)
+        assert cfg.jc == before
+
+    def test_coupling_given_as_g(self, tmp_path):
+        # the rabi default applies only when the config gives no g
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("experiment: coefficients\njc: {g: 0.1, alpha: 2.0}\n"
+                       "sweep: {values: [0.0, 0.1]}\n")
+        assert run_cli(["coefficients", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 0
 
 
 class TestIOError:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covlind import (
     DensityMatrix,
@@ -22,13 +23,16 @@ from covlind import (
     touchard_asymptotic,
     uhlmann_fidelity,
 )
-from covlind.errors import ContractError
+from covlind.errors import ContractError, TruncationError
 from covlind.jaynes_cummings import (
+    _autonomous_states,
+    default_kraus_window,
     fit_gaussian_envelope,
     jc_autonomous_trajectory,
     jc_kraus_completeness,
 )
-from covlind.operators import coherent_state
+from covlind.operators import coherent_state, validate_states
+from oracles import kraus_sum_oracle
 
 Q = qubit_ops()
 RNG = np.random.default_rng(31415)
@@ -156,6 +160,89 @@ class TestKrausReduction:
         assert fids.min() < 0.98
         # decaying agreement over the window: late minima beat early ones
         assert fids[:200].min() > fids[200:].min()
+
+
+def random_psd(rng, d=2):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestKrausKernel:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.5, 30.0),
+           phase=st.floats(-math.pi, math.pi), delta=st.floats(-0.5, 0.5),
+           g=st.floats(0.01, 0.5))
+    def test_matches_per_m_oracle(self, seed, modulus, phase, delta, g):
+        rng = np.random.default_rng(seed)
+        p = JCParams(1.0, 1.0 + delta, g, modulus * np.exp(1j * phase))
+        rho0 = random_psd(rng)
+        times = np.sort(rng.uniform(0.0, 40.0, size=3))
+        states = _autonomous_states(rho0, p, times)
+        for t, rho in zip(times, states):
+            oracle = kraus_sum_oracle(rho0, p, t, default_kraus_window(p))
+            oracle /= np.trace(oracle).real
+            assert np.max(np.abs(rho - oracle)) < 1e-12
+
+    def test_bitwise_independent_of_chunk(self):
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 7.0 * np.exp(0.3j))
+        rho0 = DensityMatrix.from_matrix(random_psd(np.random.default_rng(5)))
+        times = np.linspace(0.0, 20.0, 41)
+        default = _autonomous_states(rho0.data, p, times)
+        for chunk in (1, 7):
+            assert np.array_equal(_autonomous_states(rho0.data, p, times, chunk=chunk),
+                                  default)
+        wrapped = jc_autonomous_trajectory(rho0, p, times, chunk=7)
+        assert np.array_equal(np.array([s.data for s in wrapped]), default)
+
+    def test_narrow_window_raises_with_context(self):
+        p = JCParams.with_rabi(1.0, 0.0, 2.0, 5.0)
+        rho0 = DensityMatrix.from_ket([1, 1])
+        with pytest.raises(TruncationError) as info:
+            jc_autonomous_trajectory(rho0, p, np.linspace(0.5, 3.0, 6), window=(20, 30))
+        message = str(info.value)
+        assert "alpha=5," in message
+        assert "[20, 30]" in message
+        assert "t in [0.5, 3]" in message
+        assert info.value.deficit > 1e-6
+
+
+class TestStackedStates:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4))
+    def test_fidelity_stack_matches_items_bitwise(self, seed, d):
+        rng = np.random.default_rng(seed)
+        a = np.array([random_psd(rng, d) for _ in range(9)])
+        b = np.array([random_psd(rng, d) for _ in range(9)])
+        stacked = uhlmann_fidelity(a, b)
+        assert stacked.shape == (9,)
+        single = [uhlmann_fidelity(x, y) for x, y in zip(a, b)]
+        assert all(isinstance(f, float) for f in single)
+        assert np.array_equal(stacked, single)
+
+    def test_validation_stack_matches_items_bitwise(self):
+        rng = np.random.default_rng(11)
+        states = np.array([random_psd(rng) for _ in range(12)])
+        # one state with a tiny negative eigenvalue exercises the clip branch
+        w, v = np.linalg.eigh(states[3])
+        states[3] = (v * np.array([-1e-9, 1.0 + 1e-9])) @ v.conj().T
+        checked = validate_states(states, eig_tol=1e-7)
+        assert np.linalg.eigvalsh(checked[3])[0] >= -1e-15
+        for rho, item in zip(states, checked):
+            assert np.array_equal(DensityMatrix.from_matrix(rho, eig_tol=1e-7).data, item)
+
+    def test_validation_names_offending_state(self):
+        states = np.array([np.eye(2) / 2] * 3, dtype=complex)
+        states[2] = np.diag([0.7, 0.5])
+        with pytest.raises(ContractError, match=r"\(state 2\)"):
+            validate_states(states)
+
+    def test_semiclassical_propagator_stack_matches_items(self):
+        p = JCParams(1.0, 1.2, 0.2, 1.5 * np.exp(0.4j))
+        times = np.linspace(0.0, 12.0, 25)
+        stacked = jc_semiclassical_propagator(times, p)
+        assert stacked.shape == (25, 2, 2)
+        assert np.array_equal(stacked, [jc_semiclassical_propagator(t, p) for t in times])
 
 
 class TestSemiclassical:

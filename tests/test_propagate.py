@@ -23,9 +23,12 @@ from covlind import (
     jc_semiclassical_hamiltonian,
     jc_semiclassical_propagator,
     liouvillian,
+    matrix_exp,
     qubit_ops,
     static_eigenoperators,
     uhlmann_fidelity,
+    unvec,
+    vec,
 )
 from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
@@ -146,6 +149,30 @@ class TestEvolveTimedep:
         err_f = np.max(np.abs(fine.states[-1].data - exact.data))
         assert err_c / err_f >= 8.0
         assert coarse.metadata["step_halving_error"] > 0
+
+    @pytest.mark.parametrize("mode", ["rk4", "expm"])
+    def test_step_halving_estimate_is_honest(self, mode):
+        # covariance makes the driven qubit static in the frame rotating at
+        # wc: rho(t) = V e^{L_rot t}[rho0] V^dag, L_rot = L(0) + i[wc sz / 2, .]
+        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+        bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
+        g0, gm, gp = jc_kinetic_coefficients(p, bath)
+        _, f_minus, w = jc_eigenoperators(p)
+
+        def l_of_t(t):
+            spec = DissipatorSpec(channels=[Channel(f_minus(t), gm, gp)],
+                                  dephasing_invariant=([w(t)], [[g0]]))
+            return liouvillian(jc_semiclassical_hamiltonian(t, p), build_dissipator(spec))
+
+        t_end = 6.0
+        traj = evolve_timedep(l_of_t, GROUND, TimeGrid(0.0, t_end, 100), mode=mode)
+        l_rot = l_of_t(0.0).data + 1j * commutator_super(0.5 * p.omega_c * Q["sz"]).data
+        y = matrix_exp(l_rot * t_end) @ vec(GROUND.data)
+        v = matrix_exp(-0.5j * p.omega_c * t_end * Q["sz"])
+        exact = v @ unvec(y, 2) @ v.conj().T
+        actual = np.max(np.abs(vec(traj.states[-1].data) - vec(exact)))
+        ratio = traj.metadata["step_halving_error"] / actual
+        assert 0.5 < ratio < 2.0
 
     def test_expm_mode(self):
         l_super = damping_liouvillian(0.6, omega=0.9)
