@@ -24,10 +24,11 @@ from .operators import (
     Operator,
     Superoperator,
     _as_matrix,
-    commutator_super,
+    _check_trace_annihilating,
+    _commutator,
+    _kron,
     liouville_unitary,
     matrix_exp,
-    sandwich_super,
     vec,
 )
 
@@ -102,15 +103,17 @@ class DissipatorSpec:
         raise DimensionError("empty DissipatorSpec has no dimension")
 
 
+def _lindblad(a: np.ndarray, b: np.ndarray, coeff) -> np.ndarray:
+    """Matrix of coeff * (A . B - 1/2 {B A, .}); B = A^dag gives a channel."""
+    eye = np.eye(a.shape[0])
+    ba = b @ a
+    return (_kron(b.T, a) - 0.5 * (_kron(eye, ba) + _kron(ba.T, eye))) * coeff
+
+
 def lindblad_term(f, rate: float = 1.0) -> Superoperator:
     """GKLS channel rate * (F . F^dag - 1/2 {F^dag F, .})."""
     fm = _as_matrix(f)
-    d = fm.shape[0]
-    eye = np.eye(d)
-    fdf = fm.conj().T @ fm
-    term = (sandwich_super(fm, fm.conj().T)
-            - 0.5 * (sandwich_super(fdf, eye) + sandwich_super(eye, fdf)))
-    return rate * term
+    return Superoperator(_lindblad(fm, fm.conj().T, rate), fm.shape[0])
 
 
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
@@ -121,36 +124,29 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     """
     if d is None:
         d = spec.dim
-    total = Superoperator.zero(d)
+    total = np.zeros((d * d, d * d), dtype=complex)
     for ch in spec.channels:
         fm = _as_matrix(ch.op)
         if fm.shape[0] != d:
             raise DimensionError("channel dimension mismatch")
+        fdag = fm.conj().T
         if ch.rate:
-            total = total + lindblad_term(fm, ch.rate)
+            total += _lindblad(fm, fdag, ch.rate)
         if ch.rate_rev:
-            total = total + lindblad_term(fm.conj().T, ch.rate_rev)
+            total += _lindblad(fdag, fm, ch.rate_rev)
     for v, lam in spec.dephasing_hermitian:
-        cv = commutator_super(v)
-        total = total - lam * Superoperator(cv.data @ cv.data, d)
+        cv = _commutator(_as_matrix(v))
+        total -= (cv @ cv) * lam
     if spec.dephasing_invariant is not None:
         ws, chi = spec.dephasing_invariant
         chi = np.asarray(chi, dtype=complex)
-        eye = np.eye(d)
-        for i, wi in enumerate(ws):
-            for j, wj in enumerate(ws):
-                if chi[i, j] == 0:
-                    continue
-                wim, wjm = _as_matrix(wi), _as_matrix(wj)
-                wji = wjm @ wim
-                term = (sandwich_super(wim, wjm)
-                        - 0.5 * (sandwich_super(wji, eye) + sandwich_super(eye, wji)))
-                total = total + chi[i, j] * term
-    left = vec(np.eye(d)).conj() @ total.data
-    scale = max(1.0, float(np.max(np.abs(total.data))))
-    if np.max(np.abs(left)) > 1e-10 * scale:
-        raise ContractError("assembled dissipator does not annihilate the trace")
-    return total
+        wms = [_as_matrix(w) for w in ws]
+        for i, wim in enumerate(wms):
+            for j, wjm in enumerate(wms):
+                if chi[i, j] != 0:
+                    total += _lindblad(wim, wjm, chi[i, j])
+    _check_trace_annihilating(total, d, "assembled dissipator")
+    return Superoperator(total, d)
 
 
 def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
@@ -158,13 +154,10 @@ def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
     hm = _as_matrix(h_eff)
     if np.max(np.abs(hm - hm.conj().T)) > 1e-10:
         raise ContractError("effective Hamiltonian must be Hermitian")
-    l_super = Superoperator(-1j * commutator_super(hm).data + d_super.data,
-                            d_super.source_dim)
-    left = vec(np.eye(l_super.source_dim)).conj() @ l_super.data
-    scale = max(1.0, float(np.max(np.abs(l_super.data))))
-    if np.max(np.abs(left)) > 1e-10 * scale:
-        raise ContractError("Liouvillian does not annihilate the trace")
-    return l_super
+    d = d_super.source_dim
+    l_mat = -1j * _commutator(hm) + d_super.data
+    _check_trace_annihilating(l_mat, d, "Liouvillian")
+    return Superoperator(l_mat, d)
 
 
 def total_liouvillian(h_free, spec: DissipatorSpec) -> Superoperator:

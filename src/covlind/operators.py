@@ -231,11 +231,35 @@ def unvec(v, d: int | None = None) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without its
+    per-call overhead, so the result is bitwise equal."""
+    nm = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(nm, nm)
+
+
 def kron(a, b) -> Operator:
     """Kronecker product; subsystem dims concatenate."""
     am, bm = _as_matrix(a), _as_matrix(b)
     dims = tuple(_dims_of(a)) + tuple(_dims_of(b))
-    return Operator(np.kron(am, bm), dims)
+    return Operator(_kron(am, bm), dims)
+
+
+def _commutator(hm: np.ndarray) -> np.ndarray:
+    """Matrix of X -> [H, X] on vec'd operators."""
+    eye = np.eye(hm.shape[0])
+    return _kron(eye, hm) - _kron(hm.T, eye)
+
+
+def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
+    """Raise ContractError naming ``stage`` unless vec(I)^dag L = 0 within
+    1e-10 relative to L's largest entry; a non-finite L fails too.  vec(I)
+    is 1 at rows j*(d+1), so this sums those rows of L: tr L[X] = 0 for
+    every X."""
+    worst = float(np.abs(l_mat[::d + 1].sum(axis=0)).max())
+    scale = max(1.0, float(np.abs(l_mat).max()))
+    if not worst <= 1e-10 * scale:
+        raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e})")
 
 
 def sandwich_super(a, b) -> Superoperator:
@@ -243,15 +267,13 @@ def sandwich_super(a, b) -> Superoperator:
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionError(f"incompatible shapes {am.shape} and {bm.shape}")
-    return Superoperator(np.kron(bm.T, am), am.shape[0])
+    return Superoperator(_kron(bm.T, am), am.shape[0])
 
 
 def commutator_super(h) -> Superoperator:
     """Superoperator of X -> [H, X]; Hermitian as a matrix for Hermitian H."""
     hm = _as_matrix(h)
-    d = hm.shape[0]
-    eye = np.eye(d)
-    return Superoperator(np.kron(eye, hm) - np.kron(hm.T, eye), d)
+    return Superoperator(_commutator(hm), hm.shape[0])
 
 
 def liouville_unitary(h, t: float) -> Superoperator:

@@ -12,6 +12,7 @@ from .operators import (
     DensityMatrix,
     Superoperator,
     _as_matrix,
+    _check_trace_annihilating,
     matrix_exp,
     uhlmann_fidelity,
     unvec,
@@ -55,14 +56,6 @@ class Trajectory:
         return len(self.states)
 
 
-def _check_trace_annihilating(l_mat: np.ndarray, d: int, where: str):
-    left = vec(np.eye(d)).conj() @ l_mat
-    scale = max(1.0, float(np.max(np.abs(l_mat))))
-    if np.max(np.abs(left)) > 1e-10 * scale:
-        raise ContractError(f"generator at {where} is not trace-annihilating "
-                            f"({np.max(np.abs(left)):.2e})")
-
-
 def _state_from_vec(y: np.ndarray, d: int, dims, t: float) -> DensityMatrix:
     rho = unvec(y, d)
     tr = np.trace(rho).real
@@ -85,7 +78,7 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     d = rho0.data.shape[0]
     if l_super.source_dim != d:
         raise DimensionError("generator dimension does not match the state")
-    _check_trace_annihilating(l_super.data, d, "t=const")
+    _check_trace_annihilating(l_super.data, d, "generator at t=const")
     step = matrix_exp(l_super.data * grid.dt)
     y = vec(rho0.data)
     states = [rho0]
@@ -96,9 +89,14 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     return Trajectory(times, states, {"mode": "static-expm", "dt": grid.dt})
 
 
-def _lsuper_matrix(l_of_t, t: float) -> np.ndarray:
-    l = l_of_t(t)
-    return l.data if isinstance(l, Superoperator) else np.asarray(l, dtype=complex)
+def _rk4_step(y: np.ndarray, l0: np.ndarray, lm: np.ndarray, l1: np.ndarray,
+              dt: float) -> np.ndarray:
+    """One classical RK4 step with the generator at t, t + dt/2 and t + dt."""
+    k1 = l0 @ y
+    k2 = lm @ (y + dt / 2 * k1)
+    k3 = lm @ (y + dt / 2 * k2)
+    k4 = l1 @ (y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
@@ -107,41 +105,55 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
 
     ``mode='rk4'`` integrates vec(rho) with a fixed-step classical RK4 using
     midpoint evaluations; ``mode='expm'`` uses a piecewise-constant
-    exponential at each midpoint.  A step-halving (Richardson-style) error
-    estimate from a coarse companion run, scaled for the order of the
-    scheme, is stored in ``metadata['step_halving_error']``.
+    exponential at each midpoint.  Each needed L(t) is evaluated once: RK4
+    calls ``l_of_t`` 2N + 1 times for N steps, expm 1 + N + N // 2 times.
+
+    A coarse companion run at twice the step, driven by the same generator
+    matrices, gives a step-halving (Richardson-style) error estimate, scaled
+    for the order of the scheme and stored in
+    ``metadata['step_halving_error']``.  It estimates the fine run's error
+    at t_{2 floor(N/2)}, the last grid point both runs reach: t1 for even N,
+    the point one step before it for odd N.
     """
     if mode not in _HALVING_DIVISOR:
         raise ContractError(f"mode must be 'rk4' or 'expm', got {mode!r}")
     d = rho0.data.shape[0]
     times = grid.times()
-    _check_trace_annihilating(_lsuper_matrix(l_of_t, grid.t0), d, f"t={grid.t0}")
 
-    def sweep(ts):
-        y = vec(rho0.data)
-        out = [y.copy()]
-        for i in range(len(ts) - 1):
-            t, dt = ts[i], ts[i + 1] - ts[i]
-            if mode == "expm":
-                lm = _lsuper_matrix(l_of_t, t + dt / 2)
-                y = matrix_exp(lm * dt) @ y
+    def generator(t):
+        l = l_of_t(t)
+        lm = l.data if isinstance(l, Superoperator) else np.asarray(l, dtype=complex)
+        if lm.shape != (d * d, d * d):
+            raise DimensionError(f"generator at t={t} has shape {lm.shape}, "
+                                 f"expected {(d * d, d * d)} for a state of dim {d}")
+        return lm
+
+    l_prev = generator(times[0])
+    _check_trace_annihilating(l_prev, d, f"generator at t={grid.t0}")
+    y = vec(rho0.data)
+    ys = [y]
+    coarse = y  # companion state at the even grid points, t_0, t_2, ...
+    for i in range(grid.steps):
+        t, dt = times[i], times[i + 1] - times[i]
+        if mode == "expm":
+            y = matrix_exp(generator(t + dt / 2) * dt) @ y
+            if i % 2:
+                # the coarse step t_{i-1} -> t_{i+1} has its midpoint at t_i
+                coarse = matrix_exp(generator(t) * (times[i + 1] - times[i - 1])) @ coarse
+        else:
+            l_next = generator(times[i + 1])
+            y = _rk4_step(y, l_prev, generator(t + dt / 2), l_next, dt)
+            if i % 2:
+                coarse = _rk4_step(coarse, l_even, l_prev, l_next,
+                                   times[i + 1] - times[i - 1])
             else:
-                l1 = _lsuper_matrix(l_of_t, t)
-                l2 = _lsuper_matrix(l_of_t, t + dt / 2)
-                l3 = _lsuper_matrix(l_of_t, t + dt)
-                k1 = l1 @ y
-                k2 = l2 @ (y + dt / 2 * k1)
-                k3 = l2 @ (y + dt / 2 * k2)
-                k4 = l3 @ (y + dt * k3)
-                y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out.append(y.copy())
-        return out
-
-    ys = sweep(times)
-    coarse = sweep(times[::2]) if grid.steps >= 2 else ys
+                l_even = l_prev
+            l_prev = l_next
+        ys.append(y)
     # for a scheme of order p the fine run's error is about
     # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
-    err = float(np.max(np.abs(ys[-1] - coarse[-1]))) / _HALVING_DIVISOR[mode]
+    last = ys[2 * (grid.steps // 2)]
+    err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
 
     states = [rho0]
     for t, y in zip(times[1:], ys[1:]):

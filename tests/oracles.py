@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 from covlind import JCParams, qubit_ops
 from covlind.jaynes_cummings import (
@@ -77,3 +78,59 @@ def kraus_sum_oracle(rho0, p: JCParams, t: float, window):
                         [high[1, 0] * amp(m + 1), high[1, 1] * amp(m)]])
         out += chi @ rho0 @ chi.conj().T
     return out
+
+
+def dissipator_kron_oracle(spec, d):
+    """build_dissipator spelled out term by term with np.kron.
+
+    Every superoperator is kron(B.T, A) for X -> A X B and the terms are
+    added in the library's order with the same arithmetic, so a correct
+    assembly matches this bitwise.
+    """
+    eye = np.eye(d)
+
+    def pair(a, b, coeff):
+        ba = b @ a
+        return (np.kron(b.T, a) - 0.5 * (np.kron(eye.T, ba) + np.kron(ba.T, eye))) * coeff
+
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for ch in spec.channels:
+        f = np.asarray(ch.op, dtype=complex)
+        if ch.rate:
+            total = total + pair(f, f.conj().T, ch.rate)
+        if ch.rate_rev:
+            total = total + pair(f.conj().T, f, ch.rate_rev)
+    for v, lam in spec.dephasing_hermitian:
+        v = np.asarray(v, dtype=complex)
+        cv = np.kron(eye, v) - np.kron(v.T, eye)
+        total = total - (cv @ cv) * lam
+    if spec.dephasing_invariant is not None:
+        ws, chi = spec.dephasing_invariant
+        chi = np.asarray(chi, dtype=complex)
+        for i, wi in enumerate(ws):
+            for j, wj in enumerate(ws):
+                if chi[i, j] != 0:
+                    total = total + pair(np.asarray(wi, dtype=complex),
+                                         np.asarray(wj, dtype=complex), chi[i, j])
+    return total
+
+
+def three_call_sweep_oracle(l_of_t, y0, times, mode="rk4"):
+    """Fixed-step sweep evaluating the generator afresh at every stage:
+    L(t), L(t + dt/2), L(t + dt) per RK4 step, L(t + dt/2) per exponential
+    step.  Returns the vec'd state at every time."""
+    y = np.asarray(y0, dtype=complex)
+    out = [y.copy()]
+    for i in range(len(times) - 1):
+        t, dt = times[i], times[i + 1] - times[i]
+        if mode == "expm":
+            y = scipy.linalg.expm(l_of_t(t + dt / 2) * dt) @ y
+        else:
+            l1, l2, l3 = l_of_t(t), l_of_t(t + dt / 2), l_of_t(t + dt)
+            k1 = l1 @ y
+            k2 = l2 @ (y + dt / 2 * k1)
+            k3 = l2 @ (y + dt / 2 * k2)
+            k4 = l3 @ (y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y.copy())
+    return np.array(out)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covlind import (
     Channel,
@@ -23,6 +24,7 @@ from covlind import (
 from covlind.errors import ContractError
 from covlind.gkls import ZeroTemperatureWarning, lindblad_term
 from covlind.operators import hermitian_eig
+from oracles import dissipator_kron_oracle
 
 Q = qubit_ops()
 RNG = np.random.default_rng(4242)
@@ -356,3 +358,54 @@ class TestJCAttractorNullspaceOracle:
         rho = evecs[:, k].reshape((2, 2), order="F")
         rho = rho / np.trace(rho)
         assert np.max(np.abs(rho - res.state.data)) < 1e-9
+
+
+def random_spec(rng, d, n_channels, n_hermitian, n_invariant):
+    """Channels with random (sometimes zero) forward and reverse rates,
+    Hermitian double-commutator dephasing and invariant dephasing with a
+    random positive semi-definite chi."""
+    def rate():
+        return 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 1.5))
+
+    def op():
+        return (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
+
+    channels = [Channel(op(), rate(), rate()) for _ in range(n_channels)]
+    hermitian = [(random_hermitian(d, rng) / math.sqrt(d), float(rng.uniform(0.0, 1.0)))
+                 for _ in range(n_hermitian)]
+    invariant = None
+    if n_invariant:
+        b = rng.normal(size=(n_invariant,) * 2) + 1j * rng.normal(size=(n_invariant,) * 2)
+        invariant = ([random_hermitian(d, rng) / math.sqrt(d) for _ in range(n_invariant)],
+                     0.5 * b @ b.conj().T / n_invariant)
+    return DissipatorSpec(channels=channels, dephasing_hermitian=hermitian,
+                          dephasing_invariant=invariant)
+
+
+class TestAssemblyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           n_channels=st.integers(0, 3), n_hermitian=st.integers(0, 2),
+           n_invariant=st.integers(0, 3))
+    def test_random_specs(self, seed, d, n_channels, n_hermitian, n_invariant):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, d, n_channels, n_hermitian, n_invariant)
+        d_super = build_dissipator(spec, d=d)
+        assert np.array_equal(d_super.data, dissipator_kron_oracle(spec, d))
+        h = random_hermitian(d, rng)
+        l_super = liouvillian(h, d_super)
+        eye = np.eye(d)
+        assert np.array_equal(
+            l_super.data, -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + d_super.data)
+        idv = vec(eye).conj()
+        assert np.max(np.abs(idv @ d_super.data), initial=0.0) < 1e-12
+        assert np.max(np.abs(idv @ l_super.data), initial=0.0) < 1e-12
+        choi = choi_matrix(Superoperator_like(matrix_exp(0.1 * l_super.data), d))
+        assert float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]) >= -1e-10
+
+
+class TestTraceCheck:
+    def test_names_the_stage(self):
+        bad = Superoperator_like(np.eye(4, dtype=complex), 2)
+        with pytest.raises(ContractError, match="Liouvillian is not trace-annihilating"):
+            liouvillian(Q["sz"], bad)

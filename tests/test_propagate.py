@@ -32,6 +32,7 @@ from covlind import (
 )
 from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
+from oracles import three_call_sweep_oracle
 
 Q = qubit_ops()
 EXCITED = DensityMatrix.from_ket([0, 1])
@@ -41,6 +42,33 @@ GROUND = DensityMatrix.from_ket([1, 0])
 def damping_liouvillian(gamma=1.0, omega=0.0):
     spec = DissipatorSpec(channels=[Channel(Q["sm"], gamma)])
     return liouvillian(0.5 * omega * Q["sz"], build_dissipator(spec))
+
+
+def driven_damped_qubit():
+    """L(t) of the driven qubit damped by F_-(t) with invariant W(t)
+    dephasing, and the exact state at t from |g>.
+
+    Covariance makes the driven qubit static in the frame rotating at wc:
+    rho(t) = V e^{L_rot t}[rho0] V^dag, L_rot = L(0) + i[wc sz / 2, .].
+    """
+    p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+    bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
+    g0, gm, gp = jc_kinetic_coefficients(p, bath)
+    _, f_minus, w = jc_eigenoperators(p)
+
+    def l_of_t(t):
+        spec = DissipatorSpec(channels=[Channel(f_minus(t), gm, gp)],
+                              dephasing_invariant=([w(t)], [[g0]]))
+        return liouvillian(jc_semiclassical_hamiltonian(t, p), build_dissipator(spec))
+
+    l_rot = l_of_t(0.0).data + 1j * commutator_super(0.5 * p.omega_c * Q["sz"]).data
+
+    def exact(t):
+        y = matrix_exp(l_rot * t) @ vec(GROUND.data)
+        v = matrix_exp(-0.5j * p.omega_c * t * Q["sz"])
+        return v @ unvec(y, 2) @ v.conj().T
+
+    return l_of_t, exact
 
 
 class TestTimeGrid:
@@ -152,27 +180,61 @@ class TestEvolveTimedep:
 
     @pytest.mark.parametrize("mode", ["rk4", "expm"])
     def test_step_halving_estimate_is_honest(self, mode):
-        # covariance makes the driven qubit static in the frame rotating at
-        # wc: rho(t) = V e^{L_rot t}[rho0] V^dag, L_rot = L(0) + i[wc sz / 2, .]
-        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
-        bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
-        g0, gm, gp = jc_kinetic_coefficients(p, bath)
-        _, f_minus, w = jc_eigenoperators(p)
-
-        def l_of_t(t):
-            spec = DissipatorSpec(channels=[Channel(f_minus(t), gm, gp)],
-                                  dephasing_invariant=([w(t)], [[g0]]))
-            return liouvillian(jc_semiclassical_hamiltonian(t, p), build_dissipator(spec))
-
+        l_of_t, exact = driven_damped_qubit()
         t_end = 6.0
         traj = evolve_timedep(l_of_t, GROUND, TimeGrid(0.0, t_end, 100), mode=mode)
-        l_rot = l_of_t(0.0).data + 1j * commutator_super(0.5 * p.omega_c * Q["sz"]).data
-        y = matrix_exp(l_rot * t_end) @ vec(GROUND.data)
-        v = matrix_exp(-0.5j * p.omega_c * t_end * Q["sz"])
-        exact = v @ unvec(y, 2) @ v.conj().T
-        actual = np.max(np.abs(vec(traj.states[-1].data) - vec(exact)))
+        actual = np.max(np.abs(vec(traj.states[-1].data) - vec(exact(t_end))))
         ratio = traj.metadata["step_halving_error"] / actual
         assert 0.5 < ratio < 2.0
+
+    @pytest.mark.parametrize("mode", ["rk4", "expm"])
+    @pytest.mark.parametrize("steps", [41, 161])
+    def test_odd_step_estimate_is_honest(self, mode, steps):
+        # for odd N the coarse run ends at t_{N-1}; the estimate is of the
+        # fine run's error there
+        l_of_t, exact = driven_damped_qubit()
+        traj = evolve_timedep(l_of_t, GROUND, TimeGrid(0.0, 6.0, steps), mode=mode)
+        k = 2 * (steps // 2)
+        actual = np.max(np.abs(traj.states[k].data - exact(traj.times[k])))
+        ratio = traj.metadata["step_halving_error"] / actual
+        assert 0.5 < ratio < 2.0
+
+    @pytest.mark.parametrize("mode", ["rk4", "expm"])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    def test_one_generator_call_per_time(self, mode, steps):
+        l_of_t, _ = driven_damped_qubit()
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return l_of_t(t).data
+
+        grid = TimeGrid(0.0, 1.0, steps)
+        traj = evolve_timedep(counting, GROUND, grid, mode=mode)
+        expected = 2 * steps + 1 if mode == "rk4" else 1 + steps + steps // 2
+        assert len(calls) == expected
+        oracle = three_call_sweep_oracle(counting, vec(GROUND.data), grid.times(), mode)
+        states = np.array([vec(st.data) for st in traj.states])
+        assert np.max(np.abs(states - oracle)) < 1e-14
+
+    def test_rejects_badly_shaped_generator(self):
+        good = damping_liouvillian(0.5)
+
+        def l_of_t(t):
+            return good if t < 0.5 else np.eye(9, dtype=complex)
+
+        with pytest.raises(DimensionError, match=r"t=0\.5.*\(9, 9\)"):
+            evolve_timedep(l_of_t, EXCITED, TimeGrid(0, 1, 4))
+
+    def test_trace_check_names_the_stage(self):
+        bad = Superoperator(np.eye(4, dtype=complex), 2)
+        with pytest.raises(ContractError, match="generator at t=0 is not trace"):
+            evolve_timedep(lambda t: bad, EXCITED, TimeGrid(0, 1, 10))
+        with pytest.raises(ContractError, match="generator at t=const is not trace"):
+            evolve_static(bad, EXCITED, TimeGrid(0, 1, 10))
+        nan = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(ContractError, match="generator at t=0 is not trace"):
+            evolve_timedep(lambda t: nan, EXCITED, TimeGrid(0, 1, 10))
 
     def test_expm_mode(self):
         l_super = damping_liouvillian(0.6, omega=0.9)
