@@ -6,21 +6,26 @@ energy projectors as invariants.  The Schroedinger-picture map
 rho -> U rho U^dag multiplies |psi_n><psi_m| by exp(+i omega_nm t); the
 Heisenberg picture by exp(-i omega_nm t).
 
-Driven case: eigenoperators of the one-period Heisenberg propagator
-(monodromy), with frequencies in the Heisenberg convention of
-d/dt P^H = i lambda P^H (a raising-type operator carries positive lambda).
-Monodromy phases are principal values, so reported frequencies live in
+Driven case: for a periodic drive the eigenoperators of the one-period
+Heisenberg map X -> U(T)^dag X U(T) are the outer products |v_i><v_j| of
+the Floquet states U(T) v_i = u_i v_i, with frequencies from the
+quasienergy differences (Shirley, Phys. Rev. 138, B979 (1965)) in the
+Heisenberg convention of d/dt P^H = i lambda P^H (a raising-type operator
+carries positive lambda).  One d x d decomposition of U(T) gives all d^2 of
+them.  The phases are principal values, so reported frequencies live in
 (-pi/T, pi/T]; drives whose eigenfrequencies exceed half the drive
 frequency fold back and are flagged as degenerate when they collide.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ContractError, IntegrationError
 from .operators import (
@@ -31,7 +36,9 @@ from .operators import (
     unvec,
     vec,
     _as_matrix,
+    _check_hermitian,
 )
+from .propagate import _rk4_step
 
 
 class DegeneracyWarning(UserWarning):
@@ -76,8 +83,7 @@ class DrivenGenerator:
 
     def matrix(self, t: float) -> np.ndarray:
         h = _as_matrix(self.h_of_t(t))
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
-            raise ContractError(f"H(t={t}) is not Hermitian")
+        _check_hermitian(h, f"H(t={t})")
         return h
 
     @property
@@ -162,38 +168,35 @@ def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
     return 1j * commutator_super(gen.matrix(t))
 
 
-def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int,
-                      renorm_every: int = 100) -> np.ndarray:
-    """RK4 integration of dU/dt = -i H(t) U with periodic re-unitarization."""
-    d = gen.dim
-    u = np.eye(d, dtype=complex)
+def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
+                   renorm_every: int = 100):
+    """Yield U(t0 + k dt) for k = 1..steps, where dU/dt = -i H(t) U, U(t0) = I.
+
+    Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
+    the next step's H(t), so a full sweep calls H 2 * steps + 1 times.
+    """
     dt = (t1 - t0) / steps
-
-    def rhs(t, m):
-        return -1j * gen.matrix(t) @ m
-
+    a_prev = -1j * gen.matrix(t0)
+    u = np.eye(a_prev.shape[0], dtype=complex)
     for k in range(steps):
         t = t0 + k * dt
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        a_mid = -1j * gen.matrix(t + dt / 2)
+        a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
+        u = _rk4_step(u, a_prev, a_mid, a_next, dt)
         if (k + 1) % renorm_every == 0:
             # polar projection keeps the propagator on the unitary group
             a, _, b = np.linalg.svd(u)
             u = a @ b
+        a_prev = a_next
+        yield u
+
+
+def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int,
+                      renorm_every: int = 100) -> np.ndarray:
+    """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1 times."""
+    for u in _unitary_sweep(gen, t0, t1, steps, renorm_every):
+        pass
     return u
-
-
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        phase = col[idx] / abs(col[idx])
-        out[:, k] = col / phase
-    return out
 
 
 def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
@@ -201,33 +204,38 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
                              invariant_tol: float = 1e-8) -> EigenoperatorSet:
     """Eigenoperators of the one-period Heisenberg propagator.
 
-    Builds U(T) by time-ordered integration, forms the Heisenberg Liouville
-    map X -> U^dag X U, and diagonalizes it.  Eigenvalues exp(i theta_k)
-    give average eigenfrequencies lambda_k = theta_k / T with theta the
-    principal phase; frequencies beyond half the drive frequency are not
-    identifiable from a single period.  Colliding eigenvalues are reported
-    as a DegeneracyWarning and their subspace re-orthonormalized.
+    Builds U(T) by time-ordered integration and decomposes it into Floquet
+    states U(T) v_i = u_i v_i.  The Heisenberg map X -> U^dag X U sends
+    |v_i><v_j| to conj(u_i) u_j |v_i><v_j|, so the d^2 outer products are
+    its eigenoperators, with average eigenfrequencies
+    lambda = angle(conj(u_i) u_j) / T (principal phase); frequencies beyond
+    half the drive frequency are not identifiable from a single period.
+    The invariant sector lists the identity first, then an orthonormal
+    completion from the Floquet projectors |v_i><v_i|.  Colliding phases
+    are reported as a DegeneracyWarning.
     """
     if gen.period is None:
         raise ContractError("monodromy requires gen.period")
-    d = gen.dim
-    if d > 32:
-        raise ContractError("dense monodromy limited to dimension <= 32")
     T = float(gen.period)
     u = integrate_unitary(gen, 0.0, T, steps)
+    d = u.shape[0]
     unit_resid = np.max(np.abs(u.conj().T @ u - np.eye(d)))
     if unit_resid > unitary_tol:
         raise IntegrationError(f"monodromy is not unitary within {unitary_tol} "
                                f"(residual {unit_resid:.2e}); increase steps")
-    k_map = np.kron(u.T, u.conj().T)
-    evals, evecs = np.linalg.eig(k_map)
-    thetas = np.angle(evals)
+    # U is normal, so its complex Schur form is diagonal and the Schur
+    # vectors are orthonormal Floquet states even for degenerate u_i
+    tri, z = scipy.linalg.schur(u, output="complex")
+    top = z[np.argmax(np.abs(z), axis=0), np.arange(d)]
+    v = z * (np.abs(top) / top)  # largest entry of each Floquet state real positive
+    u_diag = np.diag(tri)
+    outer = np.einsum("ai,bj->ijab", v, v.conj())  # outer[i, j] = |v_i><v_j|
+    # pair (i, j) sits at index i * d + j
+    thetas = np.angle(np.outer(u_diag.conj(), u_diag)).ravel()
 
-    # cluster colliding eigenvalues on the unit circle (wrap-aware) and
-    # orthonormalize inside each cluster
-    order = np.argsort(thetas)
+    # cluster colliding phases on the unit circle (wrap-aware)
+    order = np.argsort(thetas, kind="stable")
     thetas = thetas[order]
-    evecs = evecs[:, order]
     clusters: list[list[int]] = []
     for i in range(len(thetas)):
         if clusters and abs(np.exp(1j * thetas[i]) - np.exp(1j * thetas[clusters[-1][0]])) < 1e-7:
@@ -237,48 +245,38 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
     if len(clusters) > 1 and abs(np.exp(1j * thetas[clusters[0][0]])
                                  - np.exp(1j * thetas[clusters[-1][-1]])) < 1e-7:
         clusters[0] = clusters.pop() + clusters[0]
-    for cl in clusters:
-        if len(cl) > 1:
-            block = evecs[:, cl]
-            q, _ = np.linalg.qr(block)
-            evecs[:, cl] = q
 
-    id_vec = vec(np.eye(d)) / np.sqrt(d)
     ops, freqs, flags = [], [], []
     for cl in clusters:
-        block = evecs[:, cl]
-        id_weight = float(np.linalg.norm(id_vec.conj() @ block))
-        holds_identity = id_weight > 0.99
-        invariant_cluster = (holds_identity
-                             or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < invariant_tol)
-        if invariant_cluster:
+        pairs = [divmod(int(order[k]), d) for k in cl]
+        # the diagonal pairs have phase exactly 0 and share one cluster
+        holds_identity = any(i == j for i, j in pairs)
+        if holds_identity or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < invariant_tol:
             if len(cl) > d:
                 warnings.warn(
                     f"invariant cluster has {len(cl)} members (> dim {d}); "
                     "eigenfrequencies commensurate with the drive may have "
                     "folded onto the invariants", DegeneracyWarning)
-            # the identity direction is trivial; list it first, then the rest
-            coeffs = id_vec.conj() @ block
-            residual_block = block - np.outer(id_vec, coeffs)
-            q, r = np.linalg.qr(residual_block)
-            keep = [j for j in range(q.shape[1]) if abs(r[j, j]) > 1e-7]
-            members = ([id_vec] if holds_identity else []) + [q[:, j] for j in keep]
-            for mvec in members:
-                ops.append(Operator(unvec(_phase_fix(mvec[:, None])[:, 0], d)))
-                freqs.append(0.0)
-                flags.append(True)
+            members = [outer[i, j] for i, j in pairs if i != j]
+            if holds_identity:
+                # columns of q: ones / sqrt(d), then an orthonormal
+                # completion; sum_i q[i, k] |v_i><v_i| are orthonormal invariants
+                q, _ = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))
+                members = ([np.eye(d, dtype=complex) / np.sqrt(d)]
+                           + [(v * q[:, k]) @ v.conj().T for k in range(1, d)]
+                           + members)
+            ops += [Operator(m) for m in members]
+            freqs += [0.0] * len(members)
+            flags += [True] * len(members)
         else:
             if len(cl) > 1:
                 warnings.warn(
                     f"monodromy eigenvalue exp(i{thetas[cl[0]]:.6f}) is "
                     f"{len(cl)}-fold degenerate; subspace indices {cl} are arbitrary",
                     DegeneracyWarning)
-            for i in cl:
-                ops.append(Operator(unvec(_phase_fix(evecs[:, i:i + 1])[:, 0], d)))
-                freqs.append(thetas[i] / T)
-                flags.append(False)
-    # normalize to unit Hilbert-Schmidt norm (eigenvectors already near-unit)
-    ops = [Operator(op.data / op.hs_norm()) for op in ops]
+            ops += [Operator(outer[i, j]) for i, j in pairs]
+            freqs += [thetas[k] / T for k in cl]
+            flags += [False] * len(cl)
     return EigenoperatorSet(ops, np.array(freqs), np.array(flags))
 
 
@@ -313,19 +311,16 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
     ``p`` is either a fixed Operator or a callable t -> Operator giving the
     Schroedinger-picture eigenoperator family; the residual is
     max_t || U^dag(t) P(t) U(t) - exp(i lam (t - t0)) P(t0) ||_max.
+    U(t) comes from one RK4 sweep with ``substeps`` steps per grid interval,
+    which calls H(t) 2 * grid.steps * substeps + 1 times.
     """
     p_of_t = p if callable(p) else (lambda _t: p)
     p0 = _as_matrix(p_of_t(grid.t0))
-    d = p0.shape[0]
-    u = np.eye(d, dtype=complex)
+    sweep = _unitary_sweep(gen, grid.t0, grid.t1, grid.steps * substeps)
     resid = 0.0
-    times = grid.times()
-    for i in range(1, len(times)):
-        cks = integrate_unitary(DrivenGenerator(gen.h_of_t), times[i - 1], times[i],
-                                substeps)
-        u = cks @ u
-        pt = _as_matrix(p_of_t(times[i]))
-        lhs = u.conj().T @ pt @ u
-        rhs = np.exp(1j * lam * (times[i] - grid.t0)) * p0
+    # one pass: every substeps-th U of the sweep sits on the next grid point
+    for t, u in zip(grid.times()[1:], itertools.islice(sweep, substeps - 1, None, substeps)):
+        lhs = u.conj().T @ _as_matrix(p_of_t(t)) @ u
+        rhs = np.exp(1j * lam * (t - grid.t0)) * p0
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     return resid

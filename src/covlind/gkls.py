@@ -24,6 +24,7 @@ from .operators import (
     Operator,
     Superoperator,
     _as_matrix,
+    _check_hermitian,
     _check_trace_annihilating,
     _commutator,
     _kron,
@@ -79,16 +80,13 @@ class DissipatorSpec:
         for v, lam in self.dephasing_hermitian:
             if lam < 0:
                 raise ContractError(f"dephasing weight {lam} < 0")
-            vm = _as_matrix(v)
-            if np.max(np.abs(vm - vm.conj().T)) > 1e-10:
-                raise ContractError("dephasing operators must be Hermitian")
+            _check_hermitian(_as_matrix(v), "dephasing operator")
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
             chi = np.asarray(chi, dtype=complex)
             if chi.shape != (len(ws), len(ws)):
                 raise DimensionError("chi must be square over the invariant list")
-            if np.max(np.abs(chi - chi.conj().T)) > 1e-10:
-                raise ContractError("chi must be Hermitian")
+            _check_hermitian(chi, "chi")
             if float(np.linalg.eigvalsh(chi)[0]) < -1e-10:
                 raise ContractError("chi must be positive semi-definite")
 
@@ -152,8 +150,7 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
 def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
     """L = -i [H_eff, .] + D; trace-annihilating by construction."""
     hm = _as_matrix(h_eff)
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10:
-        raise ContractError("effective Hamiltonian must be Hermitian")
+    _check_hermitian(hm, "effective Hamiltonian")
     d = d_super.source_dim
     l_mat = -1j * _commutator(hm) + d_super.data
     _check_trace_annihilating(l_mat, d, "Liouvillian")
@@ -166,8 +163,7 @@ def total_liouvillian(h_free, spec: DissipatorSpec) -> Superoperator:
     hm = _as_matrix(h_free)
     if spec.lamb_shift is not None:
         shift = _as_matrix(spec.lamb_shift)
-        if np.max(np.abs(shift - shift.conj().T)) > 1e-10:
-            raise ContractError("Lamb shift must be Hermitian")
+        _check_hermitian(shift, "Lamb shift")
         hm = hm + shift
     return liouvillian(hm, build_dissipator(spec, d=hm.shape[0]))
 
@@ -246,19 +242,20 @@ def _solve_effective_hamiltonian(jumps, deltas):
     potential consistent with every channel at once.
     """
     d = jumps[0].shape[0]
-    basis = _hermitian_basis(d)
+    basis = np.array(_hermitian_basis(d))
     cols = []
     rhs = []
     for fm, dl in zip(jumps, deltas):
-        a_k = np.kron(fm.T, np.eye(d)) - np.kron(np.eye(d), fm)  # vec([X, F])
-        cols.append(np.column_stack([a_k @ vec(b) for b in basis]))
+        # row k of comm.transpose(0, 2, 1) flattened is vec([B_k, F])
+        comm = basis @ fm - fm @ basis
+        cols.append(comm.transpose(0, 2, 1).reshape(d * d, d * d).T)
         rhs.append(-dl * vec(fm))
     a_mat = np.vstack(cols)
     b_vec = np.concatenate(rhs)
     a_real = np.vstack([a_mat.real, a_mat.imag])
     b_real = np.concatenate([b_vec.real, b_vec.imag])
     x, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    h_bar = sum(c * b for c, b in zip(x, basis))
+    h_bar = np.tensordot(x, basis, axes=1)
     resid = max(np.max(np.abs(h_bar @ fm - fm @ h_bar + dl * fm))
                 for fm, dl in zip(jumps, deltas))
     return h_bar, float(resid)
@@ -291,6 +288,24 @@ def _deltas_from_rates(rates, rates_rev):
     return np.array(deltas), zero_t
 
 
+def _gibbs_attractor(spec: DissipatorSpec, tol: float, failure: str) -> AttractorResult:
+    """Gibbs-like state of the spec's channels and its dissipator residual.
+
+    The commutation residual of H_bar must stay below ``tol`` times the
+    largest |delta| (at positive temperature); otherwise ContractError with
+    ``failure`` formatted with the residual.
+    """
+    jumps = [_as_matrix(ch.op) for ch in spec.channels]
+    deltas, zero_t = _deltas_from_rates([ch.rate for ch in spec.channels],
+                                        [ch.rate_rev for ch in spec.channels])
+    h_bar, comm_resid = _solve_effective_hamiltonian(jumps, deltas)
+    if not zero_t and comm_resid > tol * max(1.0, float(np.max(np.abs(deltas)))):
+        raise ContractError(failure.format(comm_resid))
+    state = _gibbs_of(h_bar)
+    resid = float(np.max(np.abs(build_dissipator(spec).apply(state.data).data)))
+    return AttractorResult(state, Operator(h_bar), deltas, resid, zero_t)
+
+
 def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:
     """Fixed point exp(-H_bar)/Z of an eigenoperator-built dissipator.
 
@@ -311,17 +326,8 @@ def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:
             if best < 1.0 - 1e-8:
                 raise ContractError("channel jump operator is not an "
                                     "eigenoperator of the provided set")
-    deltas, zero_t = _deltas_from_rates([ch.rate for ch in spec.channels],
-                                        [ch.rate_rev for ch in spec.channels])
-    h_bar, comm_resid = _solve_effective_hamiltonian(jumps, deltas)
-    if not zero_t and comm_resid > 1e-8 * max(1.0, float(np.max(np.abs(deltas)))):
-        raise ContractError(
-            f"channel ratios admit no common Gibbs-like fixed point "
-            f"(commutation residual {comm_resid:.2e})")
-    state = _gibbs_of(h_bar)
-    d_super = build_dissipator(spec)
-    resid = float(np.max(np.abs(d_super.apply(state.data).data)))
-    return AttractorResult(state, Operator(h_bar), deltas, resid, zero_t)
+    return _gibbs_attractor(spec, 1e-8, "channel ratios admit no common Gibbs-like "
+                                        "fixed point (commutation residual {:.2e})")
 
 
 def instantaneous_attractor(channels) -> AttractorResult:
@@ -335,29 +341,19 @@ def instantaneous_attractor(channels) -> AttractorResult:
     """
     if not channels:
         raise ContractError("instantaneous_attractor needs at least one channel")
-    jumps, fwd, rev = [], [], []
-    for f, g, grev in channels:
-        fm = _as_matrix(f)
+    jumps = [_as_matrix(f) for f, _, _ in channels]
+    for fm in jumps:
         if np.max(np.abs(fm @ fm)) > 1e-10:
             raise ContractError("jump operator violates F^2 = 0")
-        jumps.append(fm)
-        fwd.append(g)
-        rev.append(grev)
     for i in range(len(jumps)):
         for j in range(len(jumps)):
             ip = np.trace(jumps[i].conj().T @ jumps[j])
             if abs(ip - (1.0 if i == j else 0.0)) > 1e-8:
                 raise ContractError("jump operators must be orthonormal")
-    deltas, zero_t = _deltas_from_rates(fwd, rev)
-    h_bar, comm_resid = _solve_effective_hamiltonian(jumps, deltas)
-    if not zero_t and comm_resid > 1e-10 * max(1.0, float(np.max(np.abs(deltas)))):
-        raise ContractError(f"[H_bar, F_k] = -delta_k F_k violated "
-                            f"(residual {comm_resid:.2e})")
-    state = _gibbs_of(h_bar)
-    spec = DissipatorSpec(channels=[Channel(f, g, grev)
-                                    for f, g, grev in zip(jumps, fwd, rev)])
-    resid = float(np.max(np.abs(build_dissipator(spec).apply(state.data).data)))
-    return AttractorResult(state, Operator(h_bar), deltas, resid, zero_t)
+    spec = DissipatorSpec(channels=[Channel(fm, g, grev)
+                                    for fm, (_, g, grev) in zip(jumps, channels)])
+    return _gibbs_attractor(spec, 1e-10, "[H_bar, F_k] = -delta_k F_k violated "
+                                         "(residual {:.2e})")
 
 
 def check_time_translation(l_super: Superoperator, h_d, t: float, s: float) -> float:

@@ -262,6 +262,14 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
         raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e})")
 
 
+def _check_hermitian(m: np.ndarray, stage: str, tol: float = 1e-10):
+    """Raise ContractError naming ``stage`` unless max |M - M^dag| <= tol;
+    a non-finite M fails too."""
+    worst = float(np.abs(m - m.conj().T).max())
+    if not worst <= tol:
+        raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")
+
+
 def sandwich_super(a, b) -> Superoperator:
     """Superoperator of X -> A X B, i.e. kron(B.T, A) on vec'd operators."""
     am, bm = _as_matrix(a), _as_matrix(b)

@@ -1,11 +1,14 @@
 """Independent numerical oracles shared by the test modules."""
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
 
-from covlind import JCParams, qubit_ops
+from covlind import JCParams, Operator, qubit_ops, unvec, vec
+from covlind.eigenoperators import DegeneracyWarning, EigenoperatorSet, integrate_unitary
+from covlind.errors import ContractError, IntegrationError
 from covlind.jaynes_cummings import (
     jc_block_propagator,
     jc_eigenoperators,
@@ -134,3 +137,100 @@ def three_call_sweep_oracle(l_of_t, y0, times, mode="rk4"):
             y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(y.copy())
     return np.array(out)
+
+
+def _phase_fix(vecs: np.ndarray) -> np.ndarray:
+    out = vecs.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        phase = col[idx] / abs(col[idx])
+        out[:, k] = col / phase
+    return out
+
+
+def monodromy_kron_oracle(gen, steps: int = 4096,
+                          unitary_tol: float = 1e-8,
+                          invariant_tol: float = 1e-8) -> EigenoperatorSet:
+    """monodromy_eigenoperators as the library first wrote it, kept as the
+    reference for the Floquet-state construction.
+
+    Builds U(T) by time-ordered integration, forms the Heisenberg Liouville
+    map X -> U^dag X U, and diagonalizes it.  Eigenvalues exp(i theta_k)
+    give average eigenfrequencies lambda_k = theta_k / T with theta the
+    principal phase; frequencies beyond half the drive frequency are not
+    identifiable from a single period.  Colliding eigenvalues are reported
+    as a DegeneracyWarning and their subspace re-orthonormalized.
+    """
+    if gen.period is None:
+        raise ContractError("monodromy requires gen.period")
+    d = gen.dim
+    if d > 32:
+        raise ContractError("dense monodromy limited to dimension <= 32")
+    T = float(gen.period)
+    u = integrate_unitary(gen, 0.0, T, steps)
+    unit_resid = np.max(np.abs(u.conj().T @ u - np.eye(d)))
+    if unit_resid > unitary_tol:
+        raise IntegrationError(f"monodromy is not unitary within {unitary_tol} "
+                               f"(residual {unit_resid:.2e}); increase steps")
+    k_map = np.kron(u.T, u.conj().T)
+    evals, evecs = np.linalg.eig(k_map)
+    thetas = np.angle(evals)
+
+    # cluster colliding eigenvalues on the unit circle (wrap-aware) and
+    # orthonormalize inside each cluster
+    order = np.argsort(thetas)
+    thetas = thetas[order]
+    evecs = evecs[:, order]
+    clusters: list[list[int]] = []
+    for i in range(len(thetas)):
+        if clusters and abs(np.exp(1j * thetas[i]) - np.exp(1j * thetas[clusters[-1][0]])) < 1e-7:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    if len(clusters) > 1 and abs(np.exp(1j * thetas[clusters[0][0]])
+                                 - np.exp(1j * thetas[clusters[-1][-1]])) < 1e-7:
+        clusters[0] = clusters.pop() + clusters[0]
+    for cl in clusters:
+        if len(cl) > 1:
+            block = evecs[:, cl]
+            q, _ = np.linalg.qr(block)
+            evecs[:, cl] = q
+
+    id_vec = vec(np.eye(d)) / np.sqrt(d)
+    ops, freqs, flags = [], [], []
+    for cl in clusters:
+        block = evecs[:, cl]
+        id_weight = float(np.linalg.norm(id_vec.conj() @ block))
+        holds_identity = id_weight > 0.99
+        invariant_cluster = (holds_identity
+                             or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < invariant_tol)
+        if invariant_cluster:
+            if len(cl) > d:
+                warnings.warn(
+                    f"invariant cluster has {len(cl)} members (> dim {d}); "
+                    "eigenfrequencies commensurate with the drive may have "
+                    "folded onto the invariants", DegeneracyWarning)
+            # the identity direction is trivial; list it first, then the rest
+            coeffs = id_vec.conj() @ block
+            residual_block = block - np.outer(id_vec, coeffs)
+            q, r = np.linalg.qr(residual_block)
+            keep = [j for j in range(q.shape[1]) if abs(r[j, j]) > 1e-7]
+            members = ([id_vec] if holds_identity else []) + [q[:, j] for j in keep]
+            for mvec in members:
+                ops.append(Operator(unvec(_phase_fix(mvec[:, None])[:, 0], d)))
+                freqs.append(0.0)
+                flags.append(True)
+        else:
+            if len(cl) > 1:
+                warnings.warn(
+                    f"monodromy eigenvalue exp(i{thetas[cl[0]]:.6f}) is "
+                    f"{len(cl)}-fold degenerate; subspace indices {cl} are arbitrary",
+                    DegeneracyWarning)
+            for i in cl:
+                ops.append(Operator(unvec(_phase_fix(evecs[:, i:i + 1])[:, 0], d)))
+                freqs.append(thetas[i] / T)
+                flags.append(False)
+    # normalize to unit Hilbert-Schmidt norm (eigenvectors already near-unit)
+    ops = [Operator(op.data / op.hs_norm()) for op in ops]
+    return EigenoperatorSet(ops, np.array(freqs), np.array(flags))

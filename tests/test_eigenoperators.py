@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covlind import (
     DrivenGenerator,
@@ -21,11 +22,13 @@ from covlind.eigenoperators import (
     DegeneracyWarning,
     bohr_nondegenerate,
     deviation_up_to_phase,
+    hermitian_unitary,
     integrate_unitary,
 )
 from covlind.errors import ContractError
 from covlind.jaynes_cummings import jc_hamiltonian
 from covlind.propagate import TimeGrid
+from oracles import monodromy_kron_oracle, random_hermitian
 
 Q = qubit_ops()
 RNG = np.random.default_rng(77)
@@ -192,6 +195,82 @@ class TestMonodromy:
         invs = eset.invariant()
         best = min(deviation_up_to_phase(op.data, w(0.0).data) for op in invs)
         assert best < 1e-7
+
+
+def scaled_hermitian(d, rng, norm):
+    h = random_hermitian(d, rng)
+    return h * (norm / np.linalg.norm(h, 2))
+
+
+def max_eigenrelation_residual(eset, u, period):
+    return max(float(np.max(np.abs(u.conj().T @ op.data @ u
+                                   - np.exp(1j * lam * period) * op.data)))
+               for op, lam in zip(eset.ops, eset.freqs))
+
+
+class CountingHamiltonian:
+    def __init__(self, h_of_t):
+        self.h_of_t, self.calls = h_of_t, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.h_of_t(t)
+
+
+class TestFloquetMonodromy:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6))
+    def test_random_drive_matches_kron_oracle(self, seed, d):
+        # |H0| + |V| <= 0.35 keeps every |lambda| below pi / T = 1: nothing folds
+        rng = np.random.default_rng(seed)
+        h0, v = scaled_hermitian(d, rng, 0.25), scaled_hermitian(d, rng, 0.1)
+        gen = DrivenGenerator(lambda t: h0 + math.cos(2.0 * t) * v, period=math.pi)
+        eset = monodromy_eigenoperators(gen, steps=1024)
+        ref = monodromy_kron_oracle(gen, steps=1024)
+        assert np.max(np.abs(np.sort(eset.freqs) - np.sort(ref.freqs))) < 1e-9
+        u = integrate_unitary(gen, 0.0, math.pi, 1024)
+        assert max_eigenrelation_residual(eset, u, math.pi) < 1e-8
+        assert len(eset.ops) == d * d and eset.completeness_rank() == d * d
+        assert np.max(np.abs(eset.gram() - np.eye(d * d))) < 1e-10
+        assert int(eset.invariant_flags.sum()) == d
+        assert np.max(np.abs(eset.invariant()[0].data - np.eye(d) / math.sqrt(d))) < 1e-15
+
+    def test_static_d40_beyond_former_cap(self):
+        rng = np.random.default_rng(4040)
+        h = scaled_hermitian(40, rng, 0.4)
+        eset = monodromy_eigenoperators(DrivenGenerator(lambda t: h, period=2.0))
+        assert len(eset.ops) == 1600 and int(eset.invariant_flags.sum()) == 40
+        assert max_eigenrelation_residual(eset, hermitian_unitary(h, 2.0), 2.0) < 1e-8
+        w = np.linalg.eigvalsh(h)
+        bohr = [w[i] - w[j] for i in range(40) for j in range(40) if i != j]
+        non_invariant = eset.freqs[~eset.invariant_flags]
+        assert np.max(np.abs(np.sort(non_invariant) - np.sort(bohr))) < 1e-9
+
+    def test_equally_spaced_spectrum_collides(self):
+        # |0><1| and |1><2| share lambda = -0.3
+        gen = DrivenGenerator(lambda t: np.diag([-0.3, 0.0, 0.3]), period=1.0)
+        with pytest.warns(DegeneracyWarning, match="2-fold degenerate"):
+            eset = monodromy_eigenoperators(gen)
+        assert int(eset.invariant_flags.sum()) == 3
+        assert eset.completeness_rank() == 9
+
+
+class TestHamiltonianCalls:
+    def test_integrate_unitary(self):
+        h = CountingHamiltonian(lambda t: math.cos(t) * Q["sx"])
+        integrate_unitary(DrivenGenerator(h), 0.0, 1.0, 37)
+        assert h.calls == 2 * 37 + 1
+
+    def test_monodromy(self):
+        h = CountingHamiltonian(lambda t: 0.5 * Q["sz"] + math.cos(2.0 * t) * Q["sx"])
+        monodromy_eigenoperators(DrivenGenerator(h, period=math.pi), steps=512)
+        assert h.calls == 2 * 512 + 1
+
+    def test_verify_eigenoperator(self):
+        h = CountingHamiltonian(lambda t: 0.5 * Q["sz"])
+        verify_eigenoperator(Q["sm"], -1.0, DrivenGenerator(h), TimeGrid(0.0, 6.0, 30),
+                             substeps=7)
+        assert h.calls == 2 * 30 * 7 + 1
 
 
 class TestFrequencyDomain:

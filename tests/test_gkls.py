@@ -8,6 +8,7 @@ from covlind import (
     Channel,
     DensityMatrix,
     DissipatorSpec,
+    DrivenGenerator,
     Operator,
     build_dissipator,
     check_time_translation,
@@ -19,6 +20,7 @@ from covlind import (
     matrix_exp,
     qubit_ops,
     static_eigenoperators,
+    total_liouvillian,
     vec,
 )
 from covlind.errors import ContractError
@@ -409,3 +411,18 @@ class TestTraceCheck:
         bad = Superoperator_like(np.eye(4, dtype=complex), 2)
         with pytest.raises(ContractError, match="Liouvillian is not trace-annihilating"):
             liouvillian(Q["sz"], bad)
+
+
+class TestHermitianCheck:
+    @pytest.mark.parametrize("bad", [Q["sp"], np.full((2, 2), np.nan)])
+    def test_names_the_stage(self, bad):
+        with pytest.raises(ContractError, match="effective Hamiltonian is not Hermitian"):
+            liouvillian(bad, build_dissipator(DissipatorSpec(), d=2))
+        with pytest.raises(ContractError, match="Lamb shift is not Hermitian"):
+            total_liouvillian(Q["sz"], DissipatorSpec(lamb_shift=bad))
+        with pytest.raises(ContractError, match="dephasing operator is not Hermitian"):
+            DissipatorSpec(dephasing_hermitian=[(bad, 0.1)])
+        with pytest.raises(ContractError, match="chi is not Hermitian"):
+            DissipatorSpec(dephasing_invariant=([Q["sz"], np.eye(2)], bad))
+        with pytest.raises(ContractError, match=r"H\(t=0.5\) is not Hermitian"):
+            DrivenGenerator(lambda t: bad).matrix(0.5)
