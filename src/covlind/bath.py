@@ -43,6 +43,8 @@ class BathSpec:
                                 f"choose from {_MODELS}")
         if self.eta < 0:
             raise ContractError("eta must be nonnegative")
+        if not self.omega_cut > 0:
+            raise ContractError("omega_cut must be positive")
 
     def spectral_density(self, omega: float) -> float:
         """J(omega) for omega >= 0."""
@@ -67,7 +69,9 @@ def bose_einstein(omega: float, temperature: float) -> float:
         raise ContractError("temperature must be nonnegative")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    x = omega / temperature
+    # expm1 overflows past x ~ 709; there 1 / (e^x - 1) is e^-x to double precision
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def gamma_one_sided(nu: float, bath: BathSpec) -> complex:

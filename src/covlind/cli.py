@@ -31,7 +31,7 @@ from .eigenoperators import (
     static_eigenoperators,
     verify_eigenoperator,
 )
-from .errors import ConfigError, CovlindError
+from .errors import ConfigError, ContractError, CovlindError
 from .gkls import DissipatorSpec, Channel, build_dissipator, instantaneous_attractor
 from .jaynes_cummings import (
     JCParams,
@@ -102,6 +102,9 @@ def _pauli_series(states) -> dict[str, np.ndarray]:
 
 def _fig2_single(cfg: ExperimentConfig, alpha: complex):
     p = cfg.jc_params(alpha=alpha)
+    if not p.rabi > 0:
+        raise ContractError(f"the Rabi frequency sets the time scale and must be "
+                            f"positive, got {p.rabi}")
     t1 = float(cfg.grid.get("t1", 40.0 / p.rabi))
     steps = int(cfg.grid.get("steps", 2000))
     times = np.linspace(float(cfg.grid.get("t0", 0.0)), t1, steps + 1)
@@ -291,6 +294,9 @@ def run_touchard(cfg: ExperimentConfig, out: Path) -> dict:
     """Touchard polynomial asymptotics sweep."""
     orders = [int(j) for j in cfg.touchard.get("orders", [2, 3, 4, 5, 6])]
     xs = [float(x) for x in cfg.touchard.get("x_values", [1e2, 1e3, 1e4])]
+    if min(xs) < 1.0:
+        raise ConfigError(f"touchard.x_values must be >= 1, the residual is an "
+                          f"expansion in 1/x; got {min(xs)}")
     cols = {"j": [], "x": [], "touchard": [], "asymptotic": [], "scaled_residual": []}
     slopes = {}
     for j in orders:
@@ -372,6 +378,11 @@ def main(argv=None) -> int:
         return 2
     except CovlindError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # a parameter so large or small that float arithmetic leaves its range
+        print(f"numerical contract violation: floating-point overflow ({exc})",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -14,18 +15,6 @@ from .jaynes_cummings import JCParams
 
 EXPERIMENTS = ("fig2", "jc-sim", "eigenops", "attractor", "coefficients", "touchard")
 _SECTIONS = ("jc", "bath", "grid", "sweep", "touchard")
-
-# allowed keys per section; strict parsing rejects anything else by name
-_SCHEMA = {
-    "experiment": None,
-    "jc": {"omega_c", "omega_eg", "delta", "g", "rabi", "alpha", "alphas"},
-    "bath": {"temperature", "model", "eta", "omega_cut", "omega_lo", "omega_hi"},
-    "grid": {"t0", "t1", "steps"},
-    "sweep": {"variable", "values"},
-    "touchard": {"orders", "x_values"},
-    "initial_state": None,
-    "output": None,
-}
 
 _NAMED_STATES = {
     "g": np.array([[1, 0], [0, 0]], dtype=complex),
@@ -83,7 +72,7 @@ def _as_complex(x, where: str) -> complex:
             z = complex(float(x[0]), float(x[1]))
         else:
             z = complex(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot parse complex value {x!r}") from exc
     if not cmath.isfinite(z):
         raise ConfigError(f"{where} must be finite, got {x!r}")
@@ -98,42 +87,89 @@ def parse_initial_state(spec) -> np.ndarray:
             raise ConfigError(f"unknown initial state {spec!r}; "
                               f"choose from {sorted(_NAMED_STATES)} or give a 2x2 matrix")
         return _NAMED_STATES[spec].copy()
-    try:
-        rows = list(spec)
-        mat = np.array([[_as_complex(x, "initial_state") for x in row] for row in rows])
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"cannot parse initial_state {spec!r}") from exc
-    if mat.shape != (2, 2):
-        raise ConfigError(f"initial_state must be 2x2, got {mat.shape}")
+    if not (isinstance(spec, (list, tuple)) and len(spec) == 2
+            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in spec)):
+        raise ConfigError(f"initial_state must be a state name or a 2x2 matrix, got {spec!r}")
+    mat = np.array([[_as_complex(x, "initial_state") for x in row] for row in spec])
     tr = np.trace(mat)
     if abs(tr) < 1e-12:
         raise ConfigError("initial_state has zero trace")
     return mat / tr
 
 
-def _check_finite(where: str, val):
-    """Reject NaN and infinities, also inside (nested) lists."""
-    if isinstance(val, (list, tuple)):
-        for i, item in enumerate(val):
-            _check_finite(f"{where}[{i}]", item)
-    elif isinstance(val, (float, complex)) and not cmath.isfinite(val):
-        raise ConfigError(f"{where} must be finite, got {val}")
+def _number(where: str, x):
+    """A finite real number.  Numeric strings count, as YAML reads 1e3 as one."""
+    try:
+        v = None if isinstance(x, bool) else float(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None:
+        raise ConfigError(f"{where} must be a number, got {x!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
 
 
-def _validate_section(name: str, data, allowed):
-    if allowed is None:
+def _integer(where: str, x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"{where} must be an integer, got {x!r}")
+
+
+def _positive_integer(where: str, x):
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ConfigError(f"{where} must be a positive integer, got {x!r}")
+
+
+def _string(where: str, x):
+    if not isinstance(x, str):
+        raise ConfigError(f"{where} must be a string, got {x!r}")
+
+
+def _list_of(item):
+    def check(where: str, x):
+        if not isinstance(x, list) or not x:
+            raise ConfigError(f"{where} must be a non-empty list, got {x!r}")
+        for i, val in enumerate(x):
+            item(f"{where}[{i}]", val)
+    return check
+
+
+def _complex(where: str, x):
+    _as_complex(x, where)
+
+
+def _state(where: str, x):
+    parse_initial_state(x)
+
+
+# allowed keys per section and the check of each value; strict parsing
+# rejects anything else by name
+_SCHEMA = {
+    "experiment": _string,
+    "jc": {"omega_c": _number, "omega_eg": _number, "delta": _number, "g": _number,
+           "rabi": _number, "alpha": _complex, "alphas": _list_of(_complex)},
+    "bath": {"temperature": _number, "model": _string, "eta": _number,
+             "omega_cut": _number, "omega_lo": _number, "omega_hi": _number},
+    "grid": {"t0": _number, "t1": _number, "steps": _positive_integer},
+    "sweep": {"variable": _string, "values": _list_of(_number)},
+    "touchard": {"orders": _list_of(_integer), "x_values": _list_of(_number)},
+    "initial_state": _state,
+    "output": _string,
+}
+
+
+def _validate(name: str, data, schema):
+    """Check one top-level value against its schema entry: a check, or for
+    a section the mapping of its keys to checks."""
+    if not isinstance(schema, dict):
+        schema(name, data)
         return
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
     for key in data:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"unknown key {name}.{key!r}")
     for key, val in data.items():
-        _check_finite(f"{name}.{key}", val)
-    if name == "grid" and "steps" in data:
-        steps = data["steps"]
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise ConfigError(f"grid.steps must be a positive integer, got {steps!r}")
+        schema[key](f"{name}.{key}", val)
 
 
 def load_config(path: str | None, experiment: str | None = None,
@@ -149,12 +185,10 @@ def load_config(path: str | None, experiment: str | None = None,
             raw = yaml.safe_load(fh) or {}
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping at top level")
-    for key in raw:
+    for key, val in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-    for name in _SECTIONS:
-        if name in raw:
-            _validate_section(name, raw[name], _SCHEMA[name])
+        _validate(key, val, _SCHEMA[key])
     exp = experiment or raw.get("experiment")
     if exp is None:
         raise ConfigError("no experiment given (config key 'experiment' or CLI)")
@@ -188,5 +222,5 @@ def load_config(path: str | None, experiment: str | None = None,
             raise ConfigError(f"unknown override {key!r}")
     # the merged sections again, so CLI overrides get the same checks
     for name in _SECTIONS:
-        _validate_section(name, getattr(cfg, name), _SCHEMA[name])
+        _validate(name, getattr(cfg, name), _SCHEMA[name])
     return cfg

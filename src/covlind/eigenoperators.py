@@ -100,7 +100,7 @@ def static_eigenoperators(h_d, tol: float = 1e-10) -> EigenoperatorSet:
     hm = _as_matrix(h_d)
     w, v = hermitian_eig(hm, tol=max(tol, 1e-10))
     d = hm.shape[0]
-    scale0 = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
+    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
     ops, freqs, flags, pairs = [], [], [], []
     for n in range(d):
         for m in range(d):
@@ -110,7 +110,7 @@ def static_eigenoperators(h_d, tol: float = 1e-10) -> EigenoperatorSet:
             ops.append(Operator(g))
             freqs.append(w[m] - w[n])
             # a vanishing Bohr frequency (degenerate levels) commutes with H
-            flags.append(bool(abs(w[m] - w[n]) < 1e-9 * scale0))
+            flags.append(bool(abs(w[m] - w[n]) < 1e-9 * scale))
             pairs.append((n, m))
     projectors = [Operator(np.outer(v[:, j], v[:, j].conj())) for j in range(d)]
     for p in projectors:
@@ -119,7 +119,6 @@ def static_eigenoperators(h_d, tol: float = 1e-10) -> EigenoperatorSet:
         flags.append(True)
         pairs.append(None)
 
-    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
     t_check = 0.7 / scale
     u = hermitian_unitary(hm, t_check)
     for g, om in zip(ops[: d * (d - 1)], freqs[: d * (d - 1)]):

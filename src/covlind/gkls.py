@@ -319,13 +319,14 @@ def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:
         raise ContractError("fixed_point needs at least one channel")
     jumps = [_as_matrix(ch.op) for ch in spec.channels]
     if eigenset is not None:
-        pool = [vec(op) / np.linalg.norm(vec(op)) for op in eigenset.non_invariant()]
-        for fm in jumps:
-            fv = vec(fm) / np.linalg.norm(vec(fm))
-            best = max(abs(fv.conj() @ p) for p in pool)
-            if best < 1.0 - 1e-8:
-                raise ContractError("channel jump operator is not an "
-                                    "eigenoperator of the provided set")
+        fv = np.array([vec(fm) for fm in jumps])
+        pool = np.array([vec(op) for op in eigenset.non_invariant()]).reshape(-1, fv.shape[1])
+        fv /= np.linalg.norm(fv, axis=1, keepdims=True)
+        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+        best = np.abs(fv.conj() @ pool.T).max(axis=1, initial=0.0)
+        if not (best >= 1.0 - 1e-8).all():
+            raise ContractError("channel jump operator is not an "
+                                "eigenoperator of the provided set")
     return _gibbs_attractor(spec, 1e-8, "channel ratios admit no common Gibbs-like "
                                         "fixed point (commutation residual {:.2e})")
 

@@ -116,9 +116,14 @@ _KRAUS_CHUNK_TERMS = (4 << 20) // 64
 
 
 def _kraus_window(p: JCParams, window) -> tuple[int, int]:
+    """The Fock window; one time's Kraus terms must fit a chunk, so memory
+    stays bounded as alpha grows (the default window fits up to |alpha| ~ 3000)."""
     lo, hi = window if window is not None else default_kraus_window(p)
     if not 0 <= lo <= hi:
         raise ContractError(f"Kraus window [{lo}, {hi}] needs 0 <= lo <= hi")
+    if hi - lo + 1 > _KRAUS_CHUNK_TERMS:
+        raise ContractError(f"Kraus window [{lo}, {hi}] at alpha={p.alpha:g} holds more "
+                            f"than the {_KRAUS_CHUNK_TERMS} terms of one chunk")
     return int(lo), int(hi)
 
 
@@ -239,7 +244,7 @@ def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
     """
     if rho_s0.data.shape[0] != 2:
         raise ContractError("the autonomous reduction acts on a qubit state")
-    return [DensityMatrix(Operator(rho, (2,)))
+    return [DensityMatrix._wrap(rho, (2,))
             for rho in _autonomous_states(rho_s0.data, p, ts, window, chunk)]
 
 
@@ -347,12 +352,13 @@ def touchard(j: int, x: float) -> float:
 
     Numerically stable truncated summation with log-space terms; the sum
     stops once terms past the Poisson mode drop below 1e-18 of the partial
-    sum.  Guarded to j <= 12 to avoid overflow of k^j.
+    sum.  Guarded to j <= 12 to avoid overflow of k^j, and to x <= 1e6 as
+    the sum runs over about x terms (~1 s at the bound).
     """
     if j < 0 or j > 12:
         raise ContractError("touchard implemented for 0 <= j <= 12")
-    if x <= 0:
-        raise ContractError("touchard requires x > 0")
+    if not 0 < x <= 1e6:
+        raise ContractError(f"touchard implemented for 0 < x <= 1e6, got {x}")
     if j == 0:
         return 1.0
     total = 0.0
@@ -387,5 +393,7 @@ def fit_gaussian_envelope(times, signal) -> float:
         raise ContractError("too few oscillation peaks to fit an envelope")
     tp = t[idx]
     lp = np.log(y[idx])
+    if not (np.isfinite(tp ** 2).all() and np.ptp(tp) > 0):
+        raise ContractError("envelope fit needs peaks at distinct finite times")
     coeffs = np.polyfit(tp ** 2, lp, 1)
     return float(-coeffs[0])

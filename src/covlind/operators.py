@@ -86,9 +86,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.data.conj().T, self.dims)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return np.max(np.abs(self.data - self.data.conj().T)) <= tol
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
@@ -121,14 +118,14 @@ class DensityMatrix:
     op: Operator
 
     def __post_init__(self):
-        a = self.op.data
-        if abs(np.trace(a) - 1.0) > TRACE_TOL:
-            raise ContractError(f"density matrix trace {np.trace(a)} != 1")
-        if not self.op.is_hermitian():
-            raise ContractError("density matrix is not Hermitian")
-        wmin = float(np.linalg.eigvalsh(a)[0])
-        if wmin < -POSITIVITY_TOL:
-            raise ContractError(f"density matrix has eigenvalue {wmin} < 0")
+        validate_states(self.op.data[None])
+
+    @classmethod
+    def _wrap(cls, data, dims: Sequence[int] = ()) -> "DensityMatrix":
+        """Wrap a matrix that ``validate_states`` has just returned, unchecked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "op", Operator(data, dims))
+        return state
 
     @classmethod
     def from_matrix(cls, data, dims: Sequence[int] = (),
@@ -143,7 +140,7 @@ class DensityMatrix:
         """
         a = validate_states(np.asarray(data, dtype=complex)[None],
                             trace_tol, herm_tol, eig_tol)[0]
-        return cls(Operator(a, dims))
+        return cls._wrap(a, dims)
 
     @classmethod
     def from_ket(cls, ket, dims: Sequence[int] = ()) -> "DensityMatrix":
@@ -303,8 +300,7 @@ def hermitian_eig(h, tol: float = 1e-10):
     otherwise arbitrary.
     """
     hm = _as_matrix(h)
-    if np.max(np.abs(hm - hm.conj().T)) > tol:
-        raise ContractError("hermitian_eig requires a Hermitian matrix")
+    _check_hermitian(hm, "hermitian_eig input", tol)
     w, v = np.linalg.eigh(hm)
     for k in range(v.shape[1]):
         col = v[:, k]

@@ -15,7 +15,7 @@ from .operators import (
     _check_trace_annihilating,
     matrix_exp,
     uhlmann_fidelity,
-    unvec,
+    validate_states,
     vec,
 )
 
@@ -56,17 +56,23 @@ class Trajectory:
         return len(self.states)
 
 
-def _state_from_vec(y: np.ndarray, d: int, dims, t: float) -> DensityMatrix:
-    rho = unvec(y, d)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_DRIFT_TOL:
-        raise IntegrationError(f"trace drifted to {tr} at t={t}")
-    wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if wmin < -POSITIVITY_BREACH:
-        raise PositivityError(
-            f"state eigenvalue {wmin:.2e} at t={t}; step too large or invalid generator")
-    return DensityMatrix.from_matrix(rho, dims, trace_tol=TRACE_DRIFT_TOL,
-                                     herm_tol=1e-9, eig_tol=POSITIVITY_BREACH)
+def _checked_states(ys: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> list:
+    """rho0, then the states vec(rho) = ys[k] at times[k] checked as one stack:
+    the first trace drift or eigenvalue breach raises IntegrationError or
+    PositivityError naming its t, then one ``validate_states`` call."""
+    rhos = ys.reshape((len(ys),) + rho0.data.shape).swapaxes(-1, -2)
+    tr = np.trace(rhos, axis1=1, axis2=2).real
+    drift = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
+    n = int(np.argmax(drift)) if drift.any() else len(rhos)  # drifted states skip eigvalsh
+    wmin = np.linalg.eigvalsh(0.5 * (rhos[:n] + rhos[:n].conj().swapaxes(-1, -2)))[:, 0]
+    breach = np.flatnonzero(wmin < -POSITIVITY_BREACH)
+    if breach.size:
+        raise PositivityError(f"state eigenvalue {wmin[breach[0]]:.2e} at t={times[breach[0]]}; "
+                              f"step too large or invalid generator")
+    if n < len(rhos):
+        raise IntegrationError(f"trace drifted to {tr[n]} at t={times[n]}")
+    checked = validate_states(rhos, TRACE_DRIFT_TOL, 1e-9, POSITIVITY_BREACH)
+    return [rho0] + [DensityMatrix._wrap(a, rho0.dims) for a in checked]
 
 
 def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -> Trajectory:
@@ -80,12 +86,11 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
         raise DimensionError("generator dimension does not match the state")
     _check_trace_annihilating(l_super.data, d, "generator at t=const")
     step = matrix_exp(l_super.data * grid.dt)
-    y = vec(rho0.data)
-    states = [rho0]
     times = grid.times()
-    for t in times[1:]:
-        y = step @ y
-        states.append(_state_from_vec(y, d, rho0.dims, t))
+    ys = [vec(rho0.data)]
+    for _ in range(grid.steps):
+        ys.append(step @ ys[-1])
+    states = _checked_states(np.array(ys[1:]), rho0, times[1:])
     return Trajectory(times, states, {"mode": "static-expm", "dt": grid.dt})
 
 
@@ -155,9 +160,7 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     last = ys[2 * (grid.steps // 2)]
     err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
 
-    states = [rho0]
-    for t, y in zip(times[1:], ys[1:]):
-        states.append(_state_from_vec(y, d, rho0.dims, t))
+    states = _checked_states(np.array(ys[1:]), rho0, times[1:])
     return Trajectory(times, states,
                       {"mode": mode, "dt": grid.dt, "step_halving_error": err})
 
@@ -170,12 +173,13 @@ def expectation_series(traj: Trajectory, ops) -> list:
     """
     single = not isinstance(ops, (list, tuple))
     op_list = [ops] if single else list(ops)
+    rhos = np.array([st.data for st in traj.states])
     out = []
     for op in op_list:
         om = _as_matrix(op)
-        if om.shape[0] != traj.states[0].data.shape[0]:
+        if om.shape[0] != rhos.shape[-1]:
             raise DimensionError("observable dimension does not match trajectory")
-        vals = np.array([np.trace(om @ st.data) for st in traj.states])
+        vals = np.trace(om @ rhos, axis1=1, axis2=2)
         if np.max(np.abs(om - om.conj().T)) <= 1e-12:
             if np.max(np.abs(vals.imag)) > 1e-10:
                 raise IntegrationError("Hermitian expectation developed an imaginary part")
@@ -188,4 +192,5 @@ def fidelity_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     """Pointwise Uhlmann fidelity between two aligned trajectories."""
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise DimensionError("trajectories are not on the same grid")
-    return np.array([uhlmann_fidelity(x, y) for x, y in zip(a.states, b.states)])
+    return uhlmann_fidelity(np.array([st.data for st in a.states]),
+                            np.array([st.data for st in b.states]))

@@ -24,6 +24,12 @@ class TestBoseEinstein:
     def test_zero_temperature(self):
         assert bose_einstein(1.0, 0.0) == 0.0
 
+    def test_low_temperature_does_not_overflow(self):
+        # omega / T past ~709 overflowed expm1; the occupation is e^{-omega/T}
+        assert bose_einstein(1.0, 1.0 / 705.0) == pytest.approx(math.exp(-705.0), rel=1e-14)
+        assert bose_einstein(1.0, 1e-3) == 0.0
+        assert bose_einstein(700.0, 1.0) == 1.0 / math.expm1(700.0)
+
     def test_high_temperature_classical_limit(self):
         n = bose_einstein(0.01, 1.0)
         assert abs(n - 100.0) / 100.0 < 0.01

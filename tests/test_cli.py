@@ -1,12 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from covlind.cli import main, run_coefficients, run_eigenops, write_csv
-from covlind.config import load_config, parse_initial_state
+from covlind.config import _SCHEMA, _SECTIONS, load_config, parse_initial_state
 from covlind.errors import ConfigError
 
 
@@ -94,6 +97,33 @@ class TestExitCodes:
         code = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, body, code, named", [
+        ("attractor", "jc: {omega_c: abc}", 2, "jc.omega_c"),
+        ("attractor", "jc: {omega_c: [1, 2]}", 2, "jc.omega_c"),
+        ("coefficients", "jc: {omega_c: abc}", 2, "jc.omega_c"),
+        ("jc-sim", "jc: {omega_c: [1, 2]}", 2, "jc.omega_c"),
+        ("attractor", "bath: {temperature: hot}", 2, "bath.temperature"),
+        ("jc-sim", "grid: {t1: abc}", 2, "grid.t1"),
+        ("coefficients", "sweep: {values: abc}", 2, "sweep.values"),
+        ("touchard", "touchard: {orders: abc}", 2, "touchard.orders"),
+        ("jc-sim", "jc: {alphas: 5}", 2, "jc.alphas"),
+        ("jc-sim", "jc: {alphas: []}", 2, "jc.alphas"),
+        ("jc-sim", "initial_state: [[1, 0], [0]]", 2, "initial_state"),
+        ("jc-sim", "jc: {rabi: 0.0}", 3, "Rabi frequency"),
+        ("touchard", "touchard: {x_values: [1.0e-30, 10.0]}", 2, "touchard.x_values"),
+        ("touchard", "touchard: {x_values: [1.0e+30]}", 3, "x <= 1e6"),
+        ("attractor", "bath: {omega_cut: 0.0}", 3, "omega_cut"),
+        ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
+        ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
+    ])
+    def test_mistyped_values_exit_cleanly(self, tmp_path, capsys, experiment, body,
+                                          code, named):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"experiment: {experiment}\n{body}\n")
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                        "--steps", "50"]) == code
+        assert named in capsys.readouterr().err
 
     def test_malformed_override_is_2(self, tmp_path):
         assert run_cli(["fig2", "--steps", "-5", "--out", str(tmp_path / "o")]) == 2
@@ -229,3 +259,29 @@ class TestIOError:
         blocker.write_text("x")
         code = run_cli(["touchard", "--out", str(blocker / "sub")])
         assert code == 4
+
+
+# config values of every kind: numbers (nan and inf too), bools, strings,
+# None, and ragged or nested lists of them
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=4),
+              st.sampled_from(["2.5", "1e3", "1+2j", "ohmic", "band", "temperature"])),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_DOCS = st.fixed_dictionaries({}, optional={
+    **{name: st.dictionaries(st.sampled_from(sorted(_SCHEMA[name])), _VALUES, max_size=3)
+       for name in _SECTIONS},
+    "initial_state": _VALUES,
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_DOCS)
+def test_config_fuzz_exits_with_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        for args in (["touchard"], ["attractor"], ["coefficients"],
+                     ["jc-sim", "--steps", "50"]):
+            code = main(args + ["--config", str(cfg), "--out", str(Path(tmp) / "o")])
+            assert code in (0, 2, 3, 4), (args, doc)

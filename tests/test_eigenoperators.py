@@ -75,6 +75,11 @@ class TestStatic:
         ok, _ = bohr_nondegenerate(np.eye(3))
         assert not ok
 
+    def test_rejects_nan_hamiltonian(self):
+        # NaN used to pass the Hermiticity check and give NaN Bohr frequencies
+        with pytest.raises(ContractError, match="not Hermitian"):
+            static_eigenoperators(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_completeness_and_orthonormality(self):
         h = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         h = 0.5 * (h + h.conj().T)

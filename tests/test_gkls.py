@@ -172,6 +172,12 @@ class TestFixedPoint:
         with pytest.raises(ContractError):
             fixed_point(spec, eset)
 
+    def test_rejects_channels_when_the_set_has_no_transitions(self):
+        eset = static_eigenoperators(np.eye(2))
+        spec = DissipatorSpec(channels=[Channel(Q["sm"], 1.0, 0.5)])
+        with pytest.raises(ContractError, match="not an eigenoperator"):
+            fixed_point(spec, eset)
+
     def test_per_channel_annihilation(self):
         # each channel's own dissipator kills the composite fixed point
         h = np.diag([0.0, 0.7, 1.9, 3.4]).astype(complex)

@@ -31,7 +31,7 @@ from covlind import (
     vec,
 )
 from covlind.bath import BathSpec, jc_kinetic_coefficients
-from covlind.errors import ContractError, DimensionError
+from covlind.errors import ContractError, DimensionError, IntegrationError
 from oracles import three_call_sweep_oracle
 
 Q = qubit_ops()
@@ -243,6 +243,17 @@ class TestEvolveTimedep:
         b = evolve_static(l_super, EXCITED, grid)
         assert np.max(np.abs(a.states[-1].data - b.states[-1].data)) < 1e-12
 
+    @pytest.mark.parametrize("mode, t_bad", [("rk4", "0.5"), ("expm", "0.6")])
+    def test_trace_drift_names_t(self, mode, t_bad):
+        # trace-preserving at t0, where the generator is checked, and not from
+        # t = 0.5 on; rk4 first uses L(0.5) on the step to 0.5, expm on the
+        # step whose midpoint is 0.55
+        good = damping_liouvillian(0.5)
+        bad = Superoperator(np.eye(4, dtype=complex), 2)
+        with pytest.raises(IntegrationError, match=rf"trace drifted .* at t={t_bad}"):
+            evolve_timedep(lambda t: good if t < 0.5 - 1e-12 else bad, EXCITED,
+                           TimeGrid(0, 1, 10), mode=mode)
+
     def test_rejects_trace_violating_generator(self):
         bad = Superoperator(np.eye(4, dtype=complex), 2)
         with pytest.raises(ContractError):
@@ -294,6 +305,12 @@ class TestSeries:
         with pytest.raises(DimensionError):
             fidelity_series(a, b)
 
+    def test_fidelity_series_matches_pairwise(self):
+        a = evolve_static(damping_liouvillian(0.5, omega=1.1), EXCITED, TimeGrid(0, 2, 30))
+        b = evolve_static(damping_liouvillian(0.9), GROUND, TimeGrid(0, 2, 30))
+        pairwise = [uhlmann_fidelity(x, y) for x, y in zip(a.states, b.states)]
+        assert np.array_equal(fidelity_series(a, b), pairwise)
+
     def test_hermitian_observable_gives_real(self):
         traj = evolve_static(damping_liouvillian(0.4, omega=0.5), EXCITED,
                              TimeGrid(0, 1, 10))
@@ -309,3 +326,29 @@ class TestPositivityMonitor:
         from covlind.errors import PositivityError
         with pytest.raises(PositivityError):
             evolve_timedep(lambda t: bad, EXCITED, TimeGrid(0, 4.0, 200))
+
+
+class TestStateChecks:
+    @pytest.mark.parametrize("evolve", [
+        lambda l, grid: evolve_static(l, EXCITED, grid),
+        lambda l, grid: evolve_timedep(lambda t: l, EXCITED, grid),
+        lambda l, grid: evolve_timedep(lambda t: l, EXCITED, grid, mode="expm"),
+    ], ids=["static", "rk4", "expm"])
+    def test_eigvalsh_calls_do_not_grow_with_steps(self, monkeypatch, evolve):
+        # the integrated states are checked as one stack, not one by one
+        l_super = damping_liouvillian(0.7, omega=1.3)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        counts = []
+        for steps in (10, 200):
+            calls.clear()
+            traj = evolve(l_super, TimeGrid(0, 2, steps))
+            assert len(traj.states) == steps + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
