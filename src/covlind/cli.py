@@ -105,9 +105,12 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
     if not p.rabi > 0:
         raise ContractError(f"the Rabi frequency sets the time scale and must be "
                             f"positive, got {p.rabi}")
+    t0 = float(cfg.grid.get("t0", 0.0))
     t1 = float(cfg.grid.get("t1", 40.0 / p.rabi))
+    if not t1 > t0:
+        raise ConfigError(f"grid.t1 must exceed grid.t0, got t0 = {t0}, t1 = {t1}")
     steps = int(cfg.grid.get("steps", 2000))
-    times = np.linspace(float(cfg.grid.get("t0", 0.0)), t1, steps + 1)
+    times = np.linspace(t0, t1, steps + 1)
     rho0 = DensityMatrix.from_matrix(cfg.initial_matrix(), (2,)).data
     auto = _autonomous_states(rho0, p, times)
     u = jc_semiclassical_propagator(times, p)
@@ -297,6 +300,8 @@ def run_touchard(cfg: ExperimentConfig, out: Path) -> dict:
     if min(xs) < 1.0:
         raise ConfigError(f"touchard.x_values must be >= 1, the residual is an "
                           f"expansion in 1/x; got {min(xs)}")
+    if min(orders) < 1:
+        raise ConfigError(f"touchard.orders must be >= 1, got {min(orders)}")
     cols = {"j": [], "x": [], "touchard": [], "asymptotic": [], "scaled_residual": []}
     slopes = {}
     for j in orders:
@@ -311,6 +316,15 @@ def run_touchard(cfg: ExperimentConfig, out: Path) -> dict:
             cols["asymptotic"].append(asym)
             cols["scaled_residual"].append(resid)
             resids.append(resid)
+        # checked after touchard() has seen every x, so an x outside its
+        # range is reported as such first
+        if len(set(xs)) < 2:
+            raise ConfigError(f"touchard.x_values needs two distinct values to fit "
+                              f"a slope, got {xs}")
+        if min(resids) == 0.0:
+            raise ConfigError(f"touchard.orders: the residual of order {j} vanishes "
+                              f"at x = {xs[resids.index(0.0)]}, so it has no "
+                              f"log-log slope")
         slope = np.polyfit(np.log(xs), np.log(resids), 1)[0]
         slopes[str(j)] = float(slope)
     write_csv(out / "touchard.csv",

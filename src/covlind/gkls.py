@@ -7,6 +7,12 @@ forward rate gamma induces the transition |psi_m> -> |psi_n>; the reverse
 rate belongs to G^dag.  With eta = ln(gamma/gamma_rev) the channel pins the
 population ratio p_source/p_target = exp(-eta) of its stationary state.
 
+A fixed point is exp(-H_bar)/Z with [H_bar, F_k] = -delta_k F_k for every
+jump.  The least-squares normal equations of these relations, paired with
+their adjoints, are a dissipator the module already builds: the same jumps
+at unit forward and reverse rates, D_1, with -D_1[H_bar] =
+sum_k delta_k [F_k^dag, F_k].
+
 hbar = 1 throughout; all frequencies in rad/time.
 """
 
@@ -30,6 +36,7 @@ from .operators import (
     _kron,
     liouville_unitary,
     matrix_exp,
+    unvec,
     vec,
 )
 
@@ -215,47 +222,26 @@ class AttractorResult:
     zero_temperature: bool = False
 
 
-def _hermitian_basis(d: int):
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / math.sqrt(2)
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j / math.sqrt(2)
-            e[j, i] = 1j / math.sqrt(2)
-            basis.append(e)
-    return basis
-
-
 def _solve_effective_hamiltonian(jumps, deltas):
     """Least-squares Hermitian H with [H, F_k] = -delta_k F_k for all k.
 
-    Solved over a real parametrization of Hermitian matrices; the
-    minimum-norm solution reduces to sum_k (delta_k/2)(F^dag F - F F^dag)
-    when the channels do not share levels, and otherwise picks the unique
-    potential consistent with every channel at once.
+    Each relation is paired with its adjoint [H, F_k^dag] = delta_k F_k^dag,
+    which a Hermitian H satisfies exactly when it satisfies the first.  The
+    normal equations of the pairs are -D_1[H] = sum_k delta_k [F_k^dag, F_k]
+    with D_1 the dissipator of the same jumps at unit forward and reverse
+    rates.  D_1 maps Hermitian matrices to Hermitian matrices, so the
+    minimum-norm solution of this d^2 x d^2 system is the minimum-norm
+    Hermitian least-squares H: sum_k (delta_k/2)(F^dag F - F F^dag) when the
+    channels do not share levels, and otherwise the unique potential
+    consistent with every channel at once.
     """
     d = jumps[0].shape[0]
-    basis = np.array(_hermitian_basis(d))
-    cols = []
-    rhs = []
-    for fm, dl in zip(jumps, deltas):
-        # row k of comm.transpose(0, 2, 1) flattened is vec([B_k, F])
-        comm = basis @ fm - fm @ basis
-        cols.append(comm.transpose(0, 2, 1).reshape(d * d, d * d).T)
-        rhs.append(-dl * vec(fm))
-    a_mat = np.vstack(cols)
-    b_vec = np.concatenate(rhs)
-    a_real = np.vstack([a_mat.real, a_mat.imag])
-    b_real = np.concatenate([b_vec.real, b_vec.imag])
-    x, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    h_bar = np.tensordot(x, basis, axes=1)
+    unit = DissipatorSpec([Channel(fm, 1.0, 1.0) for fm in jumps])
+    normal = -build_dissipator(unit, d).data
+    rhs = sum(dl * (fm.conj().T @ fm - fm @ fm.conj().T) for fm, dl in zip(jumps, deltas))
+    x, *_ = np.linalg.lstsq(normal, vec(rhs), rcond=None)
+    h = unvec(x, d)
+    h_bar = 0.5 * (h + h.conj().T)
     resid = max(np.max(np.abs(h_bar @ fm - fm @ h_bar + dl * fm))
                 for fm, dl in zip(jumps, deltas))
     return h_bar, float(resid)
@@ -342,15 +328,12 @@ def instantaneous_attractor(channels) -> AttractorResult:
     """
     if not channels:
         raise ContractError("instantaneous_attractor needs at least one channel")
-    jumps = [_as_matrix(f) for f, _, _ in channels]
-    for fm in jumps:
-        if np.max(np.abs(fm @ fm)) > 1e-10:
-            raise ContractError("jump operator violates F^2 = 0")
-    for i in range(len(jumps)):
-        for j in range(len(jumps)):
-            ip = np.trace(jumps[i].conj().T @ jumps[j])
-            if abs(ip - (1.0 if i == j else 0.0)) > 1e-8:
-                raise ContractError("jump operators must be orthonormal")
+    jumps = np.array([_as_matrix(f) for f, _, _ in channels])
+    if np.max(np.abs(jumps @ jumps)) > 1e-10:
+        raise ContractError("jump operator violates F^2 = 0")
+    flat = jumps.reshape(len(jumps), -1)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(jumps)))) > 1e-8:
+        raise ContractError("jump operators must be orthonormal")
     spec = DissipatorSpec(channels=[Channel(fm, g, grev)
                                     for fm, (_, g, grev) in zip(jumps, channels)])
     return _gibbs_attractor(spec, 1e-10, "[H_bar, F_k] = -delta_k F_k violated "

@@ -234,3 +234,50 @@ def monodromy_kron_oracle(gen, steps: int = 4096,
     # normalize to unit Hilbert-Schmidt norm (eigenvectors already near-unit)
     ops = [Operator(op.data / op.hs_norm()) for op in ops]
     return EigenoperatorSet(ops, np.array(freqs), np.array(flags))
+
+
+def _hermitian_basis(d: int):
+    basis = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = 1.0 / math.sqrt(2)
+            basis.append(e)
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = -1j / math.sqrt(2)
+            e[j, i] = 1j / math.sqrt(2)
+            basis.append(e)
+    return basis
+
+
+def effective_hamiltonian_oracle(jumps, deltas):
+    """Least-squares Hermitian H with [H, F_k] = -delta_k F_k for all k.
+
+    Solved as one tall real (2 K d^2) x d^2 system over an orthonormal
+    parametrization of Hermitian matrices; the minimum-norm solution
+    reduces to sum_k (delta_k/2)(F^dag F - F F^dag) when the channels do not
+    share levels, and otherwise picks the unique potential consistent with
+    every channel at once.
+    """
+    d = jumps[0].shape[0]
+    basis = np.array(_hermitian_basis(d))
+    cols = []
+    rhs = []
+    for fm, dl in zip(jumps, deltas):
+        # row k of comm.transpose(0, 2, 1) flattened is vec([B_k, F])
+        comm = basis @ fm - fm @ basis
+        cols.append(comm.transpose(0, 2, 1).reshape(d * d, d * d).T)
+        rhs.append(-dl * vec(fm))
+    a_mat = np.vstack(cols)
+    b_vec = np.concatenate(rhs)
+    a_real = np.vstack([a_mat.real, a_mat.imag])
+    b_real = np.concatenate([b_vec.real, b_vec.imag])
+    x, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
+    h_bar = np.tensordot(x, basis, axes=1)
+    resid = max(np.max(np.abs(h_bar @ fm - fm @ h_bar + dl * fm))
+                for fm, dl in zip(jumps, deltas))
+    return h_bar, float(resid)

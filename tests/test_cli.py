@@ -24,6 +24,10 @@ def read_csv(path):
     return header, data
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestConfig:
     def test_unknown_top_level_key_named(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -105,6 +109,9 @@ class TestExitCodes:
         ("jc-sim", "jc: {omega_c: [1, 2]}", 2, "jc.omega_c"),
         ("attractor", "bath: {temperature: hot}", 2, "bath.temperature"),
         ("jc-sim", "grid: {t1: abc}", 2, "grid.t1"),
+        ("jc-sim", "grid: {t0: 5.0, t1: 1.0}", 2, "grid.t1"),
+        ("jc-sim", "grid: {t0: 1.0, t1: 1.0}", 2, "grid.t1"),
+        ("fig2", "grid: {t0: 5.0, t1: 1.0}", 2, "grid.t1"),
         ("coefficients", "sweep: {values: abc}", 2, "sweep.values"),
         ("touchard", "touchard: {orders: abc}", 2, "touchard.orders"),
         ("jc-sim", "jc: {alphas: 5}", 2, "jc.alphas"),
@@ -113,6 +120,11 @@ class TestExitCodes:
         ("jc-sim", "jc: {rabi: 0.0}", 3, "Rabi frequency"),
         ("touchard", "touchard: {x_values: [1.0e-30, 10.0]}", 2, "touchard.x_values"),
         ("touchard", "touchard: {x_values: [1.0e+30]}", 3, "x <= 1e6"),
+        ("touchard", "touchard: {x_values: [100, 100]}", 2, "touchard.x_values"),
+        ("touchard", "touchard: {x_values: [5.0]}", 2, "touchard.x_values"),
+        ("touchard", "touchard: {orders: [0, 1, 2]}", 2, "touchard.orders"),
+        ("touchard", "touchard: {orders: [-1]}", 2, "touchard.orders"),
+        ("touchard", "touchard: {x_values: [2.0, 4.0, 8.0]}", 2, "touchard.orders"),
         ("attractor", "bath: {omega_cut: 0.0}", 3, "omega_cut"),
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
         ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
@@ -138,7 +150,8 @@ class TestOutputs:
         assert run_cli(["touchard", "--out", str(out)]) == 0
         header, data = read_csv(out / "touchard.csv")
         assert header == ["j", "x", "touchard", "asymptotic", "scaled_residual"]
-        summary = json.loads((out / "touchard_summary.json").read_text())
+        summary = json.loads((out / "touchard_summary.json").read_text(),
+                             parse_constant=_reject_constant)
         assert "library_version" in summary
         for j in ("3", "4", "5", "6"):
             assert abs(summary["loglog_slopes"][j] + 2.0) < 0.1

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +26,14 @@ from covlind import (
     vec,
 )
 from covlind.errors import ContractError
-from covlind.gkls import ZeroTemperatureWarning, lindblad_term
+from covlind.gkls import (
+    ZeroTemperatureWarning,
+    _deltas_from_rates,
+    _solve_effective_hamiltonian,
+    lindblad_term,
+)
 from covlind.operators import hermitian_eig
-from oracles import dissipator_kron_oracle
+from oracles import dissipator_kron_oracle, effective_hamiltonian_oracle
 
 Q = qubit_ops()
 RNG = np.random.default_rng(4242)
@@ -215,6 +222,67 @@ class TestInstantaneousAttractor:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ContractError):
             instantaneous_attractor([(2.0 * Q["sm"], 1.0, 0.5)])
+
+
+def _spectrum(kind, d, rng):
+    """Random levels, an equally spaced ladder (Bohr frequencies shared by
+    several pairs) or a few repeated levels (degenerate spectrum)."""
+    if kind == "random":
+        return rng.normal(size=d)
+    if kind == "ladder":
+        return 0.7 * np.arange(d) + rng.normal()
+    w = rng.choice([0.0, 1.0, 2.5], size=d)
+    w[:2] = [0.0, 2.5]
+    return w
+
+
+class TestEffectiveHamiltonian:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+           kind=st.sampled_from(["random", "ladder", "degenerate"]),
+           beta=st.sampled_from([0.3, 1.0, 2.5, math.inf]))
+    def test_matches_stacked_oracle_on_thermal_specs(self, seed, d, kind, beta):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        h = (q * _spectrum(kind, d, rng)) @ q.conj().T
+        h = 0.5 * (h + h.conj().T)
+        spec, eset = thermal_spec_for(h, beta=beta, rng=rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroTemperatureWarning)
+            res = fixed_point(spec, eset)
+        h_ref, _ = effective_hamiltonian_oracle([ch.op.data for ch in spec.channels],
+                                                res.deltas)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(res.deltas))))
+        assert np.max(np.abs(res.effective_hamiltonian.data - h_ref)) <= bound
+        assert res.residual <= 1e-9
+        l_super = liouvillian(h, build_dissipator(spec))
+        assert check_time_translation(l_super, h, t=0.8, s=2.3) <= 1e-9
+
+    def test_inconsistent_jumps_match_oracle(self):
+        # sigma_x and sigma_minus admit no common potential: both solvers
+        # return the same least-squares minimiser and residual
+        jumps, deltas = [Q["sx"], Q["sm"]], np.array([0.3, 1.1])
+        h_bar, resid = _solve_effective_hamiltonian(jumps, deltas)
+        h_ref, resid_ref = effective_hamiltonian_oracle(jumps, deltas)
+        assert np.max(np.abs(h_bar - h_ref)) < 1e-12
+        assert abs(resid - resid_ref) < 1e-12
+        assert resid > 0.1
+
+    def test_solve_memory_stays_small_at_d14(self):
+        rng = np.random.default_rng(14)
+        spec, _ = thermal_spec_for(random_hermitian(14, rng), beta=0.7, rng=rng,
+                                   dephasing=False)
+        assert len(spec.channels) == 91
+        jumps = [ch.op.data for ch in spec.channels]
+        deltas, _ = _deltas_from_rates([ch.rate for ch in spec.channels],
+                                       [ch.rate_rev for ch in spec.channels])
+        tracemalloc.start()
+        try:
+            _solve_effective_hamiltonian(jumps, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLiouvillian:
