@@ -12,14 +12,7 @@ import math
 
 import numpy as np
 
-from covlind import (
-    Channel,
-    DissipatorSpec,
-    JCParams,
-    build_dissipator,
-    instantaneous_attractor,
-    jc_eigenoperators,
-)
+from covlind import DrivenQubitMasterEquation, JCParams
 from covlind.bath import BathSpec, gamma_one_sided, jc_kinetic_coefficients
 
 p = JCParams.with_rabi(omega_c=1.0, delta=0.1, rabi=0.5, alpha=2.0)
@@ -27,7 +20,8 @@ print(f"drive: Omega = {p.rabi}, side-bands at {p.omega_c - p.rabi:.2f} and "
       f"{p.omega_c + p.rabi:.2f}, carrier {p.omega_c}")
 
 bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
-g0, gm, gp = jc_kinetic_coefficients(p, bath)
+master = DrivenQubitMasterEquation(p, bath)
+g0, gm, gp = master.coefficients
 print(f"\nohmic bath at T = {bath.temperature}: gamma_0 = {g0:.5f}, "
       f"gamma_- = {gm:.5f}, gamma_+ = {gp:.5f}")
 print(f"KMS check on the carrier: Gamma(+wc)/Gamma(-wc) = "
@@ -46,14 +40,10 @@ for center, label in ((p.omega_c, "carrier"),
           f"gamma_0, gamma_-, gamma_+ = "
           + ", ".join(f"{v:.4f}" for v in vals))
 
-f_plus, f_minus, w = jc_eigenoperators(p)
-res = instantaneous_attractor([(f_minus(0.0), gm, gp)])
-spec = DissipatorSpec(channels=[Channel(f_minus(0.0), gm, gp)],
-                      dephasing_invariant=([w(0.0)], [[g0]]))
-resid = np.max(np.abs(build_dissipator(spec).apply(res.state.data).data))
+res = master.attractor()
 print(f"\ninstantaneous attractor (delta = ln(gamma_-/gamma_+) = "
       f"{res.deltas[0]:.4f}):")
 print(np.array_str(res.state.data, precision=5, suppress_small=True))
-print(f"full dissipator applied to it: ||D[rho]||_max = {resid:.2e}")
+print(f"full dissipator applied to it: ||D[rho]||_max = {res.residual:.2e}")
 print("(the attractor is diagonal in the dressed basis of the drive, not of "
       "the bare qubit: energy and coherence mix)")

@@ -54,7 +54,13 @@ from .gkls import (  # noqa: F401
     check_time_translation,
     choi_matrix,
 )
-from .bath import BathSpec, bose_einstein, gamma_one_sided, jc_kinetic_coefficients  # noqa: F401
+from .bath import (  # noqa: F401
+    BathSpec,
+    DrivenQubitMasterEquation,
+    bose_einstein,
+    gamma_one_sided,
+    jc_kinetic_coefficients,
+)
 from .jaynes_cummings import (  # noqa: F401
     JCParams,
     jc_hamiltonian,

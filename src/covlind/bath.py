@@ -1,5 +1,5 @@
-"""Spectral densities, thermal occupation, and the driven-qubit kinetic
-coefficients.
+"""Spectral densities, thermal occupation, the driven-qubit kinetic
+coefficients and the driven-qubit master equation they enter.
 
 Units: hbar = k_B = 1, temperatures in energy units, frequencies in
 rad/time.  The spectral density is only ever evaluated at |omega|.
@@ -8,10 +8,22 @@ rad/time.  The spectral density is only ever evaluated at |omega|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Callable
+
+import numpy as np
 
 from .errors import ContractError
-from .jaynes_cummings import JCParams
+from .gkls import (
+    AttractorResult,
+    Channel,
+    DissipatorSpec,
+    build_dissipator,
+    instantaneous_attractor,
+    liouvillian,
+)
+from .jaynes_cummings import JCParams, jc_eigenoperators, jc_semiclassical_hamiltonian
+from .operators import Superoperator
 
 _MODELS = ("ohmic", "cubic", "flat", "band")
 
@@ -144,3 +156,54 @@ def jc_kinetic_coefficients(params: JCParams, bath: BathSpec) -> tuple[float, fl
     if min(out) < 0:
         raise ContractError(f"negative kinetic coefficient {out}")
     return out
+
+
+@dataclass(frozen=True)
+class DrivenQubitMasterEquation:
+    """The driven-qubit master equation in its semi-classical limit.
+
+    L(t) = -i [H_sc(t), .] + gamma_minus D[F_-(t)] + gamma_plus D[F_-(t)^dag]
+           + gamma_0 D[W(t)]
+
+    with the Rabi Hamiltonian H_sc(t), the driven eigenoperator F_-(t) as
+    the jump and the invariant W(t) as the dephasing operator, all from
+    :func:`jc_eigenoperators`, and the rates from
+    :func:`jc_kinetic_coefficients`.  Both are evaluated once, on
+    construction; ``coefficients`` is (gamma_0, gamma_minus, gamma_plus).
+    """
+
+    params: JCParams
+    bath: BathSpec
+    coefficients: tuple = field(init=False)
+    jump: Callable = field(init=False, repr=False, compare=False)
+    invariant: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients",
+                           jc_kinetic_coefficients(self.params, self.bath))
+        _, f_minus, w = jc_eigenoperators(self.params)
+        object.__setattr__(self, "jump", f_minus)
+        object.__setattr__(self, "invariant", w)
+
+    def spec(self, t: float) -> DissipatorSpec:
+        """The dissipator's channels and invariant dephasing at time t."""
+        g0, gm, gp = self.coefficients
+        return DissipatorSpec(channels=[Channel(self.jump(t), gm, gp)],
+                              dephasing_invariant=([self.invariant(t)], [[g0]]))
+
+    def generator(self, t: float) -> Superoperator:
+        """The Liouvillian L(t)."""
+        return liouvillian(jc_semiclassical_hamiltonian(t, self.params),
+                           build_dissipator(self.spec(t)))
+
+    def attractor(self) -> AttractorResult:
+        """Instantaneous attractor of the jump channel at t = 0.
+
+        Its ``residual`` is ||D(0)[rho]||_max for the full dissipator,
+        invariant dephasing included, not for the jump channel alone.
+        """
+        _, gm, gp = self.coefficients
+        res = instantaneous_attractor([(self.jump(0.0), gm, gp)])
+        d_full = build_dissipator(self.spec(0.0))
+        resid = float(np.max(np.abs(d_full.apply(res.state.data).data)))
+        return replace(res, residual=resid)

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bath import BathSpec, jc_kinetic_coefficients
+from .bath import BathSpec, DrivenQubitMasterEquation, jc_kinetic_coefficients
 from .config import EXPERIMENTS, ExperimentConfig, load_config
 from .eigenoperators import (
     DrivenGenerator,
@@ -32,7 +32,6 @@ from .eigenoperators import (
     verify_eigenoperator,
 )
 from .errors import ConfigError, ContractError, CovlindError
-from .gkls import DissipatorSpec, Channel, build_dissipator, instantaneous_attractor
 from .jaynes_cummings import (
     JCParams,
     _autonomous_states,
@@ -47,6 +46,10 @@ from .operators import DensityMatrix, qubit_ops, uhlmann_fidelity, validate_stat
 from .propagate import TimeGrid
 
 _Q = qubit_ops()
+# bytes of states one fig2/jc-sim run may hold: its autonomous and
+# semi-classical stacks of 2x2 complex128 states (64 B each), 131 072 times;
+# the run's temporaries come to about five times this
+_STATE_BUDGET_BYTES = 16 << 20
 
 
 def _fmt(x: float) -> str:
@@ -110,6 +113,11 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
     if not t1 > t0:
         raise ConfigError(f"grid.t1 must exceed grid.t0, got t0 = {t0}, t1 = {t1}")
     steps = int(cfg.grid.get("steps", 2000))
+    state_bytes = 2 * 64 * (steps + 1)
+    if state_bytes > _STATE_BUDGET_BYTES:
+        raise ContractError(f"grid.steps = {steps} would hold {state_bytes} bytes of "
+                            f"states, over the {_STATE_BUDGET_BYTES} bytes one run may "
+                            f"hold (at most {_STATE_BUDGET_BYTES // 128 - 1} steps)")
     times = np.linspace(t0, t1, steps + 1)
     rho0 = DensityMatrix.from_matrix(cfg.initial_matrix(), (2,)).data
     auto = _autonomous_states(rho0, p, times)
@@ -185,15 +193,20 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
         write_json(out / "eigenops_report.json", report)
         return report
     p = cfg.jc_params(alpha=alpha)
+    f_plus, f_minus, _w = jc_eigenoperators(p)
     gen = DrivenGenerator(lambda t: jc_semiclassical_hamiltonian(t, p),
                           period=2 * np.pi / p.omega_c)
     eset = monodromy_eigenoperators(gen)
-    f_plus, f_minus, _w = jc_eigenoperators(p)
     grid = TimeGrid(0.0, 10 * 2 * np.pi / p.rabi, 400)
     residuals = {
         "F_plus": verify_eigenoperator(f_plus, +p.rabi, gen, grid),
         "F_minus": verify_eigenoperator(f_minus, -p.rabi, gen, grid),
     }
+    if eset.invariant_flags.all():
+        raise ContractError(f"every monodromy eigenoperator is invariant: the Rabi "
+                            f"frequency {p.rabi:g} folds onto the invariants at the "
+                            f"drive frequency omega_c = {p.omega_c:g}, so F_pm have "
+                            f"no counterpart")
     deviations = []
     nilpotency = []
     for target, freq in ((f_plus(0.0).data, p.rabi), (f_minus(0.0).data, -p.rabi)):
@@ -217,23 +230,13 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
     return report
 
 
-def _attractor_single(p: JCParams, bath: BathSpec):
-    g0, gm, gp = jc_kinetic_coefficients(p, bath)
-    f_plus, f_minus, w = jc_eigenoperators(p)
-    channels = [(f_minus(0.0), gm, gp)]
-    res = instantaneous_attractor(channels)
-    spec = DissipatorSpec(channels=[Channel(f_minus(0.0), gm, gp)],
-                          dephasing_invariant=([w(0.0)], [[g0]]))
-    d_full = build_dissipator(spec)
-    resid = float(np.max(np.abs(d_full.apply(res.state.data).data)))
-    return res, (g0, gm, gp), resid
-
-
 def run_attractor(cfg: ExperimentConfig, out: Path) -> dict:
     """Instantaneous attractor of the driven-qubit dissipator."""
     p = cfg.jc_params()
     bath = _bath_from_cfg(cfg)
-    res, (g0, gm, gp), resid = _attractor_single(p, bath)
+    master = DrivenQubitMasterEquation(p, bath)
+    res = master.attractor()
+    g0, gm, gp = master.coefficients
     report = {"experiment": "attractor",
               "coefficients": {"gamma0": g0, "gammaMinus": gm, "gammaPlus": gp},
               "delta_minus": float(res.deltas[0]),
@@ -241,7 +244,7 @@ def run_attractor(cfg: ExperimentConfig, out: Path) -> dict:
               "attractor": [[x.real, x.imag] for x in res.state.data.reshape(-1)],
               "effective_hamiltonian": [[x.real, x.imag]
                                         for x in res.effective_hamiltonian.data.reshape(-1)],
-              "residual": resid,
+              "residual": res.residual,
               "bath": {"temperature": bath.temperature, "model": bath.model,
                        "eta": bath.eta, "omega_cut": bath.omega_cut},
               "params": _echo_params(p)}
@@ -295,13 +298,15 @@ def run_coefficients(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_touchard(cfg: ExperimentConfig, out: Path) -> dict:
     """Touchard polynomial asymptotics sweep."""
-    orders = [int(j) for j in cfg.touchard.get("orders", [2, 3, 4, 5, 6])]
+    orders = [int(j) for j in cfg.touchard.get("orders", [3, 4, 5, 6])]
     xs = [float(x) for x in cfg.touchard.get("x_values", [1e2, 1e3, 1e4])]
     if min(xs) < 1.0:
         raise ConfigError(f"touchard.x_values must be >= 1, the residual is an "
                           f"expansion in 1/x; got {min(xs)}")
-    if min(orders) < 1:
-        raise ConfigError(f"touchard.orders must be >= 1, got {min(orders)}")
+    if min(orders) < 3:
+        raise ConfigError(f"touchard.orders must be >= 3, got {min(orders)}: T_1 and "
+                          f"T_2 equal their large-x form exactly, so their residual "
+                          f"is rounding noise with no slope")
     cols = {"j": [], "x": [], "touchard": [], "asymptotic": [], "scaled_residual": []}
     slopes = {}
     for j in orders:

@@ -173,6 +173,8 @@ def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
 
     Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
     the next step's H(t), so a full sweep calls H 2 * steps + 1 times.
+    A step too long for the drive makes U overflow; that is caught at each
+    re-unitarisation and at the last step as an IntegrationError.
     """
     dt = (t1 - t0) / steps
     a_prev = -1j * gen.matrix(t0)
@@ -182,7 +184,11 @@ def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
         a_mid = -1j * gen.matrix(t + dt / 2)
         a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
         u = _rk4_step(u, a_prev, a_mid, a_next, dt)
-        if (k + 1) % renorm_every == 0:
+        renorm = (k + 1) % renorm_every == 0
+        if (renorm or k + 1 == steps) and not np.isfinite(u).all():
+            raise IntegrationError(f"RK4 unitary sweep diverged by t = {t0 + (k + 1) * dt:g} "
+                                   f"(dt = {dt:g}); the step is too long for H(t)")
+        if renorm:
             # polar projection keeps the propagator on the unitary group
             a, _, b = np.linalg.svd(u)
             u = a @ b
@@ -219,7 +225,7 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
     u = integrate_unitary(gen, 0.0, T, steps)
     d = u.shape[0]
     unit_resid = np.max(np.abs(u.conj().T @ u - np.eye(d)))
-    if unit_resid > unitary_tol:
+    if not unit_resid <= unitary_tol:
         raise IntegrationError(f"monodromy is not unitary within {unitary_tol} "
                                f"(residual {unit_resid:.2e}); increase steps")
     # U is normal, so its complex Schur form is diagonal and the Schur
@@ -311,7 +317,8 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
     Schroedinger-picture eigenoperator family; the residual is
     max_t || U^dag(t) P(t) U(t) - exp(i lam (t - t0)) P(t0) ||_max.
     U(t) comes from one RK4 sweep with ``substeps`` steps per grid interval,
-    which calls H(t) 2 * grid.steps * substeps + 1 times.
+    which calls H(t) 2 * grid.steps * substeps + 1 times.  A non-finite
+    residual at any grid point makes the result NaN.
     """
     p_of_t = p if callable(p) else (lambda _t: p)
     p0 = _as_matrix(p_of_t(grid.t0))
@@ -321,5 +328,6 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
     for t, u in zip(grid.times()[1:], itertools.islice(sweep, substeps - 1, None, substeps)):
         lhs = u.conj().T @ _as_matrix(p_of_t(t)) @ u
         rhs = np.exp(1j * lam * (t - grid.t0)) * p0
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    return resid
+        # np.maximum propagates NaN, where max(resid, nan) would keep resid
+        resid = np.maximum(resid, np.max(np.abs(lhs - rhs)))
+    return float(resid)

@@ -124,6 +124,11 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
     if hi - lo + 1 > _KRAUS_CHUNK_TERMS:
         raise ContractError(f"Kraus window [{lo}, {hi}] at alpha={p.alpha:g} holds more "
                             f"than the {_KRAUS_CHUNK_TERMS} terms of one chunk")
+    if hi >= 2 ** 53:
+        # past 2^53 the default window's width 20|alpha| rounds away and Fock
+        # numbers are no longer exact doubles
+        raise ContractError(f"Kraus window [{lo}, {hi}] at alpha={p.alpha:g} reaches "
+                            f"past 2^53, where Fock numbers are not exact")
     return int(lo), int(hi)
 
 
@@ -291,10 +296,13 @@ def jc_eigenoperators(p: JCParams):
     g(alpha* sm e^{i wc t} + alpha sp e^{-i wc t}) + (delta/2) sz is the
     returned W times rabi/sqrt(2).
     """
-    if abs(p.alpha) == 0:
-        raise ContractError("eigenoperators degenerate at alpha = 0; use the "
-                            "static transition operators instead")
     om, dl, g, alpha = p.rabi, p.delta, p.g, p.alpha
+    # Omega > |delta| exactly when g |alpha| > 0, unless the drive term is
+    # lost to rounding beside delta; either way Delta -+ Omega would vanish
+    if not om > abs(dl):
+        raise ContractError(f"eigenoperators degenerate where the drive g*|alpha| "
+                            f"vanishes (g = {g:g}, alpha = {alpha:g}, delta = {dl:g}); "
+                            f"use the static transition operators instead")
     norm = math.sqrt(2.0) * g * abs(alpha) / om
 
     def f_sign(sign: float):
@@ -393,7 +401,9 @@ def fit_gaussian_envelope(times, signal) -> float:
         raise ContractError("too few oscillation peaks to fit an envelope")
     tp = t[idx]
     lp = np.log(y[idx])
-    if not (np.isfinite(tp ** 2).all() and np.ptp(tp) > 0):
-        raise ContractError("envelope fit needs peaks at distinct finite times")
+    # polyfit divides t^2 by its norm sqrt(sum t^4), which must not underflow
+    if not (np.isfinite(tp ** 2).all() and np.ptp(tp) > 0 and np.sum(tp ** 4) > 0):
+        raise ContractError(f"envelope fit needs peaks at distinct finite times with "
+                            f"t^4 above underflow, got t in [{tp[0]:g}, {tp[-1]:g}]")
     coeffs = np.polyfit(tp ** 2, lp, 1)
     return float(-coeffs[0])

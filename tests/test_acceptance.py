@@ -18,6 +18,7 @@ from covlind import (
     Channel,
     DensityMatrix,
     DissipatorSpec,
+    DrivenQubitMasterEquation,
     JCParams,
     build_dissipator,
     check_time_translation,
@@ -26,7 +27,6 @@ from covlind import (
     detailed_balance_rates,
     fixed_point,
     hermitian_eig,
-    instantaneous_attractor,
     jc_eigenoperators,
     jc_semiclassical_hamiltonian,
     jc_semiclassical_propagator,
@@ -39,7 +39,7 @@ from covlind import (
     uhlmann_fidelity,
     vec,
 )
-from covlind.bath import BathSpec, jc_kinetic_coefficients, jc_sideband_weights
+from covlind.bath import BathSpec, jc_sideband_weights
 from covlind.eigenoperators import DrivenGenerator, deviation_up_to_phase
 from covlind import Superoperator
 from covlind.jaynes_cummings import (
@@ -216,16 +216,12 @@ def test_criterion_5_instantaneous_attractor_grid():
         for temp in (0.2, 0.5, 1.0, 2.0, 5.0):
             p = JCParams(1.0, 1.0 + delta, 0.2, 2.0 * np.exp(0.3j))
             bath = BathSpec(temperature=temp, model="ohmic", eta=0.4, omega_cut=12.0)
-            g0, gm, gp = jc_kinetic_coefficients(p, bath)
-            f_plus, f_minus, w = jc_eigenoperators(p)
-            res = instantaneous_attractor([(f_minus(0.0), gm, gp)])
+            master = DrivenQubitMasterEquation(p, bath)
+            _, gm, gp = master.coefficients
+            res = master.attractor()
             assert res.deltas[0] == pytest.approx(math.log(gm / gp), abs=1e-12)
-            spec = DissipatorSpec(channels=[Channel(f_minus(0.0), gm, gp)],
-                                  dephasing_invariant=([w(0.0)], [[g0]]))
-            resid = float(np.max(np.abs(
-                build_dissipator(spec).apply(res.state.data).data)))
-            assert resid <= 1e-9, (delta, temp, resid)
-            worst = max(worst, resid)
+            assert res.residual <= 1e-9, (delta, temp, res.residual)
+            worst = max(worst, res.residual)
             count += 1
     elapsed = time.perf_counter() - start
     assert count == 25 and elapsed <= 10.0

@@ -124,10 +124,20 @@ class TestExitCodes:
         ("touchard", "touchard: {x_values: [5.0]}", 2, "touchard.x_values"),
         ("touchard", "touchard: {orders: [0, 1, 2]}", 2, "touchard.orders"),
         ("touchard", "touchard: {orders: [-1]}", 2, "touchard.orders"),
-        ("touchard", "touchard: {x_values: [2.0, 4.0, 8.0]}", 2, "touchard.orders"),
+        ("touchard", "touchard: {x_values: [2.0, 4.0, 8.0], orders: [2, 3]}", 2,
+         "touchard.orders"),
+        ("touchard", "touchard: {orders: [2, 3]}", 2, "touchard.orders"),
         ("attractor", "bath: {omega_cut: 0.0}", 3, "omega_cut"),
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
+        ("jc-sim", "jc: {alpha: 1.0e+20}", 3, "past 2^53"),
         ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
+        ("attractor", "jc: {g: 0.0, delta: 0.1}", 3, "(g = 0, alpha = 5+0j"),
+        ("eigenops", "jc: {g: 0.0, delta: 0.1}", 3, "(g = 0, alpha = 2+0j"),
+        ("eigenops", "jc: {rabi: 1.0e+6}", 3, "RK4 unitary sweep diverged"),
+        ("eigenops", "jc: {rabi: 1.0e-9}", 3, "RK4 unitary sweep diverged"),
+        ("eigenops", "jc: {omega_c: 1.0e-8}", 3, "RK4 unitary sweep diverged"),
+        ("eigenops", "jc: {omega_c: 1.0e+200}", 3, "RK4 unitary sweep diverged"),
+        ("eigenops", "jc: {g: 1.0}", 3, "folds onto the invariants"),
     ])
     def test_mistyped_values_exit_cleanly(self, tmp_path, capsys, experiment, body,
                                           code, named):
@@ -136,6 +146,13 @@ class TestExitCodes:
         assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o"),
                         "--steps", "50"]) == code
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["fig2", "jc-sim"])
+    @pytest.mark.parametrize("steps", [131_072, 10**12])
+    def test_grid_steps_over_budget_is_3(self, tmp_path, capsys, experiment, steps):
+        # rejected before the time axis or any state is allocated
+        assert run_cli([experiment, "--steps", str(steps), "--out", str(tmp_path / "o")]) == 3
+        assert f"grid.steps = {steps}" in capsys.readouterr().err
 
     def test_malformed_override_is_2(self, tmp_path):
         assert run_cli(["fig2", "--steps", "-5", "--out", str(tmp_path / "o")]) == 2
@@ -288,13 +305,25 @@ _DOCS = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=30, deadline=None)
-@given(doc=_DOCS)
-def test_config_fuzz_exits_with_documented_code(doc):
+def _assert_documented_exit_codes(doc, runs):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "c.yaml"
         cfg.write_text(yaml.safe_dump(doc))
-        for args in (["touchard"], ["attractor"], ["coefficients"],
-                     ["jc-sim", "--steps", "50"]):
+        for args in runs:
             code = main(args + ["--config", str(cfg), "--out", str(Path(tmp) / "o")])
             assert code in (0, 2, 3, 4), (args, doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_DOCS)
+def test_config_fuzz_exits_with_documented_code(doc):
+    _assert_documented_exit_codes(doc, (["touchard"], ["attractor"], ["coefficients"],
+                                        ["jc-sim", "--steps", "50"],
+                                        ["fig2", "--steps", "50"]))
+
+
+# eigenops takes about 1.5 s a run, so it has a fuzz test of its own
+@settings(max_examples=5, deadline=None)
+@given(doc=_DOCS)
+def test_eigenops_config_fuzz_exits_with_documented_code(doc):
+    _assert_documented_exit_codes(doc, (["eigenops"],))

@@ -25,7 +25,8 @@ from covlind.eigenoperators import (
     hermitian_unitary,
     integrate_unitary,
 )
-from covlind.errors import ContractError
+from covlind import eigenoperators
+from covlind.errors import ContractError, IntegrationError
 from covlind.jaynes_cummings import jc_hamiltonian
 from covlind.propagate import TimeGrid
 from oracles import monodromy_kron_oracle, random_hermitian
@@ -189,6 +190,13 @@ class TestMonodromy:
             eset = monodromy_eigenoperators(rabi_generator(p))
             _ = eset
 
+    def test_non_finite_monodromy_fails_unitarity(self, monkeypatch):
+        # a NaN residual must fail the check, not slip past `resid > tol`
+        monkeypatch.setattr(eigenoperators, "integrate_unitary",
+                            lambda *args: np.full((2, 2), np.nan))
+        with pytest.raises(IntegrationError, match="not unitary"):
+            monodromy_eigenoperators(DrivenGenerator(lambda t: Q["sz"], period=1.0))
+
     def test_requires_period(self):
         with pytest.raises(ContractError):
             monodromy_eigenoperators(DrivenGenerator(lambda t: Q["sz"]))
@@ -323,6 +331,18 @@ class TestVerifyEigenoperator:
         assert verify_eigenoperator(Q["sx"], 1.0, gen, grid) > 0.5
 
 
+    def test_nan_residual_is_reported(self):
+        # NaN at the first grid point must survive the max over the rest
+        gen = DrivenGenerator(lambda t: 0.5 * Q["sz"])
+        grid = TimeGrid(0.0, 6.0, 60)
+        first = grid.times()[1]
+
+        def p_of_t(t):
+            return np.full((2, 2), np.nan) if t == first else Q["sm"]
+
+        assert math.isnan(verify_eigenoperator(p_of_t, -1.0, gen, grid))
+
+
 class TestIntegrateUnitary:
     def test_static_matches_exponential(self):
         h = 0.5 * Q["sz"]
@@ -336,6 +356,18 @@ class TestIntegrateUnitary:
         t1 = 7.3
         u = integrate_unitary(gen, 0.0, t1, 8000)
         assert np.max(np.abs(u - jc_semiclassical_propagator(t1, p))) < 1e-9
+
+    @pytest.mark.parametrize("t1, steps, where", [
+        (1.0, 10, "t = 1 (dt = 0.1)"),      # caught at the last step
+        (25.0, 250, "t = 10 (dt = 0.1)"),   # caught at the 100th step's re-unitarisation
+    ])
+    def test_overflowing_sweep_names_t_and_dt(self, t1, steps, where):
+        # |H dt| = 1e9: every RK4 step multiplies U by ~1e35
+        gen = DrivenGenerator(lambda t: 1e10 * Q["sz"])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError) as exc:
+            integrate_unitary(gen, 0.0, t1, steps)
+        assert f"RK4 unitary sweep diverged by {where}" in str(exc.value)
 
 
 class TestInvariantCommutation:

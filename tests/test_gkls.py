@@ -11,6 +11,8 @@ from covlind import (
     DensityMatrix,
     DissipatorSpec,
     DrivenGenerator,
+    DrivenQubitMasterEquation,
+    JCParams,
     Operator,
     build_dissipator,
     check_time_translation,
@@ -18,6 +20,8 @@ from covlind import (
     detailed_balance_rates,
     fixed_point,
     instantaneous_attractor,
+    jc_eigenoperators,
+    jc_semiclassical_hamiltonian,
     liouvillian,
     matrix_exp,
     qubit_ops,
@@ -25,6 +29,7 @@ from covlind import (
     total_liouvillian,
     vec,
 )
+from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError
 from covlind.gkls import (
     ZeroTemperatureWarning,
@@ -416,17 +421,26 @@ class TestTotalLiouvillian:
 
 
 class TestJCAttractorNullspaceOracle:
-    def test_attractor_matches_dissipator_null_vector(self):
-        from covlind import JCParams, jc_eigenoperators
-        from covlind.bath import BathSpec, jc_kinetic_coefficients
+    """The driven-qubit master equation assembled by hand from its parts,
+    kept as an oracle for DrivenQubitMasterEquation."""
+
+    @staticmethod
+    def hand_assembly():
         p = JCParams.with_rabi(1.0, 0.12, 0.5, 2.0 * np.exp(0.7j))
         bath = BathSpec(temperature=0.7, model="ohmic", eta=0.3, omega_cut=12.0)
         g0, gm, gp = jc_kinetic_coefficients(p, bath)
         f_plus, f_minus, w = jc_eigenoperators(p)
+
+        def spec(t):
+            return DissipatorSpec(channels=[Channel(f_minus(t), gm, gp)],
+                                  dephasing_invariant=([w(t)], [[g0]]))
+
+        return p, bath, (g0, gm, gp), f_minus, spec
+
+    def test_attractor_matches_dissipator_null_vector(self):
+        _, _, (_, gm, gp), f_minus, spec = self.hand_assembly()
         res = instantaneous_attractor([(f_minus(0.0), gm, gp)])
-        spec = DissipatorSpec(channels=[Channel(f_minus(0.0), gm, gp)],
-                              dephasing_invariant=([w(0.0)], [[g0]]))
-        d_mat = build_dissipator(spec).data
+        d_mat = build_dissipator(spec(0.0)).data
         assert np.max(np.abs(d_mat @ vec(res.state.data))) < 1e-9
         # oracle: the normalized null vector of D is the same state
         evals, evecs = np.linalg.eig(d_mat)
@@ -434,6 +448,34 @@ class TestJCAttractorNullspaceOracle:
         rho = evecs[:, k].reshape((2, 2), order="F")
         rho = rho / np.trace(rho)
         assert np.max(np.abs(rho - res.state.data)) < 1e-9
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 13.1])
+    def test_master_equation_matches_hand_assembly(self, t):
+        p, bath, coefficients, _, spec = self.hand_assembly()
+        master = DrivenQubitMasterEquation(p, bath)
+        assert master.coefficients == coefficients
+        got, want = master.spec(t), spec(t)
+        (channel,), (want_channel,) = got.channels, want.channels
+        assert np.array_equal(channel.op.data, want_channel.op.data)
+        assert (channel.rate, channel.rate_rev) == (want_channel.rate, want_channel.rate_rev)
+        (w,), chi = got.dephasing_invariant
+        (want_w,), want_chi = want.dephasing_invariant
+        assert np.array_equal(w.data, want_w.data) and chi == want_chi
+        assert not (got.dephasing_hermitian or got.lamb_shift is not None)
+        generator = liouvillian(jc_semiclassical_hamiltonian(t, p), build_dissipator(want))
+        assert np.array_equal(master.generator(t).data, generator.data)
+
+    def test_attractor_matches_hand_assembly(self):
+        p, bath, (_, gm, gp), f_minus, spec = self.hand_assembly()
+        got = DrivenQubitMasterEquation(p, bath).attractor()
+        want = instantaneous_attractor([(f_minus(0.0), gm, gp)])
+        assert np.array_equal(got.state.data, want.state.data)
+        assert np.array_equal(got.effective_hamiltonian.data, want.effective_hamiltonian.data)
+        assert np.array_equal(got.deltas, want.deltas)
+        assert got.zero_temperature == want.zero_temperature
+        # the residual is of the full dissipator, dephasing included
+        d_full = build_dissipator(spec(0.0))
+        assert got.residual == float(np.max(np.abs(d_full.apply(want.state.data).data)))
 
 
 def random_spec(rng, d, n_channels, n_hermitian, n_invariant):

@@ -351,6 +351,14 @@ class TestEigenoperators:
         with pytest.raises(ContractError):
             jc_eigenoperators(JCParams(1.0, 1.2, 0.3, 0.0))
 
+    @pytest.mark.parametrize("g", [
+        0.0,
+        1e-10,   # 4 g^2 |alpha|^2 is lost beside delta^2: Omega == delta
+    ])
+    def test_vanishing_drive_rejected(self, g):
+        with pytest.raises(ContractError, match=r"\(g = .*, alpha = 2, "):
+            jc_eigenoperators(JCParams(1.0, 1.2, g, 2.0))
+
 
 class TestDressedStates:
     def test_g_zero_reduces_to_bare(self):
@@ -446,3 +454,10 @@ class TestEnvelopeFit:
         t = np.linspace(0, 10, 2000)
         sig = np.cos(4.0 * t) * np.exp(-0.03 * t ** 2)
         assert fit_gaussian_envelope(t, sig) == pytest.approx(0.03, rel=0.02)
+
+    def test_underflowing_times_rejected(self):
+        # t^4 underflows to zero: polyfit would divide by a zero column norm
+        t = np.linspace(0, 10, 2000) * 1e-126
+        sig = np.cos(4.0 * t * 1e126) * np.exp(-0.03 * (t * 1e126) ** 2)
+        with pytest.raises(ContractError, match="underflow"):
+            fit_gaussian_envelope(t, sig)

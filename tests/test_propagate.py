@@ -7,6 +7,7 @@ from covlind import (
     Channel,
     DensityMatrix,
     DissipatorSpec,
+    DrivenQubitMasterEquation,
     JCParams,
     Superoperator,
     TimeGrid,
@@ -18,7 +19,6 @@ from covlind import (
     expectation_series,
     fidelity_series,
     fixed_point,
-    instantaneous_attractor,
     jc_eigenoperators,
     jc_semiclassical_hamiltonian,
     jc_semiclassical_propagator,
@@ -30,7 +30,7 @@ from covlind import (
     unvec,
     vec,
 )
-from covlind.bath import BathSpec, jc_kinetic_coefficients
+from covlind.bath import BathSpec
 from covlind.errors import ContractError, DimensionError, IntegrationError
 from oracles import three_call_sweep_oracle
 
@@ -44,6 +44,13 @@ def damping_liouvillian(gamma=1.0, omega=0.0):
     return liouvillian(0.5 * omega * Q["sz"], build_dissipator(spec))
 
 
+def driven_master():
+    """The driven qubit at Omega = 0.6 in an ohmic bath at T = 0.6."""
+    p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+    bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
+    return DrivenQubitMasterEquation(p, bath)
+
+
 def driven_damped_qubit():
     """L(t) of the driven qubit damped by F_-(t) with invariant W(t)
     dephasing, and the exact state at t from |g>.
@@ -51,16 +58,8 @@ def driven_damped_qubit():
     Covariance makes the driven qubit static in the frame rotating at wc:
     rho(t) = V e^{L_rot t}[rho0] V^dag, L_rot = L(0) + i[wc sz / 2, .].
     """
-    p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
-    bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
-    g0, gm, gp = jc_kinetic_coefficients(p, bath)
-    _, f_minus, w = jc_eigenoperators(p)
-
-    def l_of_t(t):
-        spec = DissipatorSpec(channels=[Channel(f_minus(t), gm, gp)],
-                              dephasing_invariant=([w(t)], [[g0]]))
-        return liouvillian(jc_semiclassical_hamiltonian(t, p), build_dissipator(spec))
-
+    master = driven_master()
+    p, l_of_t = master.params, master.generator
     l_rot = l_of_t(0.0).data + 1j * commutator_super(0.5 * p.omega_c * Q["sz"]).data
 
     def exact(t):
@@ -145,21 +144,10 @@ class TestEvolveTimedep:
         assert np.max(np.abs(traj.states[-1].data - expected)) < 1e-7
 
     def test_attractor_distance_decreases_in_rotating_frame(self):
-        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
-        bath = BathSpec(temperature=0.6, model="ohmic", eta=0.35, omega_cut=15.0)
-        g0, gm, gp = jc_kinetic_coefficients(p, bath)
-        f_plus, f_minus, w = jc_eigenoperators(p)
-        target = instantaneous_attractor([(f_minus(0.0), gm, gp)]).state
-
-        def l_of_t(t):
-            spec = DissipatorSpec(
-                channels=[Channel(f_minus(t), gm, gp)],
-                dephasing_invariant=([w(t)], [[g0]]))
-            return liouvillian(jc_semiclassical_hamiltonian(t, p),
-                               build_dissipator(spec))
-
+        master = driven_master()
+        p, target = master.params, master.attractor().state
         grid = TimeGrid(0.0, 30.0, 6000)
-        traj = evolve_timedep(l_of_t, GROUND, grid)
+        traj = evolve_timedep(master.generator, GROUND, grid)
         dists = []
         for t, st in zip(traj.times[::1000], traj.states[::1000]):
             u = jc_semiclassical_propagator(t, p)
