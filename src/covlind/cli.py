@@ -67,8 +67,11 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 def write_json(path: Path, payload: dict):
     payload = dict(payload)
     payload["library_version"] = __version__
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"{path.name} would hold a non-finite number ({exc})") from exc
+    path.write_text(text + "\n", encoding="utf-8", newline="")
 
 
 def _echo_params(p: JCParams) -> dict:
@@ -128,7 +131,7 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
     try:
         envelope_rate = fit_gaussian_envelope(times, pa["sx"])
     except CovlindError:
-        envelope_rate = float("nan")
+        envelope_rate = None  # written as null
     return p, times, fid, pa, ps, envelope_rate
 
 
@@ -184,8 +187,8 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
     cfg = _driven_qubit_defaults(cfg)
     alpha = cfg.alphas()[0]
     if abs(alpha) == 0:
-        omega_c = float(cfg.jc.get("omega_c", 1.0))
-        omega_eg = float(cfg.jc.get("omega_eg", omega_c + float(cfg.jc.get("delta", 0.0))))
+        omega_c, delta = cfg._frequencies()
+        omega_eg = omega_c + delta
         eset = static_eigenoperators(0.5 * omega_eg * _Q["sz"])
         report = {"experiment": "eigenops", "mode": "static-fallback",
                   "bohr_frequencies": sorted(float(f) for f in eset.freqs),

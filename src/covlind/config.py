@@ -37,15 +37,20 @@ class ExperimentConfig:
     initial_state: Any = "plus-x"
     output: str = "covlind-out"
 
-    def jc_params(self, alpha=None) -> JCParams:
-        jc = dict(self.jc)
+    def _frequencies(self) -> tuple[float, float]:
+        """omega_c and delta = omega_eg - omega_c of the jc section."""
+        jc = self.jc
         omega_c = float(jc.get("omega_c", 1.0))
         if "omega_eg" in jc and "delta" in jc:
             raise ConfigError("give either jc.omega_eg or jc.delta, not both")
-        delta = float(jc.get("delta", jc.get("omega_eg", omega_c) - omega_c))
-        if alpha is None:
-            alpha = jc.get("alpha", 5.0)
-        alpha = _as_complex(alpha, "jc.alpha")
+        delta = float(jc.get("delta", float(jc.get("omega_eg", omega_c)) - omega_c))
+        return omega_c, delta
+
+    def jc_params(self, alpha=None) -> JCParams:
+        """The run's parameters at ``alpha``, by default the first of ``alphas()``."""
+        jc = self.jc
+        omega_c, delta = self._frequencies()
+        alpha = _as_complex(self.alphas()[0] if alpha is None else alpha, "jc.alpha")
         if "g" in jc and "rabi" in jc:
             raise ConfigError("give either jc.g or jc.rabi, not both")
         if "g" in jc:

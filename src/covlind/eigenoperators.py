@@ -167,6 +167,10 @@ def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
     return 1j * commutator_super(gen.matrix(t))
 
 
+# a diverging sweep overflows on its way to the check that raises; no warning
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
 def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
                    renorm_every: int = 100):
     """Yield U(t0 + k dt) for k = 1..steps, where dU/dt = -i H(t) U, U(t0) = I.
@@ -174,7 +178,9 @@ def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
     the next step's H(t), so a full sweep calls H 2 * steps + 1 times.
     A step too long for the drive makes U overflow; that is caught at each
-    re-unitarisation and at the last step as an IntegrationError.
+    re-unitarisation and at the last step as an IntegrationError.  The
+    consumers silence the overflow with ``_QUIET_OVERFLOW``; set in here,
+    it would leak into the caller's code between steps.
     """
     dt = (t1 - t0) / steps
     a_prev = -1j * gen.matrix(t0)
@@ -196,6 +202,7 @@ def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
         yield u
 
 
+@_QUIET_OVERFLOW
 def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int,
                       renorm_every: int = 100) -> np.ndarray:
     """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1 times."""
@@ -309,6 +316,7 @@ def deviation_up_to_phase(a, b) -> float:
     return float(np.max(np.abs(am * phase - bm)))
 
 
+@_QUIET_OVERFLOW
 def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
                          substeps: int = 40) -> float:
     """Residual of the Heisenberg eigenvalue relation along a time grid.

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ContractError, TruncationError
-from .operators import DensityMatrix, Operator, destroy, qubit_ops, validate_states
+from .operators import (DensityMatrix, Operator, _coherent_amplitudes, _poisson_window,
+                        destroy, qubit_ops, validate_states)
 
 _Q = qubit_ops()
 
@@ -63,18 +63,16 @@ class JCParams:
         """Fix g so the generalized Rabi frequency takes the given value."""
         if abs(alpha) == 0:
             raise ContractError("with_rabi needs a nonzero coherent amplitude")
-        if rabi ** 2 < delta ** 2:
-            raise ContractError("rabi must be at least |delta|")
+        if not rabi >= abs(delta):
+            raise ContractError(f"rabi must be at least |delta|, got rabi = {rabi:g}, "
+                                f"delta = {delta:g}")
         g = math.sqrt(rabi ** 2 - delta ** 2) / (2.0 * abs(alpha))
         return cls(omega_c, omega_c + delta, g, alpha)
 
 
 def default_kraus_window(p: JCParams) -> tuple[int, int]:
     """Fock window [nbar - 10|alpha|, nbar + 10|alpha| + 20] (10-sigma)."""
-    a = abs(p.alpha)
-    lo = max(0, math.floor(p.nbar - 10.0 * a))
-    hi = math.ceil(p.nbar + 10.0 * a) + 20
-    return lo, hi
+    return _poisson_window(p.alpha)
 
 
 def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:
@@ -150,17 +148,10 @@ def _kraus_stack(p: JCParams, ts: np.ndarray, window=None) -> np.ndarray:
     """
     lo, hi = _kraus_window(p, window)
     ms = np.arange(lo, hi + 1)
-    # coherent amplitudes <n|alpha> for n = lo-1 .. hi+1 (log-space Poisson
-    # weights); n = -1 has none
+    # coherent amplitudes <n|alpha> for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
-    n = ext[ext >= 0]
-    a = abs(p.alpha)
     amp = np.zeros(len(ext), dtype=complex)
-    if a == 0.0:
-        amp[ext == 0] = 1.0
-    else:
-        log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
-        amp[ext >= 0] = np.exp(log_mod) * np.exp(1j * n * np.angle(p.alpha))
+    amp[ext >= 0] = _coherent_amplitudes(p.alpha, ext[ext >= 0])
     c_mm1, c_m, c_mp1 = amp[:-2], amp[1:-1], amp[2:]
 
     tcol = np.asarray(ts, dtype=float)[:, None]

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
+from scipy.special import gammaln
 
 from .errors import ContractError, DimensionError, TruncationError
 
@@ -26,18 +27,15 @@ POSITIVITY_TOL = 1e-10
 
 
 def _state_stack(x) -> np.ndarray:
-    """Operator, DensityMatrix or array (..., d, d); returns the complex array."""
-    a = x.op.data if isinstance(x, DensityMatrix) else (
-        x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex))
+    """Operator (a DensityMatrix too) or array (..., d, d); returns the complex array."""
+    a = x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected square matrices, got shape {a.shape}")
     return a
 
 
 def _as_matrix(x) -> np.ndarray:
-    """Accept Operator, DensityMatrix or ndarray; return the complex matrix."""
-    if isinstance(x, DensityMatrix):
-        return x.op.data
+    """Accept Operator (a DensityMatrix too) or ndarray; return the complex matrix."""
     if isinstance(x, Operator):
         return x.data
     a = np.asarray(x, dtype=complex)
@@ -47,8 +45,6 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _dims_of(x, default_flat=True):
-    if isinstance(x, DensityMatrix):
-        return x.op.dims
     if isinstance(x, Operator):
         return x.dims
     a = _as_matrix(x)
@@ -112,19 +108,20 @@ class Operator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Validated quantum state: unit trace, Hermitian, positive semi-definite."""
-
-    op: Operator
+class DensityMatrix(Operator):
+    """Operator that is a quantum state: unit trace, Hermitian, positive semi-definite."""
 
     def __post_init__(self):
-        validate_states(self.op.data[None])
+        super().__post_init__()
+        validate_states(self.data[None])
 
     @classmethod
     def _wrap(cls, data, dims: Sequence[int] = ()) -> "DensityMatrix":
         """Wrap a matrix that ``validate_states`` has just returned, unchecked."""
         state = object.__new__(cls)
-        object.__setattr__(state, "op", Operator(data, dims))
+        object.__setattr__(state, "data", data)
+        object.__setattr__(state, "dims", dims)
+        Operator.__post_init__(state)
         return state
 
     @classmethod
@@ -146,15 +143,7 @@ class DensityMatrix:
     def from_ket(cls, ket, dims: Sequence[int] = ()) -> "DensityMatrix":
         v = np.asarray(ket, dtype=complex).reshape(-1)
         v = v / np.linalg.norm(v)
-        return cls(Operator(np.outer(v, v.conj()), dims))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.op.data
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
+        return cls(np.outer(v, v.conj()), dims)
 
 
 @dataclass(frozen=True)
@@ -322,12 +311,9 @@ def matrix_exp(a) -> np.ndarray:
 
 def partial_trace(rho, keep: int):
     """Trace out all subsystems except ``keep`` (index into dims)."""
-    if isinstance(rho, DensityMatrix):
-        dims, a = rho.dims, rho.data
-    elif isinstance(rho, Operator):
-        dims, a = rho.dims, rho.data
-    else:
+    if not isinstance(rho, Operator):
         raise DimensionError("partial_trace needs an Operator/DensityMatrix with dims")
+    dims, a = rho.dims, rho.data
     if len(dims) < 2:
         raise DimensionError("partial_trace requires at least two subsystems")
     if not 0 <= keep < len(dims):
@@ -341,9 +327,7 @@ def partial_trace(rho, keep: int):
                      for i in range(n))
     out = letters[keep] + letters[keep].upper()
     reduced = np.einsum(f"{in_row}{in_col}->{out}", t)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(Operator(reduced, (dims[keep],)))
-    return Operator(reduced, (dims[keep],))
+    return type(rho)(reduced, (dims[keep],))  # a DensityMatrix stays one
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -469,31 +453,33 @@ def destroy(n_levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1).astype(complex)
 
 
-def default_fock_truncation(alpha: complex) -> int:
-    """Fock cutoff keeping the Poisson tail below ~1e-12 (10 sigma + margin)."""
+def _poisson_window(alpha: complex) -> tuple[int, int]:
+    """Fock window [nbar - 10|alpha|, nbar + 10|alpha| + 20] of |alpha>:
+    10 sigma of its Poisson weights plus a margin, losing below ~1e-12."""
     a = abs(alpha)
-    return math.ceil(a * a + 10.0 * a + 20.0)
+    return max(0, math.floor(a ** 2 - 10.0 * a)), math.ceil(a ** 2 + 10.0 * a) + 20
+
+
+def _coherent_amplitudes(alpha: complex, n: np.ndarray) -> np.ndarray:
+    """<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!) on Fock numbers n >= 0,
+    in log-space so large |alpha| does not overflow (the vacuum as a case)."""
+    a = abs(alpha)
+    if a == 0.0:
+        return (n == 0).astype(complex)
+    log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
+    return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
 
 
 def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     """Normalized coherent-state amplitudes on Fock states 0..n_max.
 
-    Amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) are evaluated in
-    log-space so very large |alpha| does not overflow; the truncated vector
-    is renormalized.  An explicit n_max that loses more than 1e-12 of the
-    weight raises TruncationError.
+    ``n_max`` defaults to the top of the 10-sigma Poisson window; the
+    truncated vector is renormalized.  An explicit n_max that loses more
+    than 1e-12 of the weight raises TruncationError.
     """
     if n_max is None:
-        n_max = default_fock_truncation(alpha)
-    n = np.arange(n_max + 1)
-    a = abs(alpha)
-    if a == 0.0:
-        amps = np.zeros(n_max + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    from scipy.special import gammaln
-    log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
-    amps = np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+        n_max = _poisson_window(alpha)[1]
+    amps = _coherent_amplitudes(alpha, np.arange(n_max + 1))
     weight = float(np.sum(np.abs(amps) ** 2))
     deficit = 1.0 - weight
     if deficit > 1e-12:

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from covlind.cli import main, run_coefficients, run_eigenops, write_csv
+from covlind.cli import main, run_coefficients, run_eigenops, write_csv, write_json
 from covlind.config import _SCHEMA, _SECTIONS, load_config, parse_initial_state
-from covlind.errors import ConfigError
+from covlind.eigenoperators import DegeneracyWarning
+from covlind.errors import ConfigError, ContractError
 
 
 def run_cli(args):
@@ -118,6 +120,10 @@ class TestExitCodes:
         ("jc-sim", "jc: {alphas: []}", 2, "jc.alphas"),
         ("jc-sim", "initial_state: [[1, 0], [0]]", 2, "initial_state"),
         ("jc-sim", "jc: {rabi: 0.0}", 3, "Rabi frequency"),
+        ("jc-sim", "jc: {rabi: -2.0}", 3, "rabi must be at least |delta|"),
+        ("attractor", "jc: {omega_eg: 1e3}", 3, "delta = 999"),
+        ("eigenops", "jc: {alpha: 0, g: 0, omega_eg: 1.3, delta: 0.5}", 2,
+         "jc.omega_eg or jc.delta"),
         ("touchard", "touchard: {x_values: [1.0e-30, 10.0]}", 2, "touchard.x_values"),
         ("touchard", "touchard: {x_values: [1.0e+30]}", 3, "x <= 1e6"),
         ("touchard", "touchard: {x_values: [100, 100]}", 2, "touchard.x_values"),
@@ -147,6 +153,21 @@ class TestExitCodes:
                         "--steps", "50"]) == code
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["rabi: 1.0e+6", "rabi: 1.0e-9", "omega_c: 1.0e-8",
+                                      "omega_c: 1.0e+200"])
+    def test_diverging_sweep_exits_without_numpy_warnings(self, tmp_path, capsys, body):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"experiment: eigenops\njc: {{{body}}}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # two of these drives also fold the monodromy frequencies, which
+            # is worth its warning
+            warnings.filterwarnings("ignore", category=DegeneracyWarning)
+            code = run_cli(["eigenops", "--config", str(cfg),
+                            "--out", str(tmp_path / "o"), "--steps", "50"])
+        assert code == 3
+        assert "RK4 unitary sweep diverged" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment", ["fig2", "jc-sim"])
     @pytest.mark.parametrize("steps", [131_072, 10**12])
     def test_grid_steps_over_budget_is_3(self, tmp_path, capsys, experiment, steps):
@@ -172,6 +193,36 @@ class TestOutputs:
         assert "library_version" in summary
         for j in ("3", "4", "5", "6"):
             assert abs(summary["loglog_slopes"][j] + 2.0) < 0.1
+
+    def test_failed_envelope_fit_is_null(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("experiment: jc-sim\ngrid: {t1: 1.0}\n")
+        assert run_cli(["jc-sim", "--config", str(cfg), "--out", str(out),
+                        "--steps", "50"]) == 0
+        summary = json.loads((out / "jc_sim_summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["envelope_decay_rate"] is None
+
+    def test_non_finite_json_is_a_contract_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ContractError, match="x.json"):
+            write_json(path, {"rate": float("nan")})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("experiment, report, args", [
+        ("attractor", "attractor_report.json", ["--alpha", "3"]),
+        ("coefficients", "coefficients_summary.json", ["--alpha", "3"]),
+        ("attractor", "attractor_report.json", ["--config", "alphas.yaml"]),
+        ("coefficients", "coefficients_summary.json", ["--config", "alphas.yaml"]),
+    ])
+    def test_alpha_sets_the_run_alpha(self, tmp_path, monkeypatch, experiment, report,
+                                      args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alphas.yaml").write_text("jc: {alphas: [3.0, 7.0]}\n")
+        assert run_cli([experiment, "--out", "o"] + args) == 0
+        rep = json.loads((tmp_path / "o" / report).read_text())
+        assert rep["params"]["alpha"] == [3.0, 0.0]
 
     def test_eigenops_report(self, tmp_path):
         out = tmp_path / "o"

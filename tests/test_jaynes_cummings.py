@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def full_space_reduction(rho_q, p, t, n_max):
     rho_t = u @ rho0 @ u.conj().T
     joint = DensityMatrix.from_matrix(rho_t, (2, n_max + 1), trace_tol=1e-8)
     return partial_trace(joint, keep=0).data
+
+
+class TestParams:
+    @pytest.mark.parametrize("rabi", [-2.0, -0.5, 0.2, math.nan])
+    def test_with_rabi_below_detuning_rejected(self, rabi):
+        # a negative rabi is not |rabi|: Omega = sqrt(delta^2 + 4 g^2 nbar) >= |delta|
+        with pytest.raises(ContractError, match="rabi must be at least"):
+            JCParams.with_rabi(1.0, -0.3, rabi, 2.0)
 
 
 class TestHamiltonian:
@@ -205,6 +214,25 @@ class TestKrausKernel:
         assert "[20, 30]" in message
         assert "t in [0.5, 3]" in message
         assert info.value.deficit > 1e-6
+
+
+    def test_memory_bounded_at_large_alpha(self):
+        # alpha = 1000 opens a 20 021-term window; the 4 MiB chunk budget
+        # keeps the traced peak near 20 MiB, where holding every time's
+        # Kraus terms at once would take about 165 MB
+        p = JCParams.with_rabi(1.0, 0.0, 2.0, 1000.0)
+        lo, hi = default_kraus_window(p)
+        assert hi - lo + 1 == 20_021
+        rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+        times = np.linspace(0.0, 20.0, 129)
+        tracemalloc.start()
+        try:
+            states = _autonomous_states(rho0, p, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (129, 2, 2)
+        assert peak < 32 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestStackedStates:

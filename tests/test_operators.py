@@ -22,6 +22,7 @@ from covlind import (
     vec,
 )
 from covlind.errors import ContractError, DimensionError, TruncationError
+from covlind.jaynes_cummings import JCParams, default_kraus_window
 from covlind.operators import liouville_unitary
 
 Q = qubit_ops()
@@ -177,7 +178,8 @@ class TestPartialTrace:
     def test_product_state(self):
         rho_s = random_state(2)
         rho_c = random_state(3)
-        joint = DensityMatrix(kron(rho_s.op, rho_c.op))
+        joint = kron(rho_s, rho_c)
+        joint = DensityMatrix(joint.data, joint.dims)
         out = partial_trace(joint, keep=0)
         assert np.max(np.abs(out.data - rho_s.data)) < 1e-12
 
@@ -221,7 +223,7 @@ class TestUhlmannFidelity:
         assert uhlmann_fidelity(g, e) < 1e-12
 
     def test_mixed_vs_pure(self):
-        mixed = DensityMatrix(Operator(np.eye(2) / 2))
+        mixed = DensityMatrix(np.eye(2) / 2)
         g = DensityMatrix.from_ket([1, 0])
         assert abs(uhlmann_fidelity(mixed, g) - 0.5) < 1e-12
 
@@ -232,7 +234,7 @@ class TestUhlmannFidelity:
 
 class TestCoherence:
     def test_diagonal_state_zero(self):
-        rho = DensityMatrix(Operator(np.diag([0.3, 0.7]).astype(complex)))
+        rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
         assert abs(coherence_rel_entropy(rho, np.eye(2))) < 1e-12
 
     def test_plus_state_ln2(self):
@@ -274,6 +276,37 @@ class TestCoherentState:
         amps = coherent_state(100.0)
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 37.5 * np.exp(0.7j), 100.0])
+    def test_default_truncation_is_the_kraus_window_top(self, alpha):
+        p = JCParams(1.0, 1.0, 0.1, alpha)
+        assert len(coherent_state(alpha)) == default_kraus_window(p)[1] + 1
+
+
+class TestDensityMatrixIsOperator:
+    def test_constructor_checks_and_keeps_the_matrix(self):
+        m = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
+        rho = DensityMatrix(m, (2,))
+        assert isinstance(rho, Operator)
+        assert np.array_equal(rho.data, m) and rho.dims == (2,)
+        assert not rho.data.flags.writeable
+
+    def test_operator_algebra_applies(self):
+        rho = DensityMatrix.from_ket([1, 1])
+        assert rho.dim == 2 and rho.trace() == pytest.approx(1.0)
+        prod = rho @ rho
+        assert type(prod) is Operator
+        assert np.allclose(prod.data, rho.data)
+
+    def test_dims_must_multiply_to_dimension(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    def test_partial_trace_keeps_the_type(self):
+        rho = random_state(6, dims=(2, 3))
+        assert type(partial_trace(rho, keep=1)) is DensityMatrix
+        op = Operator(rho.data, rho.dims)
+        assert type(partial_trace(op, keep=1)) is Operator
+
 
 class TestTypes:
     def test_operator_dim_consistency(self):
@@ -282,7 +315,7 @@ class TestTypes:
 
     def test_density_matrix_validation(self):
         with pytest.raises(ContractError):
-            DensityMatrix(Operator(np.eye(2)))  # trace 2
+            DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ContractError):
             DensityMatrix.from_matrix(np.array([[1.5, 0], [0, -0.5]]))
 
