@@ -26,10 +26,10 @@ from .bath import BathSpec, DrivenQubitMasterEquation, jc_kinetic_coefficients
 from .config import EXPERIMENTS, ExperimentConfig, load_config
 from .eigenoperators import (
     DrivenGenerator,
+    _heisenberg_residuals,
     deviation_up_to_phase,
     monodromy_eigenoperators,
     static_eigenoperators,
-    verify_eigenoperator,
 )
 from .errors import ConfigError, ContractError, CovlindError
 from .jaynes_cummings import (
@@ -201,10 +201,8 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
                           period=2 * np.pi / p.omega_c)
     eset = monodromy_eigenoperators(gen)
     grid = TimeGrid(0.0, 10 * 2 * np.pi / p.rabi, 400)
-    residuals = {
-        "F_plus": verify_eigenoperator(f_plus, +p.rabi, gen, grid),
-        "F_minus": verify_eigenoperator(f_minus, -p.rabi, gen, grid),
-    }
+    residuals = dict(zip(("F_plus", "F_minus"), _heisenberg_residuals(
+        [(f_plus, +p.rabi), (f_minus, -p.rabi)], gen, grid)))
     if eset.invariant_flags.all():
         raise ContractError(f"every monodromy eigenoperator is invariant: the Rabi "
                             f"frequency {p.rabi:g} folds onto the invariants at the "
@@ -277,9 +275,7 @@ def run_coefficients(cfg: ExperimentConfig, out: Path) -> dict:
             b = bath
         else:
             p = base
-            b = BathSpec(temperature=v, model=bath.model, eta=bath.eta,
-                         omega_cut=bath.omega_cut, omega_lo=bath.omega_lo,
-                         omega_hi=bath.omega_hi)
+            b = dataclasses.replace(bath, temperature=v)
         g0, gm, gp = jc_kinetic_coefficients(p, b)
         rows["delta"].append(p.delta)
         rows["T"].append(b.temperature)

@@ -15,11 +15,14 @@ carries positive lambda).  One d x d decomposition of U(T) gives all d^2 of
 them.  The phases are principal values, so reported frequencies live in
 (-pi/T, pi/T]; drives whose eigenfrequencies exceed half the drive
 frequency fold back and are flagged as degenerate when they collide.
+
+One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
+takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
+exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,9 +72,9 @@ class EigenoperatorSet:
         vs = np.array([vec(op) for op in self.ops])
         return vs.conj() @ vs.T
 
-    def completeness_rank(self, tol: float = 1e-8) -> int:
+    def completeness_rank(self) -> int:
         vs = np.array([vec(op) for op in self.ops])
-        return int(np.linalg.matrix_rank(vs, tol=tol))
+        return int(np.linalg.matrix_rank(vs, tol=1e-8))
 
 
 @dataclass
@@ -91,14 +94,14 @@ class DrivenGenerator:
         return self.matrix(0.0).shape[0]
 
 
-def static_eigenoperators(h_d, tol: float = 1e-10) -> EigenoperatorSet:
+def static_eigenoperators(h_d) -> EigenoperatorSet:
     """Transition operators and projectors of a static Hamiltonian.
 
     Verifies the dynamical-map eigenrelation U G U^dag = exp(i omega t) G at
     one sample time before returning.
     """
     hm = _as_matrix(h_d)
-    w, v = hermitian_eig(hm, tol=max(tol, 1e-10))
+    w, v = hermitian_eig(hm)
     d = hm.shape[0]
     scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
     ops, freqs, flags, pairs = [], [], [], []
@@ -134,7 +137,7 @@ def hermitian_unitary(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def bohr_nondegenerate(h_d, rel_tol: float = 1e-9):
+def bohr_nondegenerate(h_d):
     """Check that all Bohr frequencies of a Hamiltonian are distinct.
 
     Returns (ok, offending) where offending lists colliding ordered pairs
@@ -150,7 +153,7 @@ def bohr_nondegenerate(h_d, rel_tol: float = 1e-9):
             if n != m:
                 entries.append(((n, m), w[m] - w[n]))
     scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
-    tol = rel_tol * scale
+    tol = 1e-9 * scale
     offending = []
     for i in range(len(entries)):
         if abs(entries[i][1]) < tol:
@@ -167,53 +170,47 @@ def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
     return 1j * commutator_super(gen.matrix(t))
 
 
-# a diverging sweep overflows on its way to the check that raises; no warning
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
-def _unitary_sweep(gen: DrivenGenerator, t0: float, t1: float, steps: int,
-                   renorm_every: int = 100):
-    """Yield U(t0 + k dt) for k = 1..steps, where dU/dt = -i H(t) U, U(t0) = I.
+def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
+                  every: int) -> np.ndarray:
+    """U(t0 + k dt), k = every, 2 every, ..., steps, as a (steps // every, d, d)
+    array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
     Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
-    the next step's H(t), so a full sweep calls H 2 * steps + 1 times.
-    A step too long for the drive makes U overflow; that is caught at each
-    re-unitarisation and at the last step as an IntegrationError.  The
-    consumers silence the overflow with ``_QUIET_OVERFLOW``; set in here,
-    it would leak into the caller's code between steps.
+    the next step's H(t), so a sweep calls H 2 * steps + 1 times, and U is
+    re-unitarised every 100 steps.  A step too long for the drive makes U
+    overflow, silently, until the next re-unitarisation or the last step
+    raises an IntegrationError.
     """
     dt = (t1 - t0) / steps
     a_prev = -1j * gen.matrix(t0)
     u = np.eye(a_prev.shape[0], dtype=complex)
-    for k in range(steps):
-        t = t0 + k * dt
-        a_mid = -1j * gen.matrix(t + dt / 2)
-        a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
-        u = _rk4_step(u, a_prev, a_mid, a_next, dt)
-        renorm = (k + 1) % renorm_every == 0
-        if (renorm or k + 1 == steps) and not np.isfinite(u).all():
-            raise IntegrationError(f"RK4 unitary sweep diverged by t = {t0 + (k + 1) * dt:g} "
-                                   f"(dt = {dt:g}); the step is too long for H(t)")
-        if renorm:
-            # polar projection keeps the propagator on the unitary group
-            a, _, b = np.linalg.svd(u)
-            u = a @ b
-        a_prev = a_next
-        yield u
+    path = np.empty((steps // every,) + u.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = t0 + k * dt
+            a_mid = -1j * gen.matrix(t + dt / 2)
+            a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
+            u = _rk4_step(u, a_prev, a_mid, a_next, dt)
+            renorm = (k + 1) % 100 == 0
+            if (renorm or k + 1 == steps) and not np.isfinite(u).all():
+                raise IntegrationError(f"RK4 unitary sweep diverged by t = {t0 + (k + 1) * dt:g} "
+                                       f"(dt = {dt:g}); the step is too long for H(t)")
+            if renorm:
+                # polar projection keeps the propagator on the unitary group
+                a, _, b = np.linalg.svd(u)
+                u = a @ b
+            a_prev = a_next
+            if (k + 1) % every == 0:
+                path[k // every] = u
+    return path
 
 
-@_QUIET_OVERFLOW
-def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int,
-                      renorm_every: int = 100) -> np.ndarray:
+def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int) -> np.ndarray:
     """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1 times."""
-    for u in _unitary_sweep(gen, t0, t1, steps, renorm_every):
-        pass
-    return u
+    return _unitary_path(gen, t0, t1, steps, steps)[-1]
 
 
-def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
-                             unitary_tol: float = 1e-8,
-                             invariant_tol: float = 1e-8) -> EigenoperatorSet:
+def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> EigenoperatorSet:
     """Eigenoperators of the one-period Heisenberg propagator.
 
     Builds U(T) by time-ordered integration and decomposes it into Floquet
@@ -232,8 +229,8 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
     u = integrate_unitary(gen, 0.0, T, steps)
     d = u.shape[0]
     unit_resid = np.max(np.abs(u.conj().T @ u - np.eye(d)))
-    if not unit_resid <= unitary_tol:
-        raise IntegrationError(f"monodromy is not unitary within {unitary_tol} "
+    if not unit_resid <= 1e-8:
+        raise IntegrationError(f"monodromy is not unitary within 1e-08 "
                                f"(residual {unit_resid:.2e}); increase steps")
     # U is normal, so its complex Schur form is diagonal and the Schur
     # vectors are orthonormal Floquet states even for degenerate u_i
@@ -263,7 +260,7 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096,
         pairs = [divmod(int(order[k]), d) for k in cl]
         # the diagonal pairs have phase exactly 0 and share one cluster
         holds_identity = any(i == j for i, j in pairs)
-        if holds_identity or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < invariant_tol:
+        if holds_identity or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < 1e-8:
             if len(cl) > d:
                 warnings.warn(
                     f"invariant cluster has {len(cl)} members (> dim {d}); "
@@ -316,7 +313,6 @@ def deviation_up_to_phase(a, b) -> float:
     return float(np.max(np.abs(am * phase - bm)))
 
 
-@_QUIET_OVERFLOW
 def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
                          substeps: int = 40) -> float:
     """Residual of the Heisenberg eigenvalue relation along a time grid.
@@ -328,14 +324,18 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
     which calls H(t) 2 * grid.steps * substeps + 1 times.  A non-finite
     residual at any grid point makes the result NaN.
     """
-    p_of_t = p if callable(p) else (lambda _t: p)
-    p0 = _as_matrix(p_of_t(grid.t0))
-    sweep = _unitary_sweep(gen, grid.t0, grid.t1, grid.steps * substeps)
-    resid = 0.0
-    # one pass: every substeps-th U of the sweep sits on the next grid point
-    for t, u in zip(grid.times()[1:], itertools.islice(sweep, substeps - 1, None, substeps)):
-        lhs = u.conj().T @ _as_matrix(p_of_t(t)) @ u
-        rhs = np.exp(1j * lam * (t - grid.t0)) * p0
-        # np.maximum propagates NaN, where max(resid, nan) would keep resid
-        resid = np.maximum(resid, np.max(np.abs(lhs - rhs)))
-    return float(resid)
+    return _heisenberg_residuals([(p, lam)], gen, grid, substeps)[0]
+
+
+def _heisenberg_residuals(pairs, gen: DrivenGenerator, grid, substeps: int = 40) -> list[float]:
+    """``verify_eigenoperator`` of each (p, lam) in ``pairs``, all from one sweep."""
+    us = _unitary_path(gen, grid.t0, grid.t1, grid.steps * substeps, substeps)
+    u_dag = us.conj().transpose(0, 2, 1)
+    times = grid.times()
+    residuals = []
+    for p, lam in pairs:
+        ps = np.array([_as_matrix(p(t) if callable(p) else p) for t in times])
+        rhs = np.exp(1j * lam * (times[1:] - grid.t0))[:, None, None] * ps[0]
+        # np.max propagates NaN, so a non-finite point makes the residual NaN
+        residuals.append(float(np.max(np.abs(u_dag @ ps[1:] @ us - rhs))))
+    return residuals

@@ -9,6 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from covlind import cli
 from covlind.cli import main, run_coefficients, run_eigenops, write_csv, write_json
 from covlind.config import _SCHEMA, _SECTIONS, load_config, parse_initial_state
 from covlind.eigenoperators import DegeneracyWarning
@@ -234,6 +235,19 @@ class TestOutputs:
         assert abs(freqs[1]) < 1e-9 and abs(freqs[2]) < 1e-9
         assert all(d["max_deviation"] < 1e-6 for d in rep["analytic_deviation"])
         assert all(rep["nilpotent_flags"])
+
+    def test_eigenops_hamiltonian_calls(self, tmp_path, monkeypatch):
+        # one 4096-step monodromy sweep and one 400 x 40-step sweep shared by
+        # F_plus and F_minus, each sweep calling H(t) 2 * steps + 1 times
+        calls = []
+
+        def counted(t, p, h=cli.jc_semiclassical_hamiltonian):
+            calls.append(t)
+            return h(t, p)
+
+        monkeypatch.setattr(cli, "jc_semiclassical_hamiltonian", counted)
+        assert run_cli(["eigenops", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == (2 * 4096 + 1) + (2 * 400 * 40 + 1) == 40_194
 
     def test_eigenops_static_fallback(self, tmp_path):
         out = tmp_path / "o"

@@ -343,6 +343,34 @@ class TestVerifyEigenoperator:
         assert math.isnan(verify_eigenoperator(p_of_t, -1.0, gen, grid))
 
 
+class TestHeisenbergResiduals:
+    @pytest.mark.parametrize("drive", ["static", "rabi"])
+    def test_one_sweep_matches_separate_calls(self, drive):
+        if drive == "static":
+            gen = DrivenGenerator(lambda t: 0.5 * Q["sz"])
+            grid = TimeGrid(0.0, 6.0, 30)
+            pairs = [(Q["sm"], -1.0), (Q["sx"], 1.0)]
+        else:
+            p = rabi_params()
+            gen = rabi_generator(p)
+            f_plus, f_minus, w = jc_eigenoperators(p)
+            grid = TimeGrid(0.0, 2 * 2 * np.pi / p.rabi, 80)
+            pairs = [(f_plus, p.rabi), (f_minus, -p.rabi), (w, 0.0)]
+        middle = grid.times()[grid.steps // 2]
+        op0, lam0 = pairs[0]
+
+        def nan_in_the_middle(t):
+            if t == middle:
+                return np.full((2, 2), np.nan)
+            return op0(t) if callable(op0) else op0
+
+        pairs.append((nan_in_the_middle, lam0))
+        shared = eigenoperators._heisenberg_residuals(pairs, gen, grid, substeps=9)
+        separate = [verify_eigenoperator(op, lam, gen, grid, substeps=9) for op, lam in pairs]
+        assert np.array_equal(shared, separate, equal_nan=True)
+        assert math.isnan(shared[-1]) and not np.isnan(shared[:-1]).any()
+
+
 class TestIntegrateUnitary:
     def test_static_matches_exponential(self):
         h = 0.5 * Q["sz"]

@@ -276,6 +276,13 @@ class TestCoherentState:
         amps = coherent_state(100.0)
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [200.0, 500.0, 1000.0, 3000.0])
+    def test_default_window_loses_no_weight_at_large_alpha(self, alpha):
+        # 1 - sum |amp|^2 reads 5e-11 to 2e-8 here from rounding alone; the Poisson
+        # tail past the window is ~7e-24
+        amps = coherent_state(alpha)
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 37.5 * np.exp(0.7j), 100.0])
     def test_default_truncation_is_the_kraus_window_top(self, alpha):
         p = JCParams(1.0, 1.0, 0.1, alpha)
