@@ -184,6 +184,10 @@ def run_jc_sim(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
     """Monodromy eigenfrequencies and deviation from the analytic forms."""
+    if cfg.grid:
+        raise ConfigError(f"eigenops takes no grid (got grid = {cfg.grid}, from the config, "
+                          f"--steps or --tmax): its Heisenberg grid is fixed at 400 steps "
+                          f"over ten Rabi periods")
     cfg = _driven_qubit_defaults(cfg)
     alpha = cfg.alphas()[0]
     if abs(alpha) == 0:

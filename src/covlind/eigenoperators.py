@@ -18,7 +18,10 @@ frequency fold back and are flagged as degenerate when they collide.
 
 One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
 takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
-exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.
+exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.  On a
+periodic drive whose period is a whole number of steps, the sweep
+integrates one period and tiles the rest as U(t + n T) = U(t) U(t0 + T)^n,
+so its H(t) calls scale with the period, not the grid.
 """
 
 from __future__ import annotations
@@ -170,31 +173,52 @@ def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
     return 1j * commutator_super(gen.matrix(t))
 
 
+def _diverged(t: float, dt: float) -> IntegrationError:
+    return IntegrationError(f"RK4 unitary sweep diverged by t = {t:g} "
+                            f"(dt = {dt:g}); the step is too long for H(t)")
+
+
+def _period_steps(period, dt: float, steps: int, every: int) -> int:
+    """RK4 steps m in one drive period when the period is a whole number of
+    steps to rounding (|T - m dt| <= 4 m eps T), ``every`` divides m and
+    m < steps; ``steps`` otherwise, so the sweep is not tiled."""
+    if period is None or not dt or not 0 < period / dt < steps:
+        return steps
+    m = round(period / dt)
+    if m % every or abs(period - m * dt) > 4 * m * np.finfo(float).eps * period:
+        return steps
+    return m
+
+
 def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
                   every: int) -> np.ndarray:
     """U(t0 + k dt), k = every, 2 every, ..., steps, as a (steps // every, d, d)
     array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
     Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
-    the next step's H(t), so a sweep calls H 2 * steps + 1 times, and U is
-    re-unitarised every 100 steps.  A step too long for the drive makes U
-    overflow, silently, until the next re-unitarisation or the last step
-    raises an IntegrationError.
+    the next step's H(t), and U is re-unitarised every 100 steps.  When
+    ``gen.period`` is a whole number m < steps of steps that ``every``
+    divides, RK4 covers the first period only and Floquet's theorem
+    U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one batched product per
+    period; otherwise m = steps.  A sweep calls H 2 m + 1 times.  A step too
+    long for the drive makes U overflow, silently, until the next
+    re-unitarisation or the finiteness check of the whole path raises an
+    IntegrationError.
     """
     dt = (t1 - t0) / steps
+    m = _period_steps(gen.period, dt, steps, every)
     a_prev = -1j * gen.matrix(t0)
     u = np.eye(a_prev.shape[0], dtype=complex)
     path = np.empty((steps // every,) + u.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        for k in range(m):
             t = t0 + k * dt
             a_mid = -1j * gen.matrix(t + dt / 2)
             a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
             u = _rk4_step(u, a_prev, a_mid, a_next, dt)
             renorm = (k + 1) % 100 == 0
-            if (renorm or k + 1 == steps) and not np.isfinite(u).all():
-                raise IntegrationError(f"RK4 unitary sweep diverged by t = {t0 + (k + 1) * dt:g} "
-                                       f"(dt = {dt:g}); the step is too long for H(t)")
+            if renorm and not np.isfinite(u).all():
+                raise _diverged(t0 + (k + 1) * dt, dt)
             if renorm:
                 # polar projection keeps the propagator on the unitary group
                 a, _, b = np.linalg.svd(u)
@@ -202,11 +226,20 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
             a_prev = a_next
             if (k + 1) % every == 0:
                 path[k // every] = u
+        block = m // every
+        power = u
+        for start in range(block, len(path), block):
+            stop = min(start + block, len(path))
+            np.matmul(path[:stop - start], power, out=path[start:stop])
+            power = power @ u
+        if not np.isfinite(path).all():
+            raise _diverged(t1, dt)
     return path
 
 
 def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int) -> np.ndarray:
-    """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1 times."""
+    """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1
+    times whatever ``gen.period``: a path of one point is never tiled."""
     return _unitary_path(gen, t0, t1, steps, steps)[-1]
 
 
@@ -321,8 +354,10 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
     Schroedinger-picture eigenoperator family; the residual is
     max_t || U^dag(t) P(t) U(t) - exp(i lam (t - t0)) P(t0) ||_max.
     U(t) comes from one RK4 sweep with ``substeps`` steps per grid interval,
-    which calls H(t) 2 * grid.steps * substeps + 1 times.  A non-finite
-    residual at any grid point makes the result NaN.
+    which calls H(t) 2 * grid.steps * substeps + 1 times, or 2 m + 1 when
+    ``gen.period`` is m steps spanning whole grid intervals and the sweep is
+    tiled from its first period.  A non-finite residual at any grid point
+    makes the result NaN.
     """
     return _heisenberg_residuals([(p, lam)], gen, grid, substeps)[0]
 

@@ -466,8 +466,18 @@ def _coherent_amplitudes(alpha: complex, n: np.ndarray) -> np.ndarray:
     a = abs(alpha)
     if a == 0.0:
         return (n == 0).astype(complex)
-    log_mod = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
-    return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+    # in place: one real and one complex array at a time beside n
+    mod = np.multiply(n, math.log(a))
+    mod += -0.5 * a * a
+    half_log_fact = gammaln(np.add(n, 1.0))
+    half_log_fact *= 0.5
+    mod -= half_log_fact
+    del half_log_fact
+    np.exp(mod, out=mod)
+    amps = np.multiply(1j, n)
+    amps *= np.angle(alpha)
+    np.exp(amps, out=amps)
+    return np.multiply(mod, amps, out=amps)
 
 
 def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
@@ -487,4 +497,7 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
             f"n_max={n_max} keeps only {1.0 - deficit:.15f} of the coherent weight",
             deficit=deficit)
     amps = _coherent_amplitudes(alpha, np.arange(n_max + 1))
-    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    weights = np.abs(amps)
+    weights **= 2
+    amps /= math.sqrt(float(np.sum(weights)))
+    return amps

@@ -150,9 +150,21 @@ class TestExitCodes:
                                           code, named):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"experiment: {experiment}\n{body}\n")
-        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                        "--steps", "50"]) == code
+        # eigenops takes no grid, so it gets no --steps
+        steps = [] if experiment == "eigenops" else ["--steps", "50"]
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+                       + steps) == code
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, body", [(["--steps", "50"], ""),
+                                            ([], "grid: {t1: 3.0}\n")])
+    def test_eigenops_grid_is_2(self, tmp_path, capsys, args, body):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"experiment: eigenops\n{body}")
+        assert run_cli(["eigenops", "--config", str(cfg), "--out", str(tmp_path / "o")]
+                       + args) == 2
+        err = capsys.readouterr().err
+        assert "grid" in err and "fixed at 400 steps over ten Rabi periods" in err
 
     @pytest.mark.parametrize("body", ["rabi: 1.0e+6", "rabi: 1.0e-9", "omega_c: 1.0e-8",
                                       "omega_c: 1.0e+200"])
@@ -164,8 +176,7 @@ class TestExitCodes:
             # two of these drives also fold the monodromy frequencies, which
             # is worth its warning
             warnings.filterwarnings("ignore", category=DegeneracyWarning)
-            code = run_cli(["eigenops", "--config", str(cfg),
-                            "--out", str(tmp_path / "o"), "--steps", "50"])
+            code = run_cli(["eigenops", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "RK4 unitary sweep diverged" in capsys.readouterr().err
 
@@ -237,8 +248,9 @@ class TestOutputs:
         assert all(rep["nilpotent_flags"])
 
     def test_eigenops_hamiltonian_calls(self, tmp_path, monkeypatch):
-        # one 4096-step monodromy sweep and one 400 x 40-step sweep shared by
-        # F_plus and F_minus, each sweep calling H(t) 2 * steps + 1 times
+        # one 4096-step monodromy sweep and the first drive period (640 of
+        # 400 x 40 steps) of the sweep shared by F_plus and F_minus, each
+        # sweep calling H(t) 2 * steps + 1 times
         calls = []
 
         def counted(t, p, h=cli.jc_semiclassical_hamiltonian):
@@ -247,7 +259,7 @@ class TestOutputs:
 
         monkeypatch.setattr(cli, "jc_semiclassical_hamiltonian", counted)
         assert run_cli(["eigenops", "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == (2 * 4096 + 1) + (2 * 400 * 40 + 1) == 40_194
+        assert len(calls) == (2 * 4096 + 1) + (2 * 640 + 1) == 9_474
 
     def test_eigenops_static_fallback(self, tmp_path):
         out = tmp_path / "o"

@@ -398,6 +398,67 @@ class TestIntegrateUnitary:
         assert f"RK4 unitary sweep diverged by {where}" in str(exc.value)
 
 
+class TestFloquetTiling:
+    """A sweep over whole drive periods integrates one and tiles the rest by
+    U(t + n T) = U(t) U(t0 + T)^n."""
+
+    def test_jc_defaults_match_the_untiled_sweep(self):
+        p = JCParams.with_rabi(1.0, 0.0, 0.4, 2.0)
+        h = CountingHamiltonian(lambda t: jc_semiclassical_hamiltonian(t, p))
+        t1 = 10 * 2 * np.pi / p.rabi
+        tiled = eigenoperators._unitary_path(DrivenGenerator(h, period=2 * np.pi),
+                                             0.0, t1, 16_000, 40)
+        assert h.calls == 2 * 640 + 1
+        plain = eigenoperators._unitary_path(DrivenGenerator(h), 0.0, t1, 16_000, 40)
+        assert np.max(np.abs(tiled - plain)) < 1e-12
+
+    def test_random_drive_matches_dop853(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(606)
+        d, t0, periods, m, every = 6, 0.3, 6, 128, 8
+        h0, v = scaled_hermitian(d, rng, 1.0), scaled_hermitian(d, rng, 0.5)
+
+        def h(t):
+            return h0 + math.cos(2.0 * t) * v
+
+        t1 = t0 + periods * math.pi
+        counted = CountingHamiltonian(h)
+        tiled = eigenoperators._unitary_path(DrivenGenerator(counted, period=math.pi),
+                                             t0, t1, periods * m, every)
+        assert counted.calls == 2 * m + 1
+        plain = eigenoperators._unitary_path(DrivenGenerator(h), t0, t1, periods * m, every)
+        times = t0 + (t1 - t0) / (periods * m) * np.arange(every, periods * m + 1, every)
+        sol = scipy_integrate.solve_ivp(
+            lambda t, y: (-1j * h(t) @ y.reshape(d, d)).reshape(-1), (t0, t1),
+            np.eye(d, dtype=complex).reshape(-1), method="DOP853", rtol=1e-12, atol=1e-12,
+            t_eval=times)
+        ref = sol.y.T.reshape(-1, d, d)
+        assert np.max(np.abs(tiled - ref)) < 1e-7
+        assert np.max(np.abs(plain - ref)) < 1e-7
+
+    def test_period_off_the_step_grid_is_not_tiled(self):
+        rng = np.random.default_rng(7)
+        h0, v = scaled_hermitian(3, rng, 1.0), scaled_hermitian(3, rng, 0.5)
+
+        def h(t):
+            return h0 + math.cos(2.0 * t) * v
+
+        args = (0.3, 0.3 + 5 * math.pi, 5 * 64, 8)
+        plain = eigenoperators._unitary_path(DrivenGenerator(h), *args)
+        off = eigenoperators._unitary_path(DrivenGenerator(h, period=math.pi * (1 + 1e-9)),
+                                           *args)
+        assert off.tobytes() == plain.tobytes()
+        on = eigenoperators._unitary_path(DrivenGenerator(h, period=math.pi), *args)
+        assert on.tobytes() != plain.tobytes()
+
+    def test_overflow_past_the_first_period_is_caught(self):
+        # two finite steps (|U| ~ 1e70) per period; their fifth power overflows
+        gen = DrivenGenerator(lambda t: 1e10 * Q["sz"], period=0.2)
+        with pytest.raises(IntegrationError,
+                           match=r"RK4 unitary sweep diverged by t = 1 \(dt = 0.1\)"):
+            eigenoperators._unitary_path(gen, 0.0, 1.0, 10, 1)
+
+
 class TestInvariantCommutation:
     def test_static_invariants_commute_with_hamiltonian(self):
         h = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))

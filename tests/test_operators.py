@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,17 @@ class TestCoherentState:
         # tail past the window is ~7e-24
         amps = coherent_state(alpha)
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
+
+    def test_memory_peak_at_large_alpha(self):
+        # the amplitudes are built in place: beside the result, at most the Fock
+        # numbers and one real array are alive (five full temporaries peaked at 3.5x)
+        tracemalloc.start()
+        try:
+            amps = coherent_state(1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * amps.nbytes, f"peak {peak / amps.nbytes:.2f}x the result"
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 37.5 * np.exp(0.7j), 100.0])
     def test_default_truncation_is_the_kraus_window_top(self, alpha):
