@@ -109,7 +109,8 @@ def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
     return np.exp(-1j * n * p.omega_c * t) * u
 
 
-# Kraus terms per chunk of times: 4 MiB of 2x2 complex128 blocks (64 B each)
+# Kraus terms per chunk of times: 4 MiB of per-term temporaries, 8 B each for
+# the cosine, the half-sinc and the six real entries of one Kraus operator
 _KRAUS_CHUNK_TERMS = (4 << 20) // 64
 
 
@@ -130,57 +131,48 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _kraus_stack(p: JCParams, ts: np.ndarray, window=None) -> np.ndarray:
-    """Kraus operators chi_m(t) = e^{i m wc t} <m| U_D |alpha> on the window.
+def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, float]:
+    """Sums over the Fock window m = lo..hi of products of real Kraus entries
+    at each time, and the completeness deficit max |sum_m chi_m^dag chi_m - I|.
 
-    The factor e^{i m wc t} removes the global phase of the m'th Kraus
-    operator (the free phase of its excitation block); it cancels in
-    chi rho chi^dag and chi^dag chi, so the channel is unchanged.
-
-    Returns an array of shape (len(ts), 2, 2, M) over the M = hi - lo + 1
-    Fock indices m = lo..hi of the Poisson window, with the Fock index last
-    and contiguous, so chi[t].reshape(2, 2 M) is the row block that the
-    batched matmuls of ``_autonomous_states`` contract.  Summing
-    chi rho chi^dag over m gives the exact reduced qubit state up to the
-    truncated Poisson tail.  The block frequencies Omega_m enter at m and
-    m + 1, so their cosines and half-sincs are computed once over
-    lo..hi+1 and sliced.
+    The Kraus operators chi_m(t) = e^{i m wc t} <m| U_D |alpha> (the factor
+    is the free phase of the m'th excitation block; it cancels in
+    chi rho chi^dag and chi^dag chi) conserve excitations, so the phase
+    phi = arg(alpha) only rotates them about z:
+    chi_m = e^{i m phi} P D [[A + iB, -iC], [-iE, F - iG]] D^dag with
+    P = diag(1, e^{-i wc t}), D = diag(1, e^{i phi}) and the real
+    (len(ts), M) rows A = r_m c_m, B = delta r_m s_m,
+    C = 2 g sqrt(m) r_{m-1} s_m, E = 2 g sqrt(m+1) r_{m+1} s_{m+1},
+    F = r_m c_{m+1}, G = delta r_m s_{m+1}, where r_n = |<n|alpha>|,
+    c_n = cos(Omega_n t / 2) and s_n is the half-sinc, both computed once
+    over n = lo..hi+1.  Each sum is one row reduction, so a time's sums do
+    not depend on the other times.
     """
-    lo, hi = _kraus_window(p, window)
-    ms = np.arange(lo, hi + 1)
-    # coherent amplitudes <n|alpha> for n = lo-1 .. hi+1; n = -1 has none
+    # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
-    amp = np.zeros(len(ext), dtype=complex)
-    amp[ext >= 0] = _coherent_amplitudes(p.alpha, ext[ext >= 0])
-    c_mm1, c_m, c_mp1 = amp[:-2], amp[1:-1], amp[2:]
+    r = np.zeros(len(ext))
+    r[ext >= 0] = _coherent_amplitudes(abs(p.alpha), ext[ext >= 0]).real
+    ms, r_m = ext[1:-1], r[1:-1]
 
-    tcol = np.asarray(ts, dtype=float)[:, None]
-    om = p.omega_n(ext[1:])                      # Omega_m for m = lo .. hi+1
-    cos = np.cos(om * tcol / 2.0)
-    hs = _half_sinc(om, tcol)
-    phase = np.exp(-1j * p.omega_c * tcol)                # e^{-i wc t} on |e>
-
-    chi = np.empty((len(tcol), 2, 2, len(ms)), dtype=complex)
-    chi[:, 0, 0] = c_m * (cos[:, :-1] + 1j * p.delta * hs[:, :-1])
-    chi[:, 0, 1] = (-2j * p.g * np.sqrt(ms) * c_mm1) * hs[:, :-1]
-    chi[:, 1, 0] = (-2j * p.g * np.sqrt(ms + 1) * c_mp1) * hs[:, 1:] * phase
-    chi[:, 1, 1] = c_m * (cos[:, 1:] - 1j * p.delta * hs[:, 1:]) * phase
-    return chi
-
-
-def _completeness_deficit(chi: np.ndarray, chi_conj: np.ndarray) -> float:
-    """max |sum_m chi_m^dag chi_m - I| over a (T, 2, 2, M) stack.
-
-    Takes the stack's conjugate too, so a caller that needs it again
-    computes it once.
-    """
-    comp = sum(chi_conj[:, i] @ chi[:, i].transpose(0, 2, 1) for i in range(2))
-    return float(np.max(np.abs(comp - np.eye(2))))
+    om = p.omega_n(ext[1:])                      # Omega_n for n = lo .. hi+1
+    cos = np.cos(om * ts[:, None] / 2.0)
+    hs = _half_sinc(om, ts[:, None])
+    row = {"A": r_m * cos[:, :-1], "B": (p.delta * r_m) * hs[:, :-1],
+           "C": (2.0 * p.g * np.sqrt(ms) * r[:-2]) * hs[:, :-1],
+           "E": (2.0 * p.g * np.sqrt(ms + 1) * r[2:]) * hs[:, 1:],
+           "F": r_m * cos[:, 1:], "G": (p.delta * r_m) * hs[:, 1:]}
+    s = {pq: np.vecdot(row[pq[0]], row[pq[1]])
+         for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
+    # D and P are diagonal and unitary, so they keep these entry moduli
+    deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
+                  np.max(np.abs(s["CC"] + s["FF"] + s["GG"] - 1.0)),
+                  np.max(np.hypot(s["EG"] - s["BC"], s["EF"] - s["AC"])))
+    return s, float(deficit)
 
 
 def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
-    chi = _kraus_stack(p, np.array([t]), window)
-    return _completeness_deficit(chi, chi.conj())
+    """max |sum_m chi_m^dag chi_m - I| over the Fock window at time t."""
+    return _kraus_sums(p, np.array([t], dtype=float), *_kraus_window(p, window))[1]
 
 
 def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
@@ -196,52 +188,59 @@ def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
 
 def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None,
                        chunk: int | None = None) -> np.ndarray:
-    """Validated reduced qubit states at each time, shape (len(ts), 2, 2).
+    """Validated reduced qubit states at each time, shape (len(ts), 2, 2),
+    from the Hermitian initial state ``rho0``.
 
     Times go in chunks of ``chunk`` (default: as many as fit about 4 MiB of
-    Kraus terms, so memory stays bounded as alpha grows).  Per chunk,
-    Y = chi rho0 is one einsum and Y chi^dag one batched matmul over the
-    flattened (j, m) axis; every state depends on its own time only, so the
+    Kraus terms, so memory stays bounded as alpha grows).  Per chunk, the
+    entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are real combinations
+    of ``_kraus_sums``; P D acts once on the whole stack after the loop, so the
     result is bitwise the same for any chunk size.
     """
     lo, hi = _kraus_window(p, window)
     if chunk is None:
         chunk = max(1, _KRAUS_CHUNK_TERMS // (hi - lo + 1))
-    if chunk < 1:
-        raise ContractError(f"chunk must be at least 1, got {chunk}")
     ts = np.asarray(ts, dtype=float)
+    phi = float(np.angle(p.alpha))
+    q00, q11 = rho0[0, 0].real, rho0[1, 1].real
+    q01 = rho0[0, 1] * np.exp(1j * phi)
+    x, y = q01.real, q01.imag
     rhos = np.empty((len(ts), 2, 2), dtype=complex)
     for k0 in range(0, len(ts), chunk):
         part = slice(k0, k0 + chunk)
-        chi = _kraus_stack(p, ts[part], (lo, hi))
-        chi_conj = chi.conj()
-        deficit = _completeness_deficit(chi, chi_conj)
+        s, deficit = _kraus_sums(p, ts[part], lo, hi)
         if deficit > 1e-6:
             raise TruncationError(
                 f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
                 f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
                 f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
                 deficit=deficit)
-        n_t, flat = chi.shape[0], 2 * chi.shape[-1]
-        y = np.einsum("tijm,jk->tikm", chi, rho0).reshape(n_t, 2, flat)
-        rhos[part] = y @ chi_conj.reshape(n_t, 2, flat).transpose(0, 2, 1)
+        af_bg, ag_bf = s["AF"] - s["BG"], s["AG"] + s["BF"]
+        rhos[part, 0, 0] = (q00 * (s["AA"] + s["BB"]) + q11 * s["CC"]
+                            - 2.0 * (x * s["BC"] + y * s["AC"]))
+        rhos[part, 1, 1] = (q00 * s["EE"] + q11 * (s["FF"] + s["GG"])
+                            + 2.0 * (x * s["EG"] + y * s["EF"]))
+        rhos[part, 0, 1] = (q00 * -s["BE"] + x * (af_bg + s["CE"]) - y * ag_bf + q11 * s["CG"]
+                            + 1j * (q00 * s["AE"] + x * ag_bf + y * (af_bg - s["CE"])
+                                    - q11 * s["CF"]))
+    rhos[:, 0, 1] *= np.exp(1j * (p.omega_c * ts - phi))
+    rhos[:, 1, 0] = rhos[:, 0, 1].conj()
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     return validate_states(rhos, trace_tol=1e-6, herm_tol=1e-9, eig_tol=1e-7)
 
 
 def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
-                             window=None, chunk: int | None = None) -> list:
-    """Reduced qubit states at each time in ``ts`` (vectorized Kraus sums).
+                             window=None) -> list:
+    """Reduced qubit states at each time in ``ts`` (Kraus sums).
 
-    The states come from ``_autonomous_states``: chunks of times sized to
-    about 4 MiB of Kraus terms unless ``chunk`` is given, the Kraus stack
-    laid out (T, 2, 2, M) with the Fock index last.  They are validated and
-    normalized there and wrapped here as DensityMatrix objects as they are.
+    The states come from ``_autonomous_states``, which sums real Kraus
+    entries laid out (time, Fock index) in chunks of times and validates
+    and normalizes the result; they are wrapped here as they are.
     """
     if rho_s0.data.shape[0] != 2:
         raise ContractError("the autonomous reduction acts on a qubit state")
     return [DensityMatrix._wrap(rho, (2,))
-            for rho in _autonomous_states(rho_s0.data, p, ts, window, chunk)]
+            for rho in _autonomous_states(rho_s0.data, p, ts, window)]
 
 
 def jc_semiclassical_hamiltonian(t: float, p: JCParams) -> np.ndarray:

@@ -52,13 +52,14 @@ def random_hermitian(d, rng):
     return 0.5 * (a + a.conj().T)
 
 
-def kraus_sum_oracle(rho0, p: JCParams, t: float, window):
-    """sum_m chi_m rho0 chi_m^dag, one m at a time from the block propagators.
+def kraus_operators_oracle(p: JCParams, t: float, window):
+    """The Kraus operators chi_m = <m| U |alpha> on the qubit, one m at a time
+    from the block propagators.
 
-    chi_m = <m| U |alpha> on the qubit: |g, m> and |e, m - 1> share block m,
-    so chi_m = [[B_m[0,0] c_m, B_m[0,1] c_{m-1}], [B_{m+1}[1,0] c_{m+1},
-    B_{m+1}[1,1] c_m]] with the coherent amplitudes c_n; the uncoupled
-    |g, 0> only picks up the phase e^{i delta t / 2}.
+    |g, m> and |e, m - 1> share block m, so chi_m = [[B_m[0,0] c_m,
+    B_m[0,1] c_{m-1}], [B_{m+1}[1,0] c_{m+1}, B_{m+1}[1,1] c_m]] with the
+    coherent amplitudes c_n; the uncoupled |g, 0> only picks up the phase
+    e^{i delta t / 2}.
     """
     lo, hi = window
     a = abs(p.alpha)
@@ -74,12 +75,25 @@ def kraus_sum_oracle(rho0, p: JCParams, t: float, window):
             return np.diag([np.exp(0.5j * p.delta * t), 0.0])
         return jc_block_propagator(n, t, p)
 
-    out = np.zeros((2, 2), dtype=complex)
     for m in range(lo, hi + 1):
         low, high = block(m), block(m + 1)
-        chi = np.array([[low[0, 0] * amp(m), low[0, 1] * amp(m - 1)],
+        yield np.array([[low[0, 0] * amp(m), low[0, 1] * amp(m - 1)],
                         [high[1, 0] * amp(m + 1), high[1, 1] * amp(m)]])
+
+
+def kraus_sum_oracle(rho0, p: JCParams, t: float, window):
+    """sum_m chi_m rho0 chi_m^dag over ``kraus_operators_oracle``."""
+    out = np.zeros((2, 2), dtype=complex)
+    for chi in kraus_operators_oracle(p, t, window):
         out += chi @ rho0 @ chi.conj().T
+    return out
+
+
+def kraus_completeness_oracle(p: JCParams, t: float, window):
+    """sum_m chi_m^dag chi_m over ``kraus_operators_oracle``."""
+    out = np.zeros((2, 2), dtype=complex)
+    for chi in kraus_operators_oracle(p, t, window):
+        out += chi.conj().T @ chi
     return out
 
 

@@ -150,21 +150,28 @@ class TestExitCodes:
                                           code, named):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"experiment: {experiment}\n{body}\n")
-        # eigenops takes no grid, so it gets no --steps
-        steps = [] if experiment == "eigenops" else ["--steps", "50"]
+        # only fig2 and jc-sim take a grid, so only they get --steps
+        steps = ["--steps", "50"] if experiment in ("fig2", "jc-sim") else []
         assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
                        + steps) == code
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, body", [(["--steps", "50"], ""),
-                                            ([], "grid: {t1: 3.0}\n")])
+                                            ([], "grid: {t1: 3.0}\n"),
+                                            (["--tmax", "3"], "")])
     def test_eigenops_grid_is_2(self, tmp_path, capsys, args, body):
-        cfg = tmp_path / "c.yaml"
-        cfg.write_text(f"experiment: eigenops\n{body}")
-        assert run_cli(["eigenops", "--config", str(cfg), "--out", str(tmp_path / "o")]
-                       + args) == 2
-        err = capsys.readouterr().err
-        assert "grid" in err and "fixed at 400 steps over ten Rabi periods" in err
+        # eigenops and the other runners that never read a grid
+        for experiment, reason in (("eigenops", "fixed at 400 steps over ten Rabi periods"),
+                                   ("attractor", "taken at t = 0"),
+                                   ("coefficients", "sweeps detuning or temperature"),
+                                   ("touchard", "sweeps touchard.x_values")):
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text(f"experiment: {experiment}\n{body}")
+            out = tmp_path / experiment
+            assert run_cli([experiment, "--config", str(cfg), "--out", str(out)] + args) == 2
+            err = capsys.readouterr().err
+            assert f"{experiment} takes no grid" in err and reason in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("body", ["rabi: 1.0e+6", "rabi: 1.0e-9", "omega_c: 1.0e-8",
                                       "omega_c: 1.0e+200"])

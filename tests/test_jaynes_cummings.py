@@ -33,7 +33,7 @@ from covlind.jaynes_cummings import (
     jc_kraus_completeness,
 )
 from covlind.operators import coherent_state, validate_states
-from oracles import kraus_sum_oracle
+from oracles import kraus_completeness_oracle, kraus_sum_oracle
 
 Q = qubit_ops()
 RNG = np.random.default_rng(31415)
@@ -193,6 +193,17 @@ class TestKrausKernel:
             oracle /= np.trace(oracle).real
             assert np.max(np.abs(rho - oracle)) < 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(modulus=st.floats(0.1, 12.0), phase=st.floats(-math.pi, math.pi),
+           delta=st.floats(-0.5, 0.5), g=st.floats(0.0, 0.5), t=st.floats(0.0, 40.0),
+           lo=st.integers(0, 160), width=st.integers(0, 160))
+    def test_completeness_matches_per_m_oracle(self, modulus, phase, delta, g, t, lo, width):
+        p = JCParams(1.0, 1.0 + delta, g, modulus * np.exp(1j * phase))
+        window = (lo, lo + width)
+        oracle = kraus_completeness_oracle(p, t, window)
+        expected = np.max(np.abs(oracle - np.eye(2)))
+        assert abs(jc_kraus_completeness(p, t, window) - expected) < 1e-12
+
     def test_bitwise_independent_of_chunk(self):
         p = JCParams.with_rabi(1.0, 0.2, 2.0, 7.0 * np.exp(0.3j))
         rho0 = DensityMatrix.from_matrix(random_psd(np.random.default_rng(5)))
@@ -201,7 +212,7 @@ class TestKrausKernel:
         for chunk in (1, 7):
             assert np.array_equal(_autonomous_states(rho0.data, p, times, chunk=chunk),
                                   default)
-        wrapped = jc_autonomous_trajectory(rho0, p, times, chunk=7)
+        wrapped = jc_autonomous_trajectory(rho0, p, times)
         assert np.array_equal(np.array([s.data for s in wrapped]), default)
 
     def test_narrow_window_raises_with_context(self):
