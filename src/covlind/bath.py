@@ -48,13 +48,13 @@ class BathSpec:
     omega_hi: float = math.inf
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ContractError("temperature must be nonnegative")
+        if not 0 <= self.temperature < math.inf:
+            raise ContractError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.model not in _MODELS:
             raise ContractError(f"unknown spectral-density model {self.model!r}; "
                                 f"choose from {_MODELS}")
-        if self.eta < 0:
-            raise ContractError("eta must be nonnegative")
+        if not 0 <= self.eta < math.inf:
+            raise ContractError(f"eta must be finite and >= 0, got {self.eta}")
         if not self.omega_cut > 0:
             raise ContractError("omega_cut must be positive")
 
@@ -153,7 +153,7 @@ def jc_kinetic_coefficients(params: JCParams, bath: BathSpec) -> tuple[float, fl
     gamma_plus = (s_minus * gamma_one_sided(wc - om, bath)
                   + s_plus * gamma_one_sided(-wc - om, bath)).real
     out = (gamma0, gamma_minus, gamma_plus)
-    if min(out) < 0:
+    if not all(x >= 0 for x in out):
         raise ContractError(f"negative kinetic coefficient {out}")
     return out
 

@@ -184,12 +184,12 @@ def detailed_balance_rates(freqs, beta: float, base) -> list[tuple[float, float]
     zero-temperature limit (upward rate zero); at that limit channels must
     be labeled by positive frequency.
     """
-    if beta < 0:
-        raise ContractError("inverse temperature must be nonnegative")
+    if not beta >= 0:
+        raise ContractError(f"inverse temperature beta must be nonnegative, got {beta}")
     out = []
     for om, g in zip(np.atleast_1d(freqs), np.atleast_1d(base)):
-        if g < 0:
-            raise ContractError("base rates must be nonnegative")
+        if not g >= 0:
+            raise ContractError(f"base rates must be nonnegative, got {g}")
         if math.isinf(beta):
             if om > 0:
                 out.append((float(g), 0.0))

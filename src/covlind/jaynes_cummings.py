@@ -6,10 +6,17 @@ asymptotics.
 Basis conventions: qubit basis (|g>, |e>) with sigma_z = diag(-1, +1);
 the coupled space is ordered |qubit> (x) |n>.  The n'th excitation block
 spans {|g, n>, |e, n-1>}.  hbar = 1.
+
+Two primitives carry the closed forms: ``_rabi_block``, the Rabi rotation
+of block n at coupling g sqrt(n) (the semi-classical propagator is the same
+block at g|alpha| in the drive's frame), and ``_co_rotating``, that frame
+X(t) = V(t) X(0) V(t)^dag, V(t) = exp(-i omega_c sigma_z t / 2), which by
+covariance carries H_sc, F_pm and W from t = 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,10 +45,11 @@ class JCParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        if self.omega_c <= 0 or self.omega_eg <= 0:
-            raise ContractError("frequencies must be positive")
-        if self.g < 0:
-            raise ContractError("coupling must be nonnegative")
+        for name, value in (("omega_c", self.omega_c), ("omega_eg", self.omega_eg)):
+            if not 0 < value < math.inf:
+                raise ContractError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.g < math.inf:
+            raise ContractError(f"coupling g must be nonnegative and finite, got {self.g}")
 
     @property
     def delta(self) -> float:
@@ -88,29 +96,37 @@ def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:
     return Operator(h, (2, n_max + 1))
 
 
-def _half_sinc(omega_n, t: float):
-    """(t/2) * sin(Omega_n t / 2) / (Omega_n t / 2), stable at Omega_n = 0."""
-    return (t / 2.0) * np.sinc(omega_n * t / (2.0 * math.pi))
+def _rabi_block(omega: float, kappa: float, delta: float, t) -> np.ndarray:
+    """exp(-i t H) = c I - 2i s H for H = kappa X - (delta/2) Z, Z = diag(1, -1),
+    omega = sqrt(delta^2 + 4 kappa^2): [[c + i delta s, -2i kappa s],
+    [-2i kappa s, c - i delta s]] with c = cos(omega t/2) and
+    s = sin(omega t/2) / omega (t/2 at omega = 0); shape t.shape + (2, 2)."""
+    t = np.asarray(t, dtype=float)
+    half = omega * t / 2.0
+    s = np.sin(half) / omega if omega else t / 2.0
+    minus_2i_h = np.array([[1j * delta, -2j * kappa], [-2j * kappa, -1j * delta]])
+    return np.cos(half)[..., None, None] * np.eye(2) + s[..., None, None] * minus_2i_h
+
+
+def _co_rotating(x0: np.ndarray, t: float, omega_c: float) -> np.ndarray:
+    """X(t) = V(t) X(0) V(t)^dag, V(t) = exp(-i omega_c sigma_z t / 2), for a
+    2x2 X(0) and one time t: X_01 gains e^{i omega_c t}, X_10 its conjugate."""
+    phase = cmath.exp(1j * omega_c * t)
+    return x0 * np.array([[1.0, phase], [phase.conjugate(), 1.0]])
 
 
 def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
-    """Closed-form propagator of the n'th block in basis {|g,n>, |e,n-1>}.
-
-    Includes the global phase exp(-i n omega_c t).
-    """
+    """Closed-form propagator of the n'th block in basis {|g,n>, |e,n-1>}:
+    the Rabi block with coupling g sqrt(n) and the global phase
+    exp(-i n omega_c t)."""
     if n < 1:
         raise ContractError("blocks are defined for n >= 1")
-    om = float(p.omega_n(n))
-    c = math.cos(om * t / 2.0)
-    hs = float(_half_sinc(om, t))
-    off = -2j * p.g * math.sqrt(n) * hs
-    u = np.array([[c + 1j * p.delta * hs, off],
-                  [off, c - 1j * p.delta * hs]], dtype=complex)
-    return np.exp(-1j * n * p.omega_c * t) * u
+    block = _rabi_block(float(p.omega_n(n)), p.g * math.sqrt(n), p.delta, t)
+    return np.exp(-1j * n * p.omega_c * t) * block
 
 
 # Kraus terms per chunk of times: 4 MiB of per-term temporaries, 8 B each for
-# the cosine, the half-sinc and the six real entries of one Kraus operator
+# the cosine, the sine and the six real entries of one Kraus operator
 _KRAUS_CHUNK_TERMS = (4 << 20) // 64
 
 
@@ -143,10 +159,10 @@ def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, fl
     P = diag(1, e^{-i wc t}), D = diag(1, e^{i phi}) and the real
     (len(ts), M) rows A = r_m c_m, B = delta r_m s_m,
     C = 2 g sqrt(m) r_{m-1} s_m, E = 2 g sqrt(m+1) r_{m+1} s_{m+1},
-    F = r_m c_{m+1}, G = delta r_m s_{m+1}, where r_n = |<n|alpha>|,
-    c_n = cos(Omega_n t / 2) and s_n is the half-sinc, both computed once
-    over n = lo..hi+1.  Each sum is one row reduction, so a time's sums do
-    not depend on the other times.
+    F = r_m c_{m+1}, G = delta r_m s_{m+1} (``_rabi_block`` entries), where
+    r_n = |<n|alpha>|, c_n = cos(Omega_n t / 2), s_n = sin(Omega_n t / 2) /
+    Omega_n, and 1/Omega_n sits in the per-m coefficients.  Each sum is one
+    row reduction, so a time's sums do not depend on the other times.
     """
     # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
@@ -155,12 +171,14 @@ def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, fl
     ms, r_m = ext[1:-1], r[1:-1]
 
     om = p.omega_n(ext[1:])                      # Omega_n for n = lo .. hi+1
-    cos = np.cos(om * ts[:, None] / 2.0)
-    hs = _half_sinc(om, ts[:, None])
-    row = {"A": r_m * cos[:, :-1], "B": (p.delta * r_m) * hs[:, :-1],
-           "C": (2.0 * p.g * np.sqrt(ms) * r[:-2]) * hs[:, :-1],
-           "E": (2.0 * p.g * np.sqrt(ms + 1) * r[2:]) * hs[:, 1:],
-           "F": r_m * cos[:, 1:], "G": (p.delta * r_m) * hs[:, 1:]}
+    half = om * ts[:, None] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # each numerator that meets 1/Omega_n is 0 where Omega_n = 0 (delta = g sqrt(n) = 0)
+    inv = np.divide(1.0, om, out=np.zeros_like(om), where=om > 0)
+    row = {"A": r_m * cos[:, :-1], "B": (p.delta * r_m * inv[:-1]) * sin[:, :-1],
+           "C": (2.0 * p.g * np.sqrt(ms) * r[:-2] * inv[:-1]) * sin[:, :-1],
+           "E": (2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:]) * sin[:, 1:],
+           "F": r_m * cos[:, 1:], "G": (p.delta * r_m * inv[1:]) * sin[:, 1:]}
     s = {pq: np.vecdot(row[pq[0]], row[pq[1]])
          for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
     # D and P are diagonal and unitary, so they keep these entry moduli
@@ -244,37 +262,29 @@ def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
 
 
 def jc_semiclassical_hamiltonian(t: float, p: JCParams) -> np.ndarray:
-    """Rabi Hamiltonian (omega_eg/2) sz + g (sm alpha* e^{i wc t} + h.c.)."""
-    drive = p.g * (np.conj(p.alpha) * np.exp(1j * p.omega_c * t) * _Q["sm"]
-                   + p.alpha * np.exp(-1j * p.omega_c * t) * _Q["sp"])
-    return 0.5 * p.omega_eg * _Q["sz"] + drive
+    """Rabi Hamiltonian (omega_eg/2) sz + g (sm alpha* e^{i wc t} + h.c.),
+    which is V(t) H_sc(0) V(t)^dag (``_co_rotating``)."""
+    drive = p.g * np.conj(p.alpha)
+    h0 = np.array([[-0.5 * p.omega_eg, drive], [np.conj(drive), 0.5 * p.omega_eg]], dtype=complex)
+    return _co_rotating(h0, t, p.omega_c)
 
 
 def jc_semiclassical_propagator(t, p: JCParams) -> np.ndarray:
     """Closed-form Rabi propagator in the (|g>, |e>) basis.
 
-    Built by the rotating-frame construction: a z-rotation by -arg(alpha)
-    makes the coupling real, the frame rotating at omega_c makes the
-    Hamiltonian static, and the remaining 2x2 exponential is elementary.
-    Solves i dU/dt = H_sc(t) U with U(0) = I.  ``t`` may be an array of
-    times, giving shape t.shape + (2, 2); a single time is a stack of one,
-    so it matches the same time inside an array bitwise.
+    U(t) = V(t) D B(t) D^dag solves i dU/dt = H_sc(t) U with U(0) = I: B is
+    the Rabi block at coupling g|alpha|, D = diag(1, e^{i arg(alpha)}) makes
+    that coupling real, and V(t) = exp(-i omega_c sigma_z t / 2) is the
+    frame co-rotating at omega_c, in which H_sc is static.  ``t`` may be an
+    array of times, giving shape t.shape + (2, 2); a single time is a stack
+    of one, so it matches the same time inside an array bitwise.
     """
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
-    c = np.cos(p.rabi * ts / 2.0)
-    hs = _half_sinc(p.rabi, ts)
-    off = -2j * p.g * abs(p.alpha) * hs
-    # U = V R U_eff R^dag with V = diag(e^{i wc t/2}, e^{-i wc t/2}) and
-    # R = diag(e^{i phi/2}, e^{-i phi/2}), phi = -arg(alpha)
-    frame = np.exp(0.5j * p.omega_c * ts)
-    tilt = np.exp(-1j * np.angle(p.alpha)) if p.alpha else 1.0
-    u = np.empty((len(ts), 2, 2), dtype=complex)
-    u[:, 0, 0] = frame * (c + 1j * p.delta * hs)
-    u[:, 0, 1] = frame * tilt * off
-    u[:, 1, 0] = frame.conj() * np.conj(tilt) * off
-    u[:, 1, 1] = frame.conj() * (c - 1j * p.delta * hs)
-    return u.reshape(t.shape + (2, 2))
+    d = np.array([1.0, np.exp(1j * np.angle(p.alpha))])                 # diagonal of D
+    v = np.exp(0.5j * p.omega_c * np.multiply.outer(ts, [1.0, -1.0]))   # diagonal of V(t)
+    block = _rabi_block(p.rabi, p.g * abs(p.alpha), p.delta, ts)
+    return ((v * d)[:, :, None] * block * d.conj()).reshape(t.shape + (2, 2))
 
 
 def jc_eigenoperators(p: JCParams):
@@ -295,25 +305,16 @@ def jc_eigenoperators(p: JCParams):
                             f"use the static transition operators instead")
     norm = math.sqrt(2.0) * g * abs(alpha) / om
 
-    def f_sign(sign: float):
+    def f_at_zero(sign: float) -> np.ndarray:
         u1 = math.sqrt(2.0) * g * np.conj(alpha) / (dl + sign * om)
         u2 = math.sqrt(2.0) * g * alpha / (dl - sign * om)
+        return norm * (u1 * _Q["sm"] + u2 * _Q["sp"] + _Q["sz"] / math.sqrt(2.0))
 
-        def f_of_t(t: float) -> Operator:
-            mat = norm * (u1 * np.exp(1j * p.omega_c * t) * _Q["sm"]
-                          + u2 * np.exp(-1j * p.omega_c * t) * _Q["sp"]
-                          + _Q["sz"] / math.sqrt(2.0))
-            return Operator(mat, (2,))
+    def co_rotated(x0: np.ndarray):
+        return lambda t: Operator(_co_rotating(x0, t, p.omega_c), (2,))
 
-        return f_of_t
-
-    def w_of_t(t: float) -> Operator:
-        mat = (g * (np.conj(alpha) * np.exp(1j * p.omega_c * t) * _Q["sm"]
-                    + alpha * np.exp(-1j * p.omega_c * t) * _Q["sp"])
-               + 0.5 * dl * _Q["sz"])
-        return Operator(mat * math.sqrt(2.0) / om, (2,))
-
-    return f_sign(+1.0), f_sign(-1.0), w_of_t
+    w0 = g * (np.conj(alpha) * _Q["sm"] + alpha * _Q["sp"]) + 0.5 * dl * _Q["sz"]
+    return co_rotated(f_at_zero(+1.0)), co_rotated(f_at_zero(-1.0)), co_rotated(w0 * math.sqrt(2.0) / om)
 
 
 def jc_dressed_states(n: int, p: JCParams):

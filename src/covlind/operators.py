@@ -44,11 +44,8 @@ def _as_matrix(x) -> np.ndarray:
     return a
 
 
-def _dims_of(x, default_flat=True):
-    if isinstance(x, Operator):
-        return x.dims
-    a = _as_matrix(x)
-    return (a.shape[0],) if default_flat else None
+def _dims_of(x):
+    return x.dims if isinstance(x, Operator) else (_as_matrix(x).shape[0],)
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,7 @@ class DensityMatrix(Operator):
         return state
 
     @classmethod
-    def from_matrix(cls, data, dims: Sequence[int] = (),
-                    trace_tol: float = TRACE_TOL,
-                    herm_tol: float = HERMITICITY_TOL,
+    def from_matrix(cls, data, dims: Sequence[int] = (), trace_tol: float = TRACE_TOL,
                     eig_tol: float = POSITIVITY_TOL) -> "DensityMatrix":
         """Build a state, allowing looser tolerances for integrated dynamics.
 
@@ -136,7 +131,7 @@ class DensityMatrix(Operator):
         downstream exact identities (trace one) hold.
         """
         a = validate_states(np.asarray(data, dtype=complex)[None],
-                            trace_tol, herm_tol, eig_tol)[0]
+                            trace_tol, HERMITICITY_TOL, eig_tol)[0]
         return cls._wrap(a, dims)
 
     @classmethod
@@ -171,8 +166,7 @@ class Superoperator:
             raise DimensionError(
                 f"superoperator acts on dim {self.source_dim}, got {a.shape[0]}")
         out = unvec(self.data @ vec(a), self.source_dim)
-        dims = _dims_of(x)
-        return Operator(out, dims if dims is not None else ())
+        return Operator(out, _dims_of(x))
 
     def __matmul__(self, other):
         if isinstance(other, Superoperator):
@@ -248,11 +242,11 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
         raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e})")
 
 
-def _check_hermitian(m: np.ndarray, stage: str, tol: float = 1e-10):
-    """Raise ContractError naming ``stage`` unless max |M - M^dag| <= tol;
+def _check_hermitian(m: np.ndarray, stage: str):
+    """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10;
     a non-finite M fails too."""
     worst = float(np.abs(m - m.conj().T).max())
-    if not worst <= tol:
+    if not worst <= 1e-10:
         raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")
 
 
@@ -280,7 +274,7 @@ def liouville_unitary(h, t: float) -> Superoperator:
 # spectral decompositions
 # ---------------------------------------------------------------------------
 
-def hermitian_eig(h, tol: float = 1e-10):
+def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix with a deterministic phase.
 
     Returns (eigenvalues ascending, eigenvector matrix V with H V = V diag).
@@ -289,7 +283,7 @@ def hermitian_eig(h, tol: float = 1e-10):
     otherwise arbitrary.
     """
     hm = _as_matrix(h)
-    _check_hermitian(hm, "hermitian_eig input", tol)
+    _check_hermitian(hm, "hermitian_eig input")
     w, v = np.linalg.eigh(hm)
     for k in range(v.shape[1]):
         col = v[:, k]
@@ -489,6 +483,8 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     """
     if n_max is None:
         n_max = _poisson_window(alpha)[1]
+    if not n_max >= 0:
+        raise ContractError(f"n_max must be nonnegative, got {n_max}")
     # the lost weight is the exact Poisson tail beyond n_max: 1 - sum |amp|^2
     # would measure the amplitudes' rounding (5e-10 at |alpha| = 1000) instead
     deficit = float(pdtrc(n_max, abs(alpha) ** 2))

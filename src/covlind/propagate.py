@@ -33,10 +33,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t1 <= self.t0:
-            raise ContractError("TimeGrid requires t1 > t0")
-        if self.steps < 1:
-            raise ContractError("TimeGrid requires steps >= 1")
+        if not -np.inf < self.t0 < self.t1 < np.inf:
+            raise ContractError(f"TimeGrid requires finite t1 > t0, got [{self.t0}, {self.t1}]")
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+            raise ContractError(f"TimeGrid requires an integer steps >= 1, got {self.steps!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from covlind import (
@@ -354,6 +355,50 @@ class TestSemiclassical:
                                c - 1j * p.delta * s / om]])
             alt = np.diag([1.0, np.exp(-1j * p.omega_c * t)]) @ r @ u_eff @ r.conj().T
             assert deviation_up_to_phase(alt, jc_semiclassical_propagator(t, p)) < 1e-10
+
+
+class TestCoRotatingFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(0.0, 1e3), phase=st.floats(-math.pi, math.pi),
+           delta=st.floats(-0.5, 0.5), g=st.floats(0.01, 0.5))
+    def test_drive_is_conjugated_by_the_frame(self, t, phase, delta, g):
+        # covariance: X(t) = V(t) X(0) V(t)^dag with V(t) = exp(-i omega_c sigma_z t / 2)
+        p = JCParams(1.0, 1.0 + delta, g, 2.0 * np.exp(1j * phase))
+        v = scipy.linalg.expm(-0.5j * p.omega_c * t * Q["sz"])
+        pairs = [(jc_semiclassical_hamiltonian(t, p), jc_semiclassical_hamiltonian(0.0, p))]
+        pairs += [(x(t).data, x(0.0).data) for x in jc_eigenoperators(p)]
+        for at_t, at_zero in pairs:
+            assert np.max(np.abs(at_t - v @ at_zero @ v.conj().T)) < 1e-13
+
+
+class TestZeroRabiFrequency:
+    """Omega = 0, where sin(Omega t / 2) / Omega is t / 2; hypothesis rarely
+    draws delta = 0.0 exactly, so these are explicit."""
+
+    def test_block_propagator_is_free_phase(self):
+        p = JCParams(1.0, 1.0, 0.0, 0.0)
+        for n, t in ((1, 0.7), (4, 13.0), (9, 250.0)):
+            free = np.exp(-1j * n * p.omega_c * t) * np.eye(2)
+            assert np.max(np.abs(jc_block_propagator(n, t, p) - free)) < 1e-15
+
+    def test_semiclassical_propagator_is_the_frame(self):
+        p = JCParams(1.3, 1.3, 0.4, 0.0)
+        times = np.linspace(0.0, 50.0, 11)
+        frames = [scipy.linalg.expm(-0.5j * p.omega_c * t * Q["sz"]) for t in times]
+        assert np.max(np.abs(jc_semiclassical_propagator(times, p) - frames)) < 1e-14
+
+    @pytest.mark.parametrize("g", [0.3, 0.0])
+    def test_kraus_kernel_matches_per_m_oracle(self, g):
+        p = JCParams(1.0, 1.0, g, 1.5 * np.exp(0.7j))
+        window = default_kraus_window(p)
+        assert window[0] == 0                     # Omega_0 = |delta| = 0 is in the window
+        rho0 = random_psd(np.random.default_rng(3))
+        times = np.linspace(0.0, 30.0, 7)
+        for t, rho in zip(times, _autonomous_states(rho0, p, times)):
+            oracle = kraus_sum_oracle(rho0, p, t, window)
+            assert np.max(np.abs(rho - oracle / np.trace(oracle).real)) < 1e-12
+            expected = np.max(np.abs(kraus_completeness_oracle(p, t, window) - np.eye(2)))
+            assert abs(jc_kraus_completeness(p, t, window) - expected) < 1e-12
 
 
 class TestEigenoperators:

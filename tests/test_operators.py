@@ -22,9 +22,12 @@ from covlind import (
     unvec,
     vec,
 )
+from covlind.bath import BathSpec
 from covlind.errors import ContractError, DimensionError, TruncationError
+from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import JCParams, default_kraus_window
 from covlind.operators import liouville_unitary
+from covlind.propagate import TimeGrid
 
 Q = qubit_ops()
 RNG = np.random.default_rng(20240811)
@@ -380,3 +383,26 @@ class TestFidelityContract:
             uhlmann_fidelity(rho, 2.0 * np.eye(2))
         with pytest.raises(ContractError):
             uhlmann_fidelity(np.array([[0.5, 1.0], [0.0, 0.5]]), rho)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: JCParams(math.nan, 1.0, 0.2), "omega_c", id="JCParams-omega_c-nan"),
+    pytest.param(lambda: JCParams(1.0, math.inf, 0.2), "omega_eg", id="JCParams-omega_eg-inf"),
+    pytest.param(lambda: JCParams(1.0, 1.0, math.nan), "g", id="JCParams-g-nan"),
+    pytest.param(lambda: BathSpec(math.nan), "temperature", id="BathSpec-temperature-nan"),
+    pytest.param(lambda: BathSpec(math.inf), "temperature", id="BathSpec-temperature-inf"),
+    pytest.param(lambda: BathSpec(1.0, eta=math.nan), "eta", id="BathSpec-eta-nan"),
+    pytest.param(lambda: detailed_balance_rates([1.0], math.nan, [0.3]), "beta",
+                 id="detailed_balance_rates-beta-nan"),
+    pytest.param(lambda: detailed_balance_rates([1.0], 1.0, [math.nan]), "base rates",
+                 id="detailed_balance_rates-base-nan"),
+    pytest.param(lambda: TimeGrid(0.0, math.nan, 10), "t1", id="TimeGrid-t1-nan"),
+    pytest.param(lambda: TimeGrid(0.0, math.inf, 10), "t1", id="TimeGrid-t1-inf"),
+    pytest.param(lambda: TimeGrid(math.nan, 1.0, 10), "t0", id="TimeGrid-t0-nan"),
+    pytest.param(lambda: TimeGrid(0.0, 1.0, 2.5), "steps", id="TimeGrid-steps-float"),
+    pytest.param(lambda: coherent_state(2.0, n_max=-1), "n_max", id="coherent_state-n_max-neg"),
+])
+def test_malformed_value_rejected_by_name(build, name):
+    # NaN fails every comparison, so an `x < 0` guard lets it through
+    with pytest.raises(ContractError, match=name):
+        build()
