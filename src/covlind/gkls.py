@@ -9,9 +9,11 @@ population ratio p_source/p_target = exp(-eta) of its stationary state.
 
 A fixed point is exp(-H_bar)/Z with [H_bar, F_k] = -delta_k F_k for every
 jump.  The least-squares normal equations of these relations, paired with
-their adjoints, are a dissipator the module already builds: the same jumps
-at unit forward and reverse rates, D_1, with -D_1[H_bar] =
-sum_k delta_k [F_k^dag, F_k].
+their adjoints, are the dissipator of the same jumps at unit forward and
+reverse rates, D_1, with -D_1[H_bar] = sum_k delta_k [F_k^dag, F_k].  D_1
+is formed from one product of the stacked jumps, and the fixed point's
+residual applies the spec's GKLS formula to the d x d state, so neither
+assembles a dissipator term by term.
 
 hbar = 1 throughout; all frequencies in rad/time.
 """
@@ -154,6 +156,47 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     return Superoperator(total, d)
 
 
+def _jump_stack(spec: DissipatorSpec, d: int) -> np.ndarray:
+    """The spec's jump operators as one (K, d, d) array."""
+    jumps = [_as_matrix(ch.op) for ch in spec.channels]
+    if any(fm.shape[0] != d for fm in jumps):
+        raise DimensionError("channel dimension mismatch")
+    return np.array(jumps).reshape(-1, d, d)
+
+
+def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
+    """D[rho] for the d x d matrix rho, from the spec's GKLS formula at
+    O(K d^3), without the d^2 x d^2 matrix of ``build_dissipator``.
+
+    Raises ContractError unless D[rho] is finite and |tr D[rho]| is at most
+    1e-10 times max(1, its largest |entry|), the check the assembled
+    dissipator runs on itself.
+    """
+    f = _jump_stack(spec, rho.shape[0])
+    fdag = f.conj().transpose(0, 2, 1)
+    g = np.array([ch.rate for ch in spec.channels])[:, None, None]
+    grev = np.array([ch.rate_rev for ch in spec.channels])[:, None, None]
+    out = (g * (f @ rho @ fdag) + grev * (fdag @ rho @ f)).sum(axis=0)
+    anti = (g * (fdag @ f) + grev * (f @ fdag)).sum(axis=0)
+    for v, lam in spec.dephasing_hermitian:
+        vm = _as_matrix(v)
+        c = vm @ rho - rho @ vm
+        out = out - lam * (vm @ c - c @ vm)
+    if spec.dephasing_invariant is not None:
+        ws, chi = spec.dephasing_invariant
+        chi = np.asarray(chi, dtype=complex)
+        wms = [_as_matrix(w) for w in ws]
+        for i, j in zip(*np.nonzero(chi)):
+            out = out + chi[i, j] * (wms[i] @ rho @ wms[j])
+            anti = anti + chi[i, j] * (wms[j] @ wms[i])
+    out = out - 0.5 * (anti @ rho + rho @ anti)
+    trace = abs(np.trace(out))
+    if not (np.isfinite(out).all() and trace <= 1e-10 * max(1.0, float(np.abs(out).max()))):
+        raise ContractError(f"attractor residual D[rho] is not finite and trace-free "
+                            f"(|tr D[rho]| = {trace:.2e})")
+    return out
+
+
 def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
     """L = -i [H_eff, .] + D; trace-annihilating by construction."""
     hm = _as_matrix(h_eff)
@@ -186,8 +229,13 @@ def detailed_balance_rates(freqs, beta: float, base) -> list[tuple[float, float]
     """
     if not beta >= 0:
         raise ContractError(f"inverse temperature beta must be nonnegative, got {beta}")
+    freqs, base = np.atleast_1d(freqs), np.atleast_1d(base)
+    if len(freqs) != len(base):
+        raise ContractError(f"{len(freqs)} channel frequencies but {len(base)} base rates")
     out = []
-    for om, g in zip(np.atleast_1d(freqs), np.atleast_1d(base)):
+    for om, g in zip(freqs, base):
+        if not math.isfinite(om):
+            raise ContractError(f"channel frequency must be finite, got {om}")
         if not g >= 0:
             raise ContractError(f"base rates must be nonnegative, got {g}")
         if math.isinf(beta):
@@ -211,8 +259,8 @@ def detailed_balance_rates(freqs, beta: float, base) -> list[tuple[float, float]
 class AttractorResult:
     """Stationary state of a channel set with its generating Hamiltonian.
 
-    ``residual`` is ||D[state]||_max for the assembled dissipator, reported
-    honestly (<= 1e-9 for consistent inputs).
+    ``residual`` is ||D[state]||_max, the spec's dissipator applied to the
+    state, reported honestly (<= 1e-9 for consistent inputs).
     """
 
     state: DensityMatrix
@@ -222,6 +270,29 @@ class AttractorResult:
     zero_temperature: bool = False
 
 
+def _unit_normal_matrix(jumps) -> np.ndarray:
+    """-D_1 as a d^2 x d^2 matrix, D_1 the dissipator of ``jumps`` at unit
+    forward and reverse rates.
+
+    Over the stack G of the 2K operators F_k and F_k^dag, D_1 is
+    sum_G kron(conj G, G) - (1/2)(kron(I, S) + kron(S^T, I)) with
+    S = sum_G G^dag G, and the kron sum is one (d^2, 2K) . (2K, d^2)
+    product.
+    """
+    f = np.asarray(jumps, dtype=complex)
+    k, d = f.shape[:2]
+    g = np.concatenate([f, f.conj().transpose(0, 2, 1)]).reshape(2 * k, d * d)
+    # entry ((p, r), (q, s)) of conj(g)^T g is sum_G conj(G[p, r]) G[q, s],
+    # which is entry ((p, q), (r, s)) of sum_G kron(conj G, G)
+    m = (g.conj().T @ g).reshape(d, d, d, d)
+    s = np.einsum("prps->rs", m)
+    sandwich = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    eye = np.eye(d)
+    normal = 0.5 * (_kron(eye, s) + _kron(s.T, eye)) - sandwich
+    _check_trace_annihilating(normal, d, "unit-rate normal matrix")
+    return normal
+
+
 def _solve_effective_hamiltonian(jumps, deltas):
     """Least-squares Hermitian H with [H, F_k] = -delta_k F_k for all k.
 
@@ -229,15 +300,15 @@ def _solve_effective_hamiltonian(jumps, deltas):
     which a Hermitian H satisfies exactly when it satisfies the first.  The
     normal equations of the pairs are -D_1[H] = sum_k delta_k [F_k^dag, F_k]
     with D_1 the dissipator of the same jumps at unit forward and reverse
-    rates.  D_1 maps Hermitian matrices to Hermitian matrices, so the
+    rates, formed by ``_unit_normal_matrix`` from one product of the stacked
+    jumps.  D_1 maps Hermitian matrices to Hermitian matrices, so the
     minimum-norm solution of this d^2 x d^2 system is the minimum-norm
     Hermitian least-squares H: sum_k (delta_k/2)(F^dag F - F F^dag) when the
     channels do not share levels, and otherwise the unique potential
     consistent with every channel at once.
     """
     d = jumps[0].shape[0]
-    unit = DissipatorSpec([Channel(fm, 1.0, 1.0) for fm in jumps])
-    normal = -build_dissipator(unit, d).data
+    normal = _unit_normal_matrix(jumps)
     rhs = sum(dl * (fm.conj().T @ fm - fm @ fm.conj().T) for fm, dl in zip(jumps, deltas))
     x, *_ = np.linalg.lstsq(normal, vec(rhs), rcond=None)
     h = unvec(x, d)
@@ -281,14 +352,14 @@ def _gibbs_attractor(spec: DissipatorSpec, tol: float, failure: str) -> Attracto
     largest |delta| (at positive temperature); otherwise ContractError with
     ``failure`` formatted with the residual.
     """
-    jumps = [_as_matrix(ch.op) for ch in spec.channels]
+    jumps = _jump_stack(spec, spec.dim)
     deltas, zero_t = _deltas_from_rates([ch.rate for ch in spec.channels],
                                         [ch.rate_rev for ch in spec.channels])
     h_bar, comm_resid = _solve_effective_hamiltonian(jumps, deltas)
     if not zero_t and comm_resid > tol * max(1.0, float(np.max(np.abs(deltas)))):
         raise ContractError(failure.format(comm_resid))
     state = _gibbs_of(h_bar)
-    resid = float(np.max(np.abs(build_dissipator(spec).apply(state.data).data)))
+    resid = float(np.max(np.abs(_apply_dissipator(spec, state.data))))
     return AttractorResult(state, Operator(h_bar), deltas, resid, zero_t)
 
 

@@ -50,6 +50,8 @@ class JCParams:
                 raise ContractError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.g < math.inf:
             raise ContractError(f"coupling g must be nonnegative and finite, got {self.g}")
+        if not cmath.isfinite(self.alpha):
+            raise ContractError(f"coherent amplitude alpha must be finite, got {self.alpha}")
 
     @property
     def delta(self) -> float:

@@ -34,7 +34,9 @@ from covlind.errors import ContractError
 from covlind.gkls import (
     ZeroTemperatureWarning,
     _deltas_from_rates,
+    _apply_dissipator,
     _solve_effective_hamiltonian,
+    _unit_normal_matrix,
     lindblad_term,
 )
 from covlind.operators import hermitian_eig
@@ -520,6 +522,42 @@ class TestAssemblyProperties:
         assert np.max(np.abs(idv @ l_super.data), initial=0.0) < 1e-12
         choi = choi_matrix(Superoperator_like(matrix_exp(0.1 * l_super.data), d))
         assert float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]) >= -1e-10
+
+
+class TestOperatorSpaceDissipator:
+    """The fixed point's residual and normal matrix, formed without
+    build_dissipator, held to its term-by-term assembly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           n_channels=st.integers(0, 3), n_hermitian=st.integers(0, 2),
+           n_invariant=st.integers(0, 3))
+    def test_apply_matches_assembly(self, seed, d, n_channels, n_hermitian, n_invariant):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, d, n_channels, n_hermitian, n_invariant)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        want = build_dissipator(spec, d=d).apply(rho).data
+        assert np.max(np.abs(_apply_dissipator(spec, rho) - want)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), k=st.integers(1, 6))
+    def test_normal_matrix_matches_unit_rate_assembly(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        jumps = list((rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d)))
+                     / math.sqrt(2 * d))
+        want = -build_dissipator(DissipatorSpec([Channel(fm, 1.0, 1.0) for fm in jumps]), d).data
+        assert np.max(np.abs(_unit_normal_matrix(jumps) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # a NaN state, and a finite one whose residual overflows to an infinite
+    # trace, which a relative trace bound alone lets through
+    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan, dtype=complex),
+                                     np.diag([1e308, 0.0]).astype(complex)])
+    def test_non_finite_residual_names_the_stage(self, rho):
+        spec = DissipatorSpec([Channel(Q["sm"], 1.5, 1.5)])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="attractor residual"):
+            _apply_dissipator(spec, rho)
 
 
 class TestTraceCheck:

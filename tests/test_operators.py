@@ -389,6 +389,9 @@ class TestFidelityContract:
     pytest.param(lambda: JCParams(math.nan, 1.0, 0.2), "omega_c", id="JCParams-omega_c-nan"),
     pytest.param(lambda: JCParams(1.0, math.inf, 0.2), "omega_eg", id="JCParams-omega_eg-inf"),
     pytest.param(lambda: JCParams(1.0, 1.0, math.nan), "g", id="JCParams-g-nan"),
+    pytest.param(lambda: JCParams(1.0, 1.0, 0.2, math.nan), "alpha", id="JCParams-alpha-nan"),
+    pytest.param(lambda: JCParams(1.0, 1.0, 0.2, complex(1.0, math.inf)), "alpha",
+                 id="JCParams-alpha-inf"),
     pytest.param(lambda: BathSpec(math.nan), "temperature", id="BathSpec-temperature-nan"),
     pytest.param(lambda: BathSpec(math.inf), "temperature", id="BathSpec-temperature-inf"),
     pytest.param(lambda: BathSpec(1.0, eta=math.nan), "eta", id="BathSpec-eta-nan"),
@@ -396,6 +399,10 @@ class TestFidelityContract:
                  id="detailed_balance_rates-beta-nan"),
     pytest.param(lambda: detailed_balance_rates([1.0], 1.0, [math.nan]), "base rates",
                  id="detailed_balance_rates-base-nan"),
+    pytest.param(lambda: detailed_balance_rates([math.nan], 1.0, [0.3]), "channel frequency",
+                 id="detailed_balance_rates-freq-nan"),
+    pytest.param(lambda: detailed_balance_rates([1.0, 2.0], 1.0, [0.3]),
+                 "2 channel frequencies but 1 base rates", id="detailed_balance_rates-lengths"),
     pytest.param(lambda: TimeGrid(0.0, math.nan, 10), "t1", id="TimeGrid-t1-nan"),
     pytest.param(lambda: TimeGrid(0.0, math.inf, 10), "t1", id="TimeGrid-t1-inf"),
     pytest.param(lambda: TimeGrid(math.nan, 1.0, 10), "t0", id="TimeGrid-t0-nan"),
