@@ -204,14 +204,10 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
                             f"no counterpart")
     deviations = []
     nilpotency = []
+    lams = eset.freqs[~eset.invariant_flags]
     for target, freq in ((f_plus(0.0).data, p.rabi), (f_minus(0.0).data, -p.rabi)):
-        best = None
-        for op, lam, inv in zip(eset.ops, eset.freqs, eset.invariant_flags):
-            if inv:
-                continue
-            dev = deviation_up_to_phase(op.data, target)
-            if best is None or dev < best[0]:
-                best = (dev, lam)
+        best = min((deviation_up_to_phase(op.data, target), lam)
+                   for op, lam in zip(eset.non_invariant(), lams))
         deviations.append({"target_frequency": freq, "max_deviation": best[0],
                            "monodromy_frequency": float(best[1])})
         nilpotency.append(float(np.max(np.abs(target @ target))) < 1e-10)

@@ -1,10 +1,10 @@
 """Eigenoperators of the free dynamics.
 
 Static case: the transition operators |psi_n><psi_m| of a Hermitian
-Hamiltonian, labeled by Bohr frequencies omega_nm = eps_m - eps_n, plus the
-energy projectors as invariants.  The Schroedinger-picture map
-rho -> U rho U^dag multiplies |psi_n><psi_m| by exp(+i omega_nm t); the
-Heisenberg picture by exp(-i omega_nm t).
+Hamiltonian for n != m row by row, labeled by Bohr frequencies
+omega_nm = eps_m - eps_n, then the energy projectors as invariants.  The
+Schroedinger-picture map rho -> U rho U^dag multiplies |psi_n><psi_m| by
+exp(+i omega_nm t); the Heisenberg picture by exp(-i omega_nm t).
 
 Driven case: for a periodic drive the eigenoperators of the one-period
 Heisenberg map X -> U(T)^dag X U(T) are the outer products |v_i><v_j| of
@@ -12,9 +12,13 @@ the Floquet states U(T) v_i = u_i v_i, with frequencies from the
 quasienergy differences (Shirley, Phys. Rev. 138, B979 (1965)) in the
 Heisenberg convention of d/dt P^H = i lambda P^H (a raising-type operator
 carries positive lambda).  One d x d decomposition of U(T) gives all d^2 of
-them.  The phases are principal values, so reported frequencies live in
-(-pi/T, pi/T]; drives whose eigenfrequencies exceed half the drive
-frequency fold back and are flagged as degenerate when they collide.
+them and a d x d table of their phases.  A pair is invariant when its phase
+factor lies within 1e-7 of 1; the set lists I / sqrt(d), a completion from
+the Floquet projectors and any folded off-diagonal invariants, then the
+other pairs by ascending phase.  The phases are principal values, so
+reported frequencies live in (-pi/T, pi/T]; drives whose eigenfrequencies
+exceed half the drive frequency fold back, and a DegeneracyWarning flags
+more than d invariants or a run of phases within 1e-7 on the circle.
 
 One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
 takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
@@ -97,41 +101,40 @@ class DrivenGenerator:
         return self.matrix(0.0).shape[0]
 
 
+def _bohr_table(hm: np.ndarray):
+    """Eigenpairs (w, v) of H, the ordered pairs n != m row by row as arrays
+    n and m, their Bohr frequencies w_m - w_n, and the tolerance 1e-9
+    max(1, |w|) under which a frequency is zero and two are equal."""
+    w, v = hermitian_eig(hm)
+    n, m = np.nonzero(~np.eye(len(w), dtype=bool))
+    return w, v, n, m, w[m] - w[n], 1e-9 * float(np.abs(w).max(initial=1.0))
+
+
 def static_eigenoperators(h_d) -> EigenoperatorSet:
     """Transition operators and projectors of a static Hamiltonian.
 
+    Lists |psi_n><psi_m| for n != m row by row, then the projectors.
     Verifies the dynamical-map eigenrelation U G U^dag = exp(i omega t) G at
     one sample time before returning.
     """
     hm = _as_matrix(h_d)
-    w, v = hermitian_eig(hm)
-    d = hm.shape[0]
-    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
-    ops, freqs, flags, pairs = [], [], [], []
-    for n in range(d):
-        for m in range(d):
-            if n == m:
-                continue
-            g = np.outer(v[:, n], v[:, m].conj())
-            ops.append(Operator(g))
-            freqs.append(w[m] - w[n])
-            # a vanishing Bohr frequency (degenerate levels) commutes with H
-            flags.append(bool(abs(w[m] - w[n]) < 1e-9 * scale))
-            pairs.append((n, m))
-    projectors = [Operator(np.outer(v[:, j], v[:, j].conj())) for j in range(d)]
-    for p in projectors:
-        ops.append(p)
-        freqs.append(0.0)
-        flags.append(True)
-        pairs.append(None)
-
-    t_check = 0.7 / scale
+    w, v, n, m, bohr, tol = _bohr_table(hm)
+    d = len(w)
+    # outer[n, m] = |psi_n><psi_m|, bitwise equal to np.outer (einsum is not)
+    outer = v.T[:, None, :, None] * v.conj().T[None, :, None, :]
+    g = outer[n, m]
+    t_check = 7e-10 / tol  # 0.7 / max(1, |w|)
     u = hermitian_unitary(hm, t_check)
-    for g, om in zip(ops[: d * (d - 1)], freqs[: d * (d - 1)]):
-        resid = np.max(np.abs(u @ g.data @ u.conj().T - np.exp(1j * om * t_check) * g.data))
-        if resid > 1e-8:
-            raise ContractError(f"transition operator failed the eigenrelation ({resid:.2e})")
-    return EigenoperatorSet(ops, np.array(freqs), np.array(flags), projectors, pairs)
+    phases = np.exp(1j * bohr * t_check)[:, None, None]
+    resid = float(np.abs(u @ g @ u.conj().T - phases * g).max(initial=0.0))
+    if not resid <= 1e-8:
+        raise ContractError(f"transition operator failed the eigenrelation ({resid:.2e})")
+    projectors = [Operator(outer[j, j]) for j in range(d)]
+    # a vanishing Bohr frequency (degenerate levels) commutes with H
+    return EigenoperatorSet([Operator(x) for x in g] + projectors,
+                            np.concatenate([bohr, np.zeros(d)]),
+                            np.concatenate([np.abs(bohr) < tol, np.ones(d, dtype=bool)]),
+                            projectors, list(zip(n.tolist(), m.tolist())) + [None] * d)
 
 
 def hermitian_unitary(h, t: float) -> np.ndarray:
@@ -145,27 +148,16 @@ def bohr_nondegenerate(h_d):
 
     Returns (ok, offending) where offending lists colliding ordered pairs
     ((n, m), (k, l)).  A vanishing Bohr frequency (degenerate levels) counts
-    as a collision with the invariant sector.
+    as a collision with the invariant sector.  Scans one vectorised row of
+    pairs at a time, so memory stays O(d^2).
     """
-    hm = _as_matrix(h_d)
-    w, _ = hermitian_eig(hm)
-    d = hm.shape[0]
-    entries = []
-    for n in range(d):
-        for m in range(d):
-            if n != m:
-                entries.append(((n, m), w[m] - w[n]))
-    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
-    tol = 1e-9 * scale
-    offending = []
-    for i in range(len(entries)):
-        if abs(entries[i][1]) < tol:
-            offending.append((entries[i][0], None))
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if abs(entries[i][1] - entries[j][1]) < tol:
-                offending.append((entries[i][0], entries[j][0]))
-    return len(offending) == 0, offending
+    _, _, n, m, bohr, tol = _bohr_table(_as_matrix(h_d))
+    pairs = list(zip(n.tolist(), m.tolist()))
+    offending = [(pairs[k], None) for k in np.flatnonzero(np.abs(bohr) < tol)]
+    for k, f in enumerate(bohr):
+        offending += [(pairs[k], pairs[j])
+                      for j in k + 1 + np.flatnonzero(np.abs(bohr[k + 1:] - f) < tol)]
+    return not offending, offending
 
 
 def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
@@ -247,14 +239,15 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> Eigenop
     """Eigenoperators of the one-period Heisenberg propagator.
 
     Builds U(T) by time-ordered integration and decomposes it into Floquet
-    states U(T) v_i = u_i v_i.  The Heisenberg map X -> U^dag X U sends
-    |v_i><v_j| to conj(u_i) u_j |v_i><v_j|, so the d^2 outer products are
-    its eigenoperators, with average eigenfrequencies
-    lambda = angle(conj(u_i) u_j) / T (principal phase); frequencies beyond
-    half the drive frequency are not identifiable from a single period.
-    The invariant sector lists the identity first, then an orthonormal
-    completion from the Floquet projectors |v_i><v_i|.  Colliding phases
-    are reported as a DegeneracyWarning.
+    states U(T) v_i = u_i v_i.  X -> U^dag X U sends |v_i><v_j| to
+    exp(i theta_ij) |v_i><v_j|, theta_ij = angle(conj(u_i) u_j), at average
+    eigenfrequency theta_ij / T in (-pi/T, pi/T].  A pair is invariant when
+    |exp(i theta_ij) - 1| < 1e-7, as the diagonal is exactly.  The set lists
+    I / sqrt(d), an orthonormal completion from the Floquet projectors
+    |v_i><v_i| and the folded off-diagonal invariants, then the other pairs
+    by ascending phase.  A DegeneracyWarning flags more than d invariants,
+    and names the pairs of each run of non-invariant phases whose
+    neighbours on the circle (the last and the first too) lie within 1e-7.
     """
     if gen.period is None:
         raise ContractError("monodromy requires gen.period")
@@ -272,54 +265,39 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> Eigenop
     v = z * (np.abs(top) / top)  # largest entry of each Floquet state real positive
     u_diag = np.diag(tri)
     outer = np.einsum("ai,bj->ijab", v, v.conj())  # outer[i, j] = |v_i><v_j|
-    # pair (i, j) sits at index i * d + j
+    # pair (i, j) sits at flat index i * d + j, the diagonal at i * (d + 1)
     thetas = np.angle(np.outer(u_diag.conj(), u_diag)).ravel()
-
-    # cluster colliding phases on the unit circle (wrap-aware)
     order = np.argsort(thetas, kind="stable")
-    thetas = thetas[order]
-    clusters: list[list[int]] = []
-    for i in range(len(thetas)):
-        if clusters and abs(np.exp(1j * thetas[i]) - np.exp(1j * thetas[clusters[-1][0]])) < 1e-7:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    if len(clusters) > 1 and abs(np.exp(1j * thetas[clusters[0][0]])
-                                 - np.exp(1j * thetas[clusters[-1][-1]])) < 1e-7:
-        clusters[0] = clusters.pop() + clusters[0]
+    invariant = np.abs(np.exp(1j * thetas[order]) - 1.0) < 1e-7
+    if invariant.sum() > d:
+        warnings.warn(f"{invariant.sum()} invariant eigenoperators (> dim {d}); "
+                      "eigenfrequencies commensurate with the drive may have "
+                      "folded onto the invariants", DegeneracyWarning)
+    folded, transitions = order[invariant & (order % (d + 1) != 0)], order[~invariant]
 
-    ops, freqs, flags = [], [], []
-    for cl in clusters:
-        pairs = [divmod(int(order[k]), d) for k in cl]
-        # the diagonal pairs have phase exactly 0 and share one cluster
-        holds_identity = any(i == j for i, j in pairs)
-        if holds_identity or abs(np.exp(1j * thetas[cl[0]]) - 1.0) < 1e-8:
-            if len(cl) > d:
-                warnings.warn(
-                    f"invariant cluster has {len(cl)} members (> dim {d}); "
-                    "eigenfrequencies commensurate with the drive may have "
-                    "folded onto the invariants", DegeneracyWarning)
-            members = [outer[i, j] for i, j in pairs if i != j]
-            if holds_identity:
-                # columns of q: ones / sqrt(d), then an orthonormal
-                # completion; sum_i q[i, k] |v_i><v_i| are orthonormal invariants
-                q, _ = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))
-                members = ([np.eye(d, dtype=complex) / np.sqrt(d)]
-                           + [(v * q[:, k]) @ v.conj().T for k in range(1, d)]
-                           + members)
-            ops += [Operator(m) for m in members]
-            freqs += [0.0] * len(members)
-            flags += [True] * len(members)
-        else:
-            if len(cl) > 1:
-                warnings.warn(
-                    f"monodromy eigenvalue exp(i{thetas[cl[0]]:.6f}) is "
-                    f"{len(cl)}-fold degenerate; subspace indices {cl} are arbitrary",
-                    DegeneracyWarning)
-            ops += [Operator(outer[i, j]) for i, j in pairs]
-            freqs += [thetas[k] / T for k in cl]
-            flags += [False] * len(cl)
-    return EigenoperatorSet(ops, np.array(freqs), np.array(flags))
+    # transitions[k] neighbours transitions[k + 1] on the circle, and the
+    # last neighbours the first; a run of collisions starts after each gap
+    points = np.exp(1j * thetas[transitions])
+    gap = ~(np.abs(np.diff(points, append=points[:1])) < 1e-7)
+    shift = -(np.flatnonzero(gap)[-1] + 1) if gap.any() else 0
+    ring, gap = np.roll(transitions, shift), np.roll(gap, shift)
+    for run in np.split(ring, np.flatnonzero(gap[:-1]) + 1):
+        if len(run) > 1:
+            warnings.warn(f"monodromy eigenvalue exp(i{thetas[run[0]]:.6f}) is "
+                          f"{len(run)}-fold degenerate; the eigenoperators of pairs "
+                          f"(i, j) {[divmod(int(k), d) for k in run]} are arbitrary",
+                          DegeneracyWarning)
+
+    # columns of q: ones / sqrt(d), then an orthonormal completion;
+    # sum_i q[i, k] |v_i><v_i| are orthonormal invariants
+    q, _ = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))
+    rows, cols = np.divmod(np.concatenate([folded, transitions]), d)
+    ops = ([Operator(np.eye(d, dtype=complex) / np.sqrt(d))]
+           + [Operator((v * q[:, k]) @ v.conj().T) for k in range(1, d)]
+           + [Operator(outer[i, j]) for i, j in zip(rows, cols)])
+    fixed = d + len(folded)
+    return EigenoperatorSet(ops, np.concatenate([np.zeros(fixed), thetas[transitions] / T]),
+                            np.arange(d * d) < fixed)
 
 
 def frequency_eigenoperators(h_s, omega: float):

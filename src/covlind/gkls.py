@@ -73,11 +73,12 @@ class DissipatorSpec:
     """Channels plus a dephasing block.
 
     ``dephasing_hermitian`` lists (V_j, lambda_j) double-commutator terms
-    -lambda [V, [V, .]] with Hermitian V built from energy projectors
-    (autonomous form).  ``dephasing_invariant`` is (W_list, chi) with
-    Hermitian invariant operators and a positive semi-definite coefficient
-    matrix (driven form).  ``lamb_shift`` is carried along for the unitary
-    part and does not enter the dissipator.
+    -lambda [V, [V, .]] with Hermitian V built from energy projectors and
+    finite lambda >= 0 (autonomous form).  ``dephasing_invariant`` is
+    (W_list, chi) with Hermitian invariant operators and a positive
+    semi-definite coefficient matrix (driven form).  All terms share one
+    dimension.  ``lamb_shift`` is carried along for the unitary part and
+    does not enter the dissipator.
     """
 
     channels: list = field(default_factory=list)
@@ -87,27 +88,37 @@ class DissipatorSpec:
 
     def __post_init__(self):
         for v, lam in self.dephasing_hermitian:
-            if lam < 0:
-                raise ContractError(f"dephasing weight {lam} < 0")
+            if not 0 <= lam < math.inf:
+                raise ContractError(f"dephasing weight {lam} must be finite and >= 0")
             _check_hermitian(_as_matrix(v), "dephasing operator")
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
+            for w in ws:
+                _check_hermitian(_as_matrix(w), "invariant operator")
             chi = np.asarray(chi, dtype=complex)
             if chi.shape != (len(ws), len(ws)):
                 raise DimensionError("chi must be square over the invariant list")
             _check_hermitian(chi, "chi")
             if float(np.linalg.eigvalsh(chi)[0]) < -1e-10:
                 raise ContractError("chi must be positive semi-definite")
+        dims = self._dims()
+        if len(dims) > 1:
+            raise DimensionError(f"DissipatorSpec terms have different dimensions "
+                                 f"{sorted(dims)}")
+
+    def _dims(self) -> set:
+        """The dimensions of the channel, dephasing and invariant operators."""
+        ops = [ch.op for ch in self.channels] + [v for v, _ in self.dephasing_hermitian]
+        if self.dephasing_invariant is not None:
+            ops += list(self.dephasing_invariant[0])
+        return {_as_matrix(op).shape[0] for op in ops}
 
     @property
     def dim(self) -> int:
-        if self.channels:
-            return _as_matrix(self.channels[0].op).shape[0]
-        if self.dephasing_hermitian:
-            return _as_matrix(self.dephasing_hermitian[0][0]).shape[0]
-        if self.dephasing_invariant is not None and self.dephasing_invariant[0]:
-            return _as_matrix(self.dephasing_invariant[0][0]).shape[0]
-        raise DimensionError("empty DissipatorSpec has no dimension")
+        dims = self._dims()
+        if not dims:
+            raise DimensionError("empty DissipatorSpec has no dimension")
+        return dims.pop()
 
 
 def _lindblad(a: np.ndarray, b: np.ndarray, coeff) -> np.ndarray:
@@ -127,15 +138,17 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     """Assemble the dissipator superoperator from a DissipatorSpec.
 
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
-    An empty spec with an explicit dimension gives the zero superoperator.
+    An empty spec with an explicit dimension gives the zero superoperator;
+    any other spec takes only its own dimension.
     """
     if d is None:
         d = spec.dim
+    elif spec._dims() - {d}:
+        raise DimensionError(f"dissipator dimension {d} does not match the spec's "
+                             f"terms of dimension {spec.dim}")
     total = np.zeros((d * d, d * d), dtype=complex)
     for ch in spec.channels:
         fm = _as_matrix(ch.op)
-        if fm.shape[0] != d:
-            raise DimensionError("channel dimension mismatch")
         fdag = fm.conj().T
         if ch.rate:
             total += _lindblad(fm, fdag, ch.rate)

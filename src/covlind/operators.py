@@ -237,9 +237,10 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
     is 1 at rows j*(d+1), so this sums those rows of L: tr L[X] = 0 for
     every X."""
     worst = float(np.abs(l_mat[::d + 1].sum(axis=0)).max())
-    scale = max(1.0, float(np.abs(l_mat).max()))
-    if not worst <= 1e-10 * scale:
-        raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e})")
+    scale = float(np.abs(l_mat).max())  # inf or NaN when any entry is
+    if not (np.isfinite(scale) and worst <= 1e-10 * max(1.0, scale)):
+        raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e}; "
+                            f"largest entry {scale:.2e})")
 
 
 def _check_hermitian(m: np.ndarray, stage: str):

@@ -7,13 +7,19 @@ import numpy as np
 import scipy.linalg
 
 from covlind import JCParams, Operator, qubit_ops, unvec, vec
-from covlind.eigenoperators import DegeneracyWarning, EigenoperatorSet, integrate_unitary
+from covlind.eigenoperators import (
+    DegeneracyWarning,
+    EigenoperatorSet,
+    hermitian_unitary,
+    integrate_unitary,
+)
 from covlind.errors import ContractError, IntegrationError
 from covlind.jaynes_cummings import (
     jc_block_propagator,
     jc_eigenoperators,
     jc_semiclassical_propagator,
 )
+from covlind.operators import _as_matrix, hermitian_eig
 
 Q = qubit_ops()
 
@@ -248,6 +254,63 @@ def monodromy_kron_oracle(gen, steps: int = 4096,
     # normalize to unit Hilbert-Schmidt norm (eigenvectors already near-unit)
     ops = [Operator(op.data / op.hs_norm()) for op in ops]
     return EigenoperatorSet(ops, np.array(freqs), np.array(flags))
+
+
+def static_eigenoperators_oracle(h_d) -> EigenoperatorSet:
+    """static_eigenoperators as one np.outer per ordered pair (n, m), n != m
+    row by row, then the projectors: the reference for its op order and its
+    bits."""
+    hm = _as_matrix(h_d)
+    w, v = hermitian_eig(hm)
+    d = hm.shape[0]
+    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
+    ops, freqs, flags, pairs = [], [], [], []
+    for n in range(d):
+        for m in range(d):
+            if n == m:
+                continue
+            g = np.outer(v[:, n], v[:, m].conj())
+            ops.append(Operator(g))
+            freqs.append(w[m] - w[n])
+            flags.append(bool(abs(w[m] - w[n]) < 1e-9 * scale))
+            pairs.append((n, m))
+    projectors = [Operator(np.outer(v[:, j], v[:, j].conj())) for j in range(d)]
+    for p in projectors:
+        ops.append(p)
+        freqs.append(0.0)
+        flags.append(True)
+        pairs.append(None)
+
+    t_check = 0.7 / scale
+    u = hermitian_unitary(hm, t_check)
+    for g, om in zip(ops[: d * (d - 1)], freqs[: d * (d - 1)]):
+        resid = np.max(np.abs(u @ g.data @ u.conj().T - np.exp(1j * om * t_check) * g.data))
+        if resid > 1e-8:
+            raise ContractError(f"transition operator failed the eigenrelation ({resid:.2e})")
+    return EigenoperatorSet(ops, np.array(freqs), np.array(flags), projectors, pairs)
+
+
+def bohr_nondegenerate_oracle(h_d):
+    """bohr_nondegenerate as a nested loop over all pairs of ordered pairs."""
+    hm = _as_matrix(h_d)
+    w, _ = hermitian_eig(hm)
+    d = hm.shape[0]
+    entries = []
+    for n in range(d):
+        for m in range(d):
+            if n != m:
+                entries.append(((n, m), w[m] - w[n]))
+    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
+    tol = 1e-9 * scale
+    offending = []
+    for i in range(len(entries)):
+        if abs(entries[i][1]) < tol:
+            offending.append((entries[i][0], None))
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if abs(entries[i][1] - entries[j][1]) < tol:
+                offending.append((entries[i][0], entries[j][0]))
+    return len(offending) == 0, offending
 
 
 def _hermitian_basis(d: int):

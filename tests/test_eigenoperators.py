@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +31,12 @@ from covlind import eigenoperators
 from covlind.errors import ContractError, IntegrationError
 from covlind.jaynes_cummings import jc_hamiltonian
 from covlind.propagate import TimeGrid
-from oracles import monodromy_kron_oracle, random_hermitian
+from oracles import (
+    bohr_nondegenerate_oracle,
+    monodromy_kron_oracle,
+    random_hermitian,
+    static_eigenoperators_oracle,
+)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(77)
@@ -466,3 +473,78 @@ class TestInvariantCommutation:
         eset = static_eigenoperators(h)
         for op in eset.invariant():
             assert np.max(np.abs(h @ op.data - op.data @ h)) < 1e-10
+
+
+def spectrum_hamiltonian(kind, d, rng):
+    """A d x d Hamiltonian with a random, equally spaced or degenerate
+    spectrum in a random eigenbasis."""
+    if kind == "random":
+        return random_hermitian(d, rng)
+    levels = 0.7 * (np.arange(d) if kind == "equal" else rng.integers(0, 3, size=d))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * levels) @ q.conj().T
+
+
+def bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestStaticMatchesLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+           kind=st.sampled_from(["random", "equal", "degenerate"]))
+    def test_bitwise_equal_to_pair_loops(self, seed, d, kind):
+        h = spectrum_hamiltonian(kind, d, np.random.default_rng(seed))
+        got, ref = static_eigenoperators(h), static_eigenoperators_oracle(h)
+        assert bits(op.data for op in got.ops) == bits(op.data for op in ref.ops)
+        assert bits([got.freqs, got.invariant_flags]) == bits([ref.freqs, ref.invariant_flags])
+        assert got.pairs == ref.pairs
+        assert bits(p.data for p in got.projectors) == bits(p.data for p in ref.projectors)
+        assert bohr_nondegenerate(h) == bohr_nondegenerate_oracle(h)
+
+    def test_bohr_scan_memory_at_d60(self):
+        # a (d^2, d^2) table of frequency differences would take 100 MiB here
+        h = random_hermitian(60, np.random.default_rng(60))
+        tracemalloc.start()
+        try:
+            bohr_nondegenerate(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+class TestMonodromyClassification:
+    @pytest.mark.parametrize("levels", [[0.0, math.pi - 1e-9], [0.0, math.pi - 1e-9, 0.5]],
+                             ids=["d2", "d3"])
+    def test_wrap_around_collision_warns(self, levels):
+        # lambda = +-(pi - 1e-9) sit at the two ends of (-pi, pi] and 2e-9
+        # apart on the circle; at d = 3 four phases lie between them
+        gen = DrivenGenerator(lambda t: np.diag(levels), period=1.0)
+        with pytest.warns(DegeneracyWarning, match="2-fold degenerate") as record:
+            eset = monodromy_eigenoperators(gen)
+        (message,) = [str(w.message) for w in record if "degenerate" in str(w.message)]
+        assert "(0, 1)" in message and "(1, 0)" in message
+        assert int(eset.invariant_flags.sum()) == len(levels)
+
+    def test_invariants_lead_and_phases_ascend(self):
+        rng = np.random.default_rng(5)
+        h0, v = scaled_hermitian(4, rng, 0.25), scaled_hermitian(4, rng, 0.1)
+        gen = DrivenGenerator(lambda t: h0 + math.cos(2.0 * t) * v, period=math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eset = monodromy_eigenoperators(gen, steps=1024)
+        assert eset.invariant_flags.tolist() == [True] * 4 + [False] * 12
+        assert np.all(eset.freqs[:4] == 0.0) and np.all(np.diff(eset.freqs[4:]) >= 0)
+        assert np.array_equal(eset.ops[0].data, np.eye(4) / 2.0)
+
+    def test_invariant_window_is_symmetric(self):
+        # phases +-6e-8 both lie within 1e-7 of the invariants: the pairs
+        # (0, 1) and (1, 0) fold onto them, after I / sqrt(2) and the completion
+        gen = DrivenGenerator(lambda t: np.diag([0.0, 2 * math.pi + 6e-8]), period=1.0)
+        with pytest.warns(DegeneracyWarning, match="4 invariant eigenoperators"):
+            eset = monodromy_eigenoperators(gen)
+        assert eset.invariant_flags.all() and np.all(eset.freqs == 0.0)
+        # ascending phase: |0><1| at -6e-8, then |1><0|
+        assert deviation_up_to_phase(eset.ops[2].data, [[0, 1], [0, 0]]) < 1e-12
+        assert deviation_up_to_phase(eset.ops[3].data, [[0, 0], [1, 0]]) < 1e-12

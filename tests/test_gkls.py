@@ -14,10 +14,12 @@ from covlind import (
     DrivenQubitMasterEquation,
     JCParams,
     Operator,
+    TimeGrid,
     build_dissipator,
     check_time_translation,
     choi_matrix,
     detailed_balance_rates,
+    evolve_static,
     fixed_point,
     instantaneous_attractor,
     jc_eigenoperators,
@@ -30,7 +32,7 @@ from covlind import (
     vec,
 )
 from covlind.bath import BathSpec, jc_kinetic_coefficients
-from covlind.errors import ContractError
+from covlind.errors import ContractError, DimensionError
 from covlind.gkls import (
     ZeroTemperatureWarning,
     _deltas_from_rates,
@@ -580,3 +582,53 @@ class TestHermitianCheck:
             DissipatorSpec(dephasing_invariant=([Q["sz"], np.eye(2)], bad))
         with pytest.raises(ContractError, match=r"H\(t=0.5\) is not Hermitian"):
             DrivenGenerator(lambda t: bad).matrix(0.5)
+
+
+class TestNonFiniteGenerator:
+    # an infinite entry makes the largest |entry| infinite, so a check
+    # relative to it alone passes whatever the trace rows sum to; a NaN off
+    # the trace rows (0 and 3) leaves their sums finite
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.inf), ((1, 2), np.inf),
+                                              ((1, 2), np.nan)],
+                             ids=["inf-diagonal", "inf-off-diagonal", "nan-off-diagonal"])
+    def test_non_finite_entry_names_the_stage(self, entry, value):
+        l_mat = np.zeros((4, 4), dtype=complex)
+        l_mat[entry] = value
+        with pytest.raises(ContractError, match="Liouvillian is not trace-annihilating"):
+            liouvillian(Q["sz"], Superoperator_like(l_mat, 2))
+        with pytest.raises(ContractError, match="generator at t=const is not trace-annihilating"):
+            evolve_static(Superoperator_like(l_mat, 2), DensityMatrix.from_ket([1, 0]),
+                          TimeGrid(0.0, 1.0, 4))
+
+
+SM_CHANNEL = Channel(Q["sm"], 1.0)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: DissipatorSpec(dephasing_hermitian=[(Q["sz"], np.nan)]),
+     ContractError, "dephasing weight nan"),
+    (lambda: DissipatorSpec(dephasing_hermitian=[(Q["sz"], np.inf)]),
+     ContractError, "dephasing weight inf"),
+    (lambda: DissipatorSpec(dephasing_hermitian=[(Q["sz"], -0.1)]),
+     ContractError, "dephasing weight -0.1"),
+    (lambda: DissipatorSpec(channels=[SM_CHANNEL], dephasing_hermitian=[(np.eye(3), 0.1)]),
+     DimensionError, r"different dimensions \[2, 3\]"),
+    (lambda: DissipatorSpec(channels=[SM_CHANNEL], dephasing_invariant=([np.eye(3)], [[0.1]])),
+     DimensionError, r"different dimensions \[2, 3\]"),
+    (lambda: DissipatorSpec(dephasing_hermitian=[(Q["sz"], 0.1)],
+                            dephasing_invariant=([np.eye(4)], [[0.1]])),
+     DimensionError, r"different dimensions \[2, 4\]"),
+    (lambda: build_dissipator(DissipatorSpec(channels=[SM_CHANNEL]), d=3),
+     DimensionError, "dissipator dimension 3 does not match the spec's terms of dimension 2"),
+    (lambda: build_dissipator(DissipatorSpec(dephasing_hermitian=[(Q["sz"], 0.1)]), d=3),
+     DimensionError, "dissipator dimension 3 does not match the spec's terms of dimension 2"),
+    (lambda: build_dissipator(DissipatorSpec(dephasing_invariant=([Q["sz"]], [[0.1]])), d=3),
+     DimensionError, "dissipator dimension 3 does not match the spec's terms of dimension 2"),
+    (lambda: DissipatorSpec(dephasing_invariant=([Q["sp"]], [[0.1]])),
+     ContractError, "invariant operator is not Hermitian"),
+], ids=["nan-weight", "inf-weight", "negative-weight", "channel-vs-dephasing",
+        "channel-vs-invariant", "dephasing-vs-invariant", "build-channel", "build-dephasing",
+        "build-invariant", "non-hermitian-invariant"])
+def test_malformed_spec_rejected_by_name(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
