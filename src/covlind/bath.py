@@ -48,15 +48,17 @@ class BathSpec:
     omega_hi: float = math.inf
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise ContractError(f"temperature must be finite and >= 0, got {self.temperature}")
+        for name in ("temperature", "eta", "omega_lo"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0, got {value}")
         if self.model not in _MODELS:
             raise ContractError(f"unknown spectral-density model {self.model!r}; "
                                 f"choose from {_MODELS}")
-        if not 0 <= self.eta < math.inf:
-            raise ContractError(f"eta must be finite and >= 0, got {self.eta}")
         if not self.omega_cut > 0:
             raise ContractError("omega_cut must be positive")
+        if not self.omega_hi >= self.omega_lo:
+            raise ContractError(f"omega_hi must be >= omega_lo, got {self.omega_hi}")
 
     def spectral_density(self, omega: float) -> float:
         """J(omega) for omega >= 0."""
@@ -75,10 +77,10 @@ class BathSpec:
 
 def bose_einstein(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1 / (exp(omega/T) - 1) for omega > 0."""
-    if omega <= 0:
-        raise ContractError("bose_einstein requires omega > 0; pass |omega|")
-    if temperature < 0:
-        raise ContractError("temperature must be nonnegative")
+    if not omega > 0:
+        raise ContractError(f"bose_einstein requires omega > 0; pass |omega|, got {omega}")
+    if not 0 <= temperature < math.inf:
+        raise ContractError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
@@ -96,6 +98,8 @@ def gamma_one_sided(nu: float, bath: BathSpec) -> complex:
     (zero) models with T > 0 and diverges for flat/band supports containing
     zero.
     """
+    if not math.isfinite(nu):
+        raise ContractError(f"frequency nu must be finite, got {nu}")
     if nu > 0:
         return complex(bath.spectral_density(nu) * (bose_einstein(nu, bath.temperature) + 1.0))
     if nu < 0:

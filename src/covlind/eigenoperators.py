@@ -46,6 +46,7 @@ from .operators import (
     unvec,
     vec,
     _as_matrix,
+    _check_dim,
     _check_hermitian,
 )
 from .propagate import _rk4_step
@@ -120,18 +121,18 @@ def static_eigenoperators(h_d) -> EigenoperatorSet:
     hm = _as_matrix(h_d)
     w, v, n, m, bohr, tol = _bohr_table(hm)
     d = len(w)
-    # outer[n, m] = |psi_n><psi_m|, bitwise equal to np.outer (einsum is not)
-    outer = v.T[:, None, :, None] * v.conj().T[None, :, None, :]
-    g = outer[n, m]
     t_check = 7e-10 / tol  # 0.7 / max(1, |w|)
     u = hermitian_unitary(hm, t_check)
-    phases = np.exp(1j * bohr * t_check)[:, None, None]
-    resid = float(np.abs(u @ g @ u.conj().T - phases * g).max(initial=0.0))
+    # |U psi - psi e^{-iwt}| <= e entrywise bounds every |psi_n><psi_m| by 2e + e^2
+    e = float(np.abs(u @ v - v * np.exp(-1j * w * t_check)).max(initial=0.0))
+    resid = 2.0 * e + e * e
     if not resid <= 1e-8:
         raise ContractError(f"transition operator failed the eigenrelation ({resid:.2e})")
+    # outer[n, m] = |psi_n><psi_m|, bitwise equal to np.outer (einsum is not)
+    outer = v.T[:, None, :, None] * v.conj().T[None, :, None, :]
     projectors = [Operator(outer[j, j]) for j in range(d)]
     # a vanishing Bohr frequency (degenerate levels) commutes with H
-    return EigenoperatorSet([Operator(x) for x in g] + projectors,
+    return EigenoperatorSet([Operator(outer[i, j]) for i, j in zip(n, m)] + projectors,
                             np.concatenate([bohr, np.zeros(d)]),
                             np.concatenate([np.abs(bohr) < tol, np.ones(d, dtype=bool)]),
                             projectors, list(zip(n.tolist(), m.tolist())) + [None] * d)
@@ -348,6 +349,7 @@ def _heisenberg_residuals(pairs, gen: DrivenGenerator, grid, substeps: int = 40)
     residuals = []
     for p, lam in pairs:
         ps = np.array([_as_matrix(p(t) if callable(p) else p) for t in times])
+        _check_dim(ps.shape[-1], us.shape[-1], "eigenoperator", "H(t)")
         rhs = np.exp(1j * lam * (times[1:] - grid.t0))[:, None, None] * ps[0]
         # np.max propagates NaN, so a non-finite point makes the residual NaN
         residuals.append(float(np.max(np.abs(u_dag @ ps[1:] @ us - rhs))))

@@ -15,6 +15,10 @@ is formed from one product of the stacked jumps, and the fixed point's
 residual applies the spec's GKLS formula to the d x d state, so neither
 assembles a dissipator term by term.
 
+A DissipatorSpec converts, checks and dimensions its operators once, and
+every function here reads that normal form; a Hamiltonian, Lamb shift or
+eigenset of another dimension raises DimensionError naming both.
+
 hbar = 1 throughout; all frequencies in rad/time.
 """
 
@@ -32,6 +36,7 @@ from .operators import (
     Operator,
     Superoperator,
     _as_matrix,
+    _check_dim,
     _check_hermitian,
     _check_trace_annihilating,
     _commutator,
@@ -76,9 +81,15 @@ class DissipatorSpec:
     -lambda [V, [V, .]] with Hermitian V built from energy projectors and
     finite lambda >= 0 (autonomous form).  ``dephasing_invariant`` is
     (W_list, chi) with Hermitian invariant operators and a positive
-    semi-definite coefficient matrix (driven form).  All terms share one
-    dimension.  ``lamb_shift`` is carried along for the unitary part and
-    does not enter the dissipator.
+    semi-definite coefficient matrix (driven form).  ``lamb_shift`` is
+    carried along for the unitary part and does not enter the dissipator.
+    All terms, the Lamb shift included, share one dimension.
+
+    Construction converts and checks every operator once and keeps the
+    normal form all readers use: the (K, d, d) jump stack, its (2, K)
+    rates, the dephasing matrices, the nonzero (W_i, W_j, chi_ij) terms in
+    row order, the Lamb shift and the dimension (None for an empty spec).
+    A spec is never modified after construction.
     """
 
     channels: list = field(default_factory=list)
@@ -87,38 +98,41 @@ class DissipatorSpec:
     lamb_shift: object = None
 
     def __post_init__(self):
-        for v, lam in self.dephasing_hermitian:
+        jumps = [_as_matrix(ch.op) for ch in self.channels]
+        self._rates = np.array([(ch.rate, ch.rate_rev) for ch in self.channels]).reshape(-1, 2).T
+        self._hermitian = [(_as_matrix(v), lam) for v, lam in self.dephasing_hermitian]
+        for vm, lam in self._hermitian:
             if not 0 <= lam < math.inf:
                 raise ContractError(f"dephasing weight {lam} must be finite and >= 0")
-            _check_hermitian(_as_matrix(v), "dephasing operator")
+            _check_hermitian(vm, "dephasing operator")
+        wms, self._invariant = [], []
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
-            for w in ws:
-                _check_hermitian(_as_matrix(w), "invariant operator")
+            wms = [_as_matrix(w) for w in ws]
+            for wm in wms:
+                _check_hermitian(wm, "invariant operator")
             chi = np.asarray(chi, dtype=complex)
             if chi.shape != (len(ws), len(ws)):
                 raise DimensionError("chi must be square over the invariant list")
             _check_hermitian(chi, "chi")
             if float(np.linalg.eigvalsh(chi)[0]) < -1e-10:
                 raise ContractError("chi must be positive semi-definite")
-        dims = self._dims()
+            self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi)
+                               for wj, c in zip(wms, row) if c != 0]
+        self._lamb = None if self.lamb_shift is None else _as_matrix(self.lamb_shift)
+        ops = jumps + [vm for vm, _ in self._hermitian] + wms + [self._lamb]
+        dims = {m.shape[0] for m in ops if m is not None}
         if len(dims) > 1:
             raise DimensionError(f"DissipatorSpec terms have different dimensions "
                                  f"{sorted(dims)}")
-
-    def _dims(self) -> set:
-        """The dimensions of the channel, dephasing and invariant operators."""
-        ops = [ch.op for ch in self.channels] + [v for v, _ in self.dephasing_hermitian]
-        if self.dephasing_invariant is not None:
-            ops += list(self.dephasing_invariant[0])
-        return {_as_matrix(op).shape[0] for op in ops}
+        self._dim = dims.pop() if dims else None
+        self._jumps = np.array(jumps, dtype=complex)
 
     @property
     def dim(self) -> int:
-        dims = self._dims()
-        if not dims:
+        if self._dim is None:
             raise DimensionError("empty DissipatorSpec has no dimension")
-        return dims.pop()
+        return self._dim
 
 
 def _lindblad(a: np.ndarray, b: np.ndarray, coeff) -> np.ndarray:
@@ -143,38 +157,22 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     """
     if d is None:
         d = spec.dim
-    elif spec._dims() - {d}:
-        raise DimensionError(f"dissipator dimension {d} does not match the spec's "
-                             f"terms of dimension {spec.dim}")
+    elif spec._dim is not None:
+        _check_dim(d, spec._dim, "dissipator", "the spec's terms")
     total = np.zeros((d * d, d * d), dtype=complex)
-    for ch in spec.channels:
-        fm = _as_matrix(ch.op)
+    for fm, rate, rate_rev in zip(spec._jumps, *spec._rates):
         fdag = fm.conj().T
-        if ch.rate:
-            total += _lindblad(fm, fdag, ch.rate)
-        if ch.rate_rev:
-            total += _lindblad(fdag, fm, ch.rate_rev)
-    for v, lam in spec.dephasing_hermitian:
-        cv = _commutator(_as_matrix(v))
+        if rate:
+            total += _lindblad(fm, fdag, rate)
+        if rate_rev:
+            total += _lindblad(fdag, fm, rate_rev)
+    for vm, lam in spec._hermitian:
+        cv = _commutator(vm)
         total -= (cv @ cv) * lam
-    if spec.dephasing_invariant is not None:
-        ws, chi = spec.dephasing_invariant
-        chi = np.asarray(chi, dtype=complex)
-        wms = [_as_matrix(w) for w in ws]
-        for i, wim in enumerate(wms):
-            for j, wjm in enumerate(wms):
-                if chi[i, j] != 0:
-                    total += _lindblad(wim, wjm, chi[i, j])
+    for wi, wj, c in spec._invariant:
+        total += _lindblad(wi, wj, c)
     _check_trace_annihilating(total, d, "assembled dissipator")
     return Superoperator(total, d)
-
-
-def _jump_stack(spec: DissipatorSpec, d: int) -> np.ndarray:
-    """The spec's jump operators as one (K, d, d) array."""
-    jumps = [_as_matrix(ch.op) for ch in spec.channels]
-    if any(fm.shape[0] != d for fm in jumps):
-        raise DimensionError("channel dimension mismatch")
-    return np.array(jumps).reshape(-1, d, d)
 
 
 def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
@@ -185,23 +183,17 @@ def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
     1e-10 times max(1, its largest |entry|), the check the assembled
     dissipator runs on itself.
     """
-    f = _jump_stack(spec, rho.shape[0])
+    f = spec._jumps.reshape(-1, *rho.shape)  # (0, d, d) without channels
     fdag = f.conj().transpose(0, 2, 1)
-    g = np.array([ch.rate for ch in spec.channels])[:, None, None]
-    grev = np.array([ch.rate_rev for ch in spec.channels])[:, None, None]
+    g, grev = spec._rates[:, :, None, None]
     out = (g * (f @ rho @ fdag) + grev * (fdag @ rho @ f)).sum(axis=0)
     anti = (g * (fdag @ f) + grev * (f @ fdag)).sum(axis=0)
-    for v, lam in spec.dephasing_hermitian:
-        vm = _as_matrix(v)
+    for vm, lam in spec._hermitian:
         c = vm @ rho - rho @ vm
         out = out - lam * (vm @ c - c @ vm)
-    if spec.dephasing_invariant is not None:
-        ws, chi = spec.dephasing_invariant
-        chi = np.asarray(chi, dtype=complex)
-        wms = [_as_matrix(w) for w in ws]
-        for i, j in zip(*np.nonzero(chi)):
-            out = out + chi[i, j] * (wms[i] @ rho @ wms[j])
-            anti = anti + chi[i, j] * (wms[j] @ wms[i])
+    for wi, wj, c in spec._invariant:
+        out = out + c * (wi @ rho @ wj)
+        anti = anti + c * (wj @ wi)
     out = out - 0.5 * (anti @ rho + rho @ anti)
     trace = abs(np.trace(out))
     if not (np.isfinite(out).all() and trace <= 1e-10 * max(1.0, float(np.abs(out).max()))):
@@ -215,6 +207,7 @@ def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
     hm = _as_matrix(h_eff)
     _check_hermitian(hm, "effective Hamiltonian")
     d = d_super.source_dim
+    _check_dim(hm.shape[0], d, "Hamiltonian", "the dissipator")
     l_mat = -1j * _commutator(hm) + d_super.data
     _check_trace_annihilating(l_mat, d, "Liouvillian")
     return Superoperator(l_mat, d)
@@ -224,11 +217,11 @@ def total_liouvillian(h_free, spec: DissipatorSpec) -> Superoperator:
     """Full generator: free Hamiltonian plus the spec's Lamb shift in the
     unitary part, dissipator from the spec."""
     hm = _as_matrix(h_free)
-    if spec.lamb_shift is not None:
-        shift = _as_matrix(spec.lamb_shift)
-        _check_hermitian(shift, "Lamb shift")
-        hm = hm + shift
-    return liouvillian(hm, build_dissipator(spec, d=hm.shape[0]))
+    d_super = build_dissipator(spec, d=hm.shape[0])
+    if spec._lamb is not None:
+        _check_hermitian(spec._lamb, "Lamb shift")
+        hm = hm + spec._lamb
+    return liouvillian(hm, d_super)
 
 
 def detailed_balance_rates(freqs, beta: float, base) -> list[tuple[float, float]]:
@@ -320,11 +313,10 @@ def _solve_effective_hamiltonian(jumps, deltas):
     channels do not share levels, and otherwise the unique potential
     consistent with every channel at once.
     """
-    d = jumps[0].shape[0]
     normal = _unit_normal_matrix(jumps)
     rhs = sum(dl * (fm.conj().T @ fm - fm @ fm.conj().T) for fm, dl in zip(jumps, deltas))
     x, *_ = np.linalg.lstsq(normal, vec(rhs), rcond=None)
-    h = unvec(x, d)
+    h = unvec(x)
     h_bar = 0.5 * (h + h.conj().T)
     resid = max(np.max(np.abs(h_bar @ fm - fm @ h_bar + dl * fm))
                 for fm, dl in zip(jumps, deltas))
@@ -365,10 +357,8 @@ def _gibbs_attractor(spec: DissipatorSpec, tol: float, failure: str) -> Attracto
     largest |delta| (at positive temperature); otherwise ContractError with
     ``failure`` formatted with the residual.
     """
-    jumps = _jump_stack(spec, spec.dim)
-    deltas, zero_t = _deltas_from_rates([ch.rate for ch in spec.channels],
-                                        [ch.rate_rev for ch in spec.channels])
-    h_bar, comm_resid = _solve_effective_hamiltonian(jumps, deltas)
+    deltas, zero_t = _deltas_from_rates(*spec._rates.tolist())
+    h_bar, comm_resid = _solve_effective_hamiltonian(spec._jumps, deltas)
     if not zero_t and comm_resid > tol * max(1.0, float(np.max(np.abs(deltas)))):
         raise ContractError(failure.format(comm_resid))
     state = _gibbs_of(h_bar)
@@ -387,9 +377,9 @@ def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:
     """
     if not spec.channels:
         raise ContractError("fixed_point needs at least one channel")
-    jumps = [_as_matrix(ch.op) for ch in spec.channels]
     if eigenset is not None:
-        fv = np.array([vec(fm) for fm in jumps])
+        _check_dim(_as_matrix(eigenset.ops[0]).shape[0], spec.dim, "eigenset", "the spec")
+        fv = np.array([vec(fm) for fm in spec._jumps])
         pool = np.array([vec(op) for op in eigenset.non_invariant()]).reshape(-1, fv.shape[1])
         fv /= np.linalg.norm(fv, axis=1, keepdims=True)
         pool /= np.linalg.norm(pool, axis=1, keepdims=True)
@@ -412,14 +402,12 @@ def instantaneous_attractor(channels) -> AttractorResult:
     """
     if not channels:
         raise ContractError("instantaneous_attractor needs at least one channel")
-    jumps = np.array([_as_matrix(f) for f, _, _ in channels])
-    if np.max(np.abs(jumps @ jumps)) > 1e-10:
+    spec = DissipatorSpec(channels=[Channel(f, g, grev) for f, g, grev in channels])
+    if np.max(np.abs(spec._jumps @ spec._jumps)) > 1e-10:
         raise ContractError("jump operator violates F^2 = 0")
-    flat = jumps.reshape(len(jumps), -1)
-    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(jumps)))) > 1e-8:
+    flat = spec._jumps.reshape(len(channels), -1)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(channels)))) > 1e-8:
         raise ContractError("jump operators must be orthonormal")
-    spec = DissipatorSpec(channels=[Channel(fm, g, grev)
-                                    for fm, (_, g, grev) in zip(jumps, channels)])
     return _gibbs_attractor(spec, 1e-10, "[H_bar, F_k] = -delta_k F_k violated "
                                          "(residual {:.2e})")
 
@@ -431,8 +419,9 @@ def check_time_translation(l_super: Superoperator, h_d, t: float, s: float) -> f
     built from eigenoperators of H_D (with dephasing diagonal in the energy
     projectors) commute with the free map to numerical precision.
     """
-    prop = matrix_exp(l_super.data * t)
-    free = liouville_unitary(h_d, s).data
+    free = liouville_unitary(h_d, s)
+    _check_dim(free.source_dim, l_super.source_dim, "free Hamiltonian", "the generator")
+    prop, free = matrix_exp(l_super.data * t), free.data
     return float(np.max(np.abs(prop @ free - free @ prop)))
 
 

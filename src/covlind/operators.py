@@ -162,9 +162,7 @@ class Superoperator:
     def apply(self, x):
         """Apply to an operator; returns an Operator with the input's dims."""
         a = _as_matrix(x)
-        if a.shape[0] != self.source_dim:
-            raise DimensionError(
-                f"superoperator acts on dim {self.source_dim}, got {a.shape[0]}")
+        _check_dim(a.shape[0], self.source_dim, "operator", "the superoperator")
         out = unvec(self.data @ vec(a), self.source_dim)
         return Operator(out, _dims_of(x))
 
@@ -243,6 +241,12 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
                             f"largest entry {scale:.2e})")
 
 
+def _check_dim(dim: int, want: int, what: str, ref: str):
+    """Raise DimensionError naming both dimensions unless ``dim`` is ``want``."""
+    if dim != want:
+        raise DimensionError(f"{what} dimension {dim} does not match {ref} of dimension {want}")
+
+
 def _check_hermitian(m: np.ndarray, stage: str):
     """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10;
     a non-finite M fails too."""
@@ -254,8 +258,7 @@ def _check_hermitian(m: np.ndarray, stage: str):
 def sandwich_super(a, b) -> Superoperator:
     """Superoperator of X -> A X B, i.e. kron(B.T, A) on vec'd operators."""
     am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"incompatible shapes {am.shape} and {bm.shape}")
+    _check_dim(bm.shape[0], am.shape[0], "B", "A")
     return Superoperator(_kron(bm.T, am), am.shape[0])
 
 
@@ -482,6 +485,8 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     truncated vector is renormalized.  An explicit n_max that loses more
     than 1e-12 of the weight raises TruncationError.
     """
+    if not math.isfinite(abs(alpha)):
+        raise ContractError(f"alpha must be finite, got {alpha}")
     if n_max is None:
         n_max = _poisson_window(alpha)[1]
     if not n_max >= 0:

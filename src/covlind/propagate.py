@@ -12,6 +12,7 @@ from .operators import (
     DensityMatrix,
     Superoperator,
     _as_matrix,
+    _check_dim,
     _check_trace_annihilating,
     matrix_exp,
     uhlmann_fidelity,
@@ -82,8 +83,7 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     repeatedly.
     """
     d = rho0.data.shape[0]
-    if l_super.source_dim != d:
-        raise DimensionError("generator dimension does not match the state")
+    _check_dim(l_super.source_dim, d, "generator", "the state")
     _check_trace_annihilating(l_super.data, d, "generator at t=const")
     step = matrix_exp(l_super.data * grid.dt)
     times = grid.times()
@@ -177,8 +177,7 @@ def expectation_series(traj: Trajectory, ops) -> list:
     out = []
     for op in op_list:
         om = _as_matrix(op)
-        if om.shape[0] != rhos.shape[-1]:
-            raise DimensionError("observable dimension does not match trajectory")
+        _check_dim(om.shape[0], rhos.shape[-1], "observable", "the trajectory")
         vals = np.trace(om @ rhos, axis1=1, axis2=2)
         if np.max(np.abs(om - om.conj().T)) <= 1e-12:
             if np.max(np.abs(vals.imag)) > 1e-10:

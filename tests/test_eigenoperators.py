@@ -28,7 +28,7 @@ from covlind.eigenoperators import (
     integrate_unitary,
 )
 from covlind import eigenoperators
-from covlind.errors import ContractError, IntegrationError
+from covlind.errors import ContractError, DimensionError, IntegrationError
 from covlind.jaynes_cummings import jc_hamiltonian
 from covlind.propagate import TimeGrid
 from oracles import (
@@ -349,6 +349,13 @@ class TestVerifyEigenoperator:
 
         assert math.isnan(verify_eigenoperator(p_of_t, -1.0, gen, grid))
 
+    @pytest.mark.parametrize("p", [np.eye(3), lambda t: np.eye(3)], ids=["fixed", "callable"])
+    def test_foreign_dimension_named(self, p):
+        gen = DrivenGenerator(lambda t: 0.5 * Q["sz"])
+        with pytest.raises(DimensionError, match="eigenoperator dimension 3 does not "
+                                                 "match H\\(t\\) of dimension 2"):
+            verify_eigenoperator(p, 0.0, gen, TimeGrid(0.0, 1.0, 4))
+
 
 class TestHeisenbergResiduals:
     @pytest.mark.parametrize("drive", ["static", "rabi"])
@@ -501,6 +508,18 @@ class TestStaticMatchesLoops:
         assert got.pairs == ref.pairs
         assert bits(p.data for p in got.projectors) == bits(p.data for p in ref.projectors)
         assert bohr_nondegenerate(h) == bohr_nondegenerate_oracle(h)
+
+    def test_memory_at_d30(self):
+        # the eigenrelation is checked on the d x d decomposition, and the ops
+        # are copied from views of one (d, d, d, d) outer-product array
+        h = random_hermitian(30, np.random.default_rng(30))
+        tracemalloc.start()
+        try:
+            eset = static_eigenoperators(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sum(op.data.nbytes for op in eset.ops)
 
     def test_bohr_scan_memory_at_d60(self):
         # a (d^2, d^2) table of frequency differences would take 100 MiB here

@@ -626,9 +626,28 @@ SM_CHANNEL = Channel(Q["sm"], 1.0)
      DimensionError, "dissipator dimension 3 does not match the spec's terms of dimension 2"),
     (lambda: DissipatorSpec(dephasing_invariant=([Q["sp"]], [[0.1]])),
      ContractError, "invariant operator is not Hermitian"),
+    (lambda: DissipatorSpec(channels=[SM_CHANNEL], lamb_shift=np.eye(3)),
+     DimensionError, r"different dimensions \[2, 3\]"),
+    (lambda: total_liouvillian(Q["sz"], DissipatorSpec(lamb_shift=np.eye(3))),
+     DimensionError, "dissipator dimension 2 does not match the spec's terms of dimension 3"),
+    (lambda: instantaneous_attractor([(Q["sm"], 1.0, 0.5), (np.zeros((3, 3)), 1.0, 0.5)]),
+     DimensionError, r"different dimensions \[2, 3\]"),
+    (lambda: fixed_point(DissipatorSpec(channels=[Channel(Q["sm"], 1.0, 0.5)]),
+                         static_eigenoperators(np.diag([0.0, 1.0, 3.0]))),
+     DimensionError, "eigenset dimension 3 does not match the spec of dimension 2"),
+    (lambda: fixed_point(DissipatorSpec(channels=[Channel(Q["sm"], 1.0, 0.5)]),
+                         static_eigenoperators(np.diag([0.0, 1.0, 3.0, 7.0]))),
+     DimensionError, "eigenset dimension 4 does not match the spec of dimension 2"),
+    (lambda: liouvillian(np.eye(3), build_dissipator(DissipatorSpec(channels=[SM_CHANNEL]))),
+     DimensionError, "Hamiltonian dimension 3 does not match the dissipator of dimension 2"),
+    (lambda: check_time_translation(build_dissipator(DissipatorSpec(channels=[SM_CHANNEL])),
+                                    np.eye(3), 1.0, 0.5),
+     DimensionError, "free Hamiltonian dimension 3 does not match the generator of dimension 2"),
 ], ids=["nan-weight", "inf-weight", "negative-weight", "channel-vs-dephasing",
         "channel-vs-invariant", "dephasing-vs-invariant", "build-channel", "build-dephasing",
-        "build-invariant", "non-hermitian-invariant"])
+        "build-invariant", "non-hermitian-invariant", "lamb-shift-vs-channel",
+        "lamb-shift-vs-hamiltonian", "attractor-mixed", "fixed-point-eigenset-d3",
+        "fixed-point-eigenset-d4", "liouvillian-hamiltonian", "time-translation-hamiltonian"])
 def test_malformed_spec_rejected_by_name(build, error, match):
     with pytest.raises(error, match=match):
         build()

@@ -22,7 +22,7 @@ from covlind import (
     unvec,
     vec,
 )
-from covlind.bath import BathSpec
+from covlind.bath import BathSpec, bose_einstein, gamma_one_sided
 from covlind.errors import ContractError, DimensionError, TruncationError
 from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import JCParams, default_kraus_window
@@ -408,6 +408,17 @@ class TestFidelityContract:
     pytest.param(lambda: TimeGrid(math.nan, 1.0, 10), "t0", id="TimeGrid-t0-nan"),
     pytest.param(lambda: TimeGrid(0.0, 1.0, 2.5), "steps", id="TimeGrid-steps-float"),
     pytest.param(lambda: coherent_state(2.0, n_max=-1), "n_max", id="coherent_state-n_max-neg"),
+    pytest.param(lambda: coherent_state(math.nan), "alpha", id="coherent_state-alpha-nan"),
+    pytest.param(lambda: BathSpec(1.0, model="band", omega_lo=2.0, omega_hi=1.0), "omega_hi",
+                 id="BathSpec-band-inverted"),
+    pytest.param(lambda: BathSpec(1.0, omega_lo=math.nan), "omega_lo",
+                 id="BathSpec-omega_lo-nan"),
+    pytest.param(lambda: BathSpec(1.0, omega_lo=-1.0), "omega_lo", id="BathSpec-omega_lo-neg"),
+    pytest.param(lambda: BathSpec(1.0, omega_lo=math.inf), "omega_lo",
+                 id="BathSpec-omega_lo-inf"),
+    pytest.param(lambda: bose_einstein(math.nan, 1.0), "omega", id="bose_einstein-omega-nan"),
+    pytest.param(lambda: gamma_one_sided(math.nan, BathSpec(1.0)), "nu",
+                 id="gamma_one_sided-nu-nan"),
 ])
 def test_malformed_value_rejected_by_name(build, name):
     # NaN fails every comparison, so an `x < 0` guard lets it through
