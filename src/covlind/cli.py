@@ -56,10 +56,13 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
+    """One row per index of ``columns``, which share one length, each value
+    as ``_fmt`` writes it ("%.17g" of a Python number is format(float(x),
+    ".17g"))."""
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    values = zip(*(np.asarray(col).tolist() for col in columns), strict=True)
+    lines += [row % v for v in values]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 

@@ -184,7 +184,7 @@ def _period_steps(period, dt: float, steps: int, every: int) -> int:
 
 
 def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
-                  every: int) -> np.ndarray:
+                  every: int, h0: np.ndarray | None = None) -> np.ndarray:
     """U(t0 + k dt), k = every, 2 every, ..., steps, as a (steps // every, d, d)
     array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
@@ -193,14 +193,14 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     ``gen.period`` is a whole number m < steps of steps that ``every``
     divides, RK4 covers the first period only and Floquet's theorem
     U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one batched product per
-    period; otherwise m = steps.  A sweep calls H 2 m + 1 times.  A step too
-    long for the drive makes U overflow, silently, until the next
-    re-unitarisation or the finiteness check of the whole path raises an
-    IntegrationError.
+    period; otherwise m = steps.  A sweep calls H 2 m + 1 times, or 2 m when
+    the caller passes H(t0) as ``h0``.  A step too long for the drive makes
+    U overflow, silently, until the next re-unitarisation or the finiteness
+    check of the whole path raises an IntegrationError.
     """
     dt = (t1 - t0) / steps
     m = _period_steps(gen.period, dt, steps, every)
-    a_prev = -1j * gen.matrix(t0)
+    a_prev = -1j * (gen.matrix(t0) if h0 is None else h0)
     u = np.eye(a_prev.shape[0], dtype=complex)
     path = np.empty((steps // every,) + u.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,14 +342,19 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
 
 
 def _heisenberg_residuals(pairs, gen: DrivenGenerator, grid, substeps: int = 40) -> list[float]:
-    """``verify_eigenoperator`` of each (p, lam) in ``pairs``, all from one sweep."""
-    us = _unitary_path(gen, grid.t0, grid.t1, grid.steps * substeps, substeps)
-    u_dag = us.conj().transpose(0, 2, 1)
+    """``verify_eigenoperator`` of each (p, lam) in ``pairs``, all from one
+    sweep; each operator's dimension is checked against H(t0)'s first."""
     times = grid.times()
-    residuals = []
+    h0 = gen.matrix(grid.t0)
+    stacks = []
     for p, lam in pairs:
         ps = np.array([_as_matrix(p(t) if callable(p) else p) for t in times])
-        _check_dim(ps.shape[-1], us.shape[-1], "eigenoperator", "H(t)")
+        _check_dim(ps.shape[-1], h0.shape[0], "eigenoperator", "H(t)")
+        stacks.append((ps, lam))
+    us = _unitary_path(gen, grid.t0, grid.t1, grid.steps * substeps, substeps, h0)
+    u_dag = us.conj().transpose(0, 2, 1)
+    residuals = []
+    for ps, lam in stacks:
         rhs = np.exp(1j * lam * (times[1:] - grid.t0))[:, None, None] * ps[0]
         # np.max propagates NaN, so a non-finite point makes the residual NaN
         residuals.append(float(np.max(np.abs(u_dag @ ps[1:] @ us - rhs))))

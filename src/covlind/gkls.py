@@ -56,6 +56,12 @@ class ZeroTemperatureWarning(UserWarning):
     pass
 
 
+def _check_real(value, name: str):
+    """Raise ContractError naming ``name`` if ``value`` is complex."""
+    if np.iscomplexobj(value):
+        raise ContractError(f"{name} must be real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Channel:
     """One dissipation channel: jump operator, forward and reverse rates."""
@@ -65,6 +71,8 @@ class Channel:
     rate_rev: float = 0.0
 
     def __post_init__(self):
+        _check_real(self.rate, "channel rate")
+        _check_real(self.rate_rev, "channel reverse rate")
         if not (math.isfinite(self.rate) and math.isfinite(self.rate_rev)):
             raise ContractError("channel rates must be finite")
         if self.rate < 0 or self.rate_rev < 0:
@@ -102,6 +110,7 @@ class DissipatorSpec:
         self._rates = np.array([(ch.rate, ch.rate_rev) for ch in self.channels]).reshape(-1, 2).T
         self._hermitian = [(_as_matrix(v), lam) for v, lam in self.dephasing_hermitian]
         for vm, lam in self._hermitian:
+            _check_real(lam, "dephasing weight")
             if not 0 <= lam < math.inf:
                 raise ContractError(f"dephasing weight {lam} must be finite and >= 0")
             _check_hermitian(vm, "dephasing operator")
@@ -115,7 +124,9 @@ class DissipatorSpec:
             if chi.shape != (len(ws), len(ws)):
                 raise DimensionError("chi must be square over the invariant list")
             _check_hermitian(chi, "chi")
-            if float(np.linalg.eigvalsh(chi)[0]) < -1e-10:
+            # a Hermitian 1x1 chi is its own (real) eigenvalue
+            lowest = chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0]
+            if float(lowest) < -1e-10:
                 raise ContractError("chi must be positive semi-definite")
             self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi)
                                for wj, c in zip(wms, row) if c != 0]
@@ -217,6 +228,8 @@ def total_liouvillian(h_free, spec: DissipatorSpec) -> Superoperator:
     """Full generator: free Hamiltonian plus the spec's Lamb shift in the
     unitary part, dissipator from the spec."""
     hm = _as_matrix(h_free)
+    if spec._dim is not None:
+        _check_dim(hm.shape[0], spec._dim, "free Hamiltonian", "the spec's terms")
     d_super = build_dissipator(spec, d=hm.shape[0])
     if spec._lamb is not None:
         _check_hermitian(spec._lamb, "Lamb shift")

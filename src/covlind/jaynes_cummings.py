@@ -149,9 +149,69 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, float]:
+def _chunk_rows(lo: int, hi: int) -> int:
+    """Times in a default chunk: as many as fit its Kraus terms for the
+    window [lo, hi] (at least one, by ``_kraus_window``)."""
+    return _KRAUS_CHUNK_TERMS // (hi - lo + 1)
+
+
+def _grid_step(ts: np.ndarray) -> float | None:
+    """The step dt = (t_last - t_0) / (len(ts) - 1) when every ts[k] is
+    ts[0] + k dt to within 4 ulp of max |t| plus the rounding of dt summed
+    over the steps, which every np.linspace grid meets; None for fewer than
+    two times and for any other grid."""
+    n = len(ts)
+    if n < 2:
+        return None
+    with np.errstate(all="ignore"):  # a non-finite grid fails the comparison
+        dt = (ts[-1] - ts[0]) / (n - 1)
+        drift = np.max(np.abs(ts - (np.arange(n) * dt + ts[0])))
+        tol = 4.0 * np.spacing(np.max(np.abs(ts))) + (n - 1) * np.spacing(abs(dt))
+        return float(dt) if drift <= tol else None
+
+
+def _kraus_phases(p: JCParams, ts: np.ndarray, lo: int, hi: int):
+    """cos and sin of the phases Omega_n t_k / 2, n = lo .. hi+1, as a
+    function (k0, k1) -> (cos, sin) of shape (k1 - k0, hi - lo + 2) for the
+    times k0 <= k < k1.
+
+    On a uniform grid (``_grid_step``) each k = qR + r, with R the rows of a
+    default chunk, takes the base phase Omega t_{qR} / 2 plus the offset
+    Omega r dt / 2: cos = c_q c_r - s_q s_r and sin = s_q c_r + c_q s_r, from
+    one R-row table of offsets and one coarse row per base, so trig runs on
+    about len(ts) / R + R rows instead of len(ts).  Any other grid is R = 1:
+    each time is its own base and its offset table is cos 0 = 1, sin 0 = 0.
+    A value depends on k alone, however the times are split.
+    """
+    om = p.omega_n(np.arange(lo, hi + 2))
+    dt = _grid_step(ts)
+    rows = 1 if dt is None else min(_chunk_rows(lo, hi), len(ts))
+    offset = om * (np.arange(rows) * (dt or 0.0) / 2.0)[:, None]
+    c_r, s_r = np.cos(offset), np.sin(offset)
+
+    def phases(k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        qa, qb = k0 // rows, (k1 - 1) // rows + 1
+        # one base takes only the offsets its times use; several take whole blocks
+        r = slice(k0 - qa * rows, k1 - qa * rows) if qb - qa == 1 else slice(0, rows)
+        half = om * ts[qa * rows:qb * rows:rows, None] / 2.0
+        c_q, s_q = np.cos(half)[:, None], np.sin(half)[:, None]
+        cos = c_q * c_r[r]
+        cos -= s_q * s_r[r]
+        sin = s_q * c_r[r]
+        sin += c_q * s_r[r]
+        skip = k0 - qa * rows - r.start
+        return (cos.reshape(-1, len(om))[skip:skip + k1 - k0],
+                sin.reshape(-1, len(om))[skip:skip + k1 - k0])
+
+    return phases
+
+
+def _kraus_sums(p: JCParams, cos: np.ndarray, sin: np.ndarray, lo: int,
+                hi: int) -> tuple[dict, float]:
     """Sums over the Fock window m = lo..hi of products of real Kraus entries
-    at each time, and the completeness deficit max |sum_m chi_m^dag chi_m - I|.
+    at each time, and the completeness deficit max |sum_m chi_m^dag chi_m - I|,
+    from the cos and sin of the phases Omega_n t / 2, n = lo..hi+1, of each
+    time (``_kraus_phases``).
 
     The Kraus operators chi_m(t) = e^{i m wc t} <m| U_D |alpha> (the factor
     is the free phase of the m'th excitation block; it cancels in
@@ -159,7 +219,7 @@ def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, fl
     phi = arg(alpha) only rotates them about z:
     chi_m = e^{i m phi} P D [[A + iB, -iC], [-iE, F - iG]] D^dag with
     P = diag(1, e^{-i wc t}), D = diag(1, e^{i phi}) and the real
-    (len(ts), M) rows A = r_m c_m, B = delta r_m s_m,
+    (times, M) rows A = r_m c_m, B = delta r_m s_m,
     C = 2 g sqrt(m) r_{m-1} s_m, E = 2 g sqrt(m+1) r_{m+1} s_{m+1},
     F = r_m c_{m+1}, G = delta r_m s_{m+1} (``_rabi_block`` entries), where
     r_n = |<n|alpha>|, c_n = cos(Omega_n t / 2), s_n = sin(Omega_n t / 2) /
@@ -173,8 +233,6 @@ def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, fl
     ms, r_m = ext[1:-1], r[1:-1]
 
     om = p.omega_n(ext[1:])                      # Omega_n for n = lo .. hi+1
-    half = om * ts[:, None] / 2.0
-    cos, sin = np.cos(half), np.sin(half)
     # each numerator that meets 1/Omega_n is 0 where Omega_n = 0 (delta = g sqrt(n) = 0)
     inv = np.divide(1.0, om, out=np.zeros_like(om), where=om > 0)
     row = {"A": r_m * cos[:, :-1], "B": (p.delta * r_m * inv[:-1]) * sin[:, :-1],
@@ -192,7 +250,9 @@ def _kraus_sums(p: JCParams, ts: np.ndarray, lo: int, hi: int) -> tuple[dict, fl
 
 def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
     """max |sum_m chi_m^dag chi_m - I| over the Fock window at time t."""
-    return _kraus_sums(p, np.array([t], dtype=float), *_kraus_window(p, window))[1]
+    lo, hi = _kraus_window(p, window)
+    return _kraus_sums(p, *_kraus_phases(p, np.array([t], dtype=float), lo, hi)(0, 1),
+                       lo, hi)[1]
 
 
 def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
@@ -214,13 +274,15 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None,
     Times go in chunks of ``chunk`` (default: as many as fit about 4 MiB of
     Kraus terms, so memory stays bounded as alpha grows).  Per chunk, the
     entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are real combinations
-    of ``_kraus_sums``; P D acts once on the whole stack after the loop, so the
-    result is bitwise the same for any chunk size.
+    of ``_kraus_sums`` of the chunk's ``_kraus_phases``, which depend on each
+    time's index alone; P D acts once on the whole stack after the loop, so
+    the result is bitwise the same for any chunk size.
     """
     lo, hi = _kraus_window(p, window)
     if chunk is None:
-        chunk = max(1, _KRAUS_CHUNK_TERMS // (hi - lo + 1))
+        chunk = _chunk_rows(lo, hi)
     ts = np.asarray(ts, dtype=float)
+    phases = _kraus_phases(p, ts, lo, hi)
     phi = float(np.angle(p.alpha))
     q00, q11 = rho0[0, 0].real, rho0[1, 1].real
     q01 = rho0[0, 1] * np.exp(1j * phi)
@@ -228,7 +290,7 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None,
     rhos = np.empty((len(ts), 2, 2), dtype=complex)
     for k0 in range(0, len(ts), chunk):
         part = slice(k0, k0 + chunk)
-        s, deficit = _kraus_sums(p, ts[part], lo, hi)
+        s, deficit = _kraus_sums(p, *phases(k0, min(k0 + chunk, len(ts))), lo, hi)
         if deficit > 1e-6:
             raise TruncationError(
                 f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "

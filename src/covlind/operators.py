@@ -186,10 +186,6 @@ class Superoperator:
     def zero(cls, d: int) -> "Superoperator":
         return cls(np.zeros((d * d, d * d), dtype=complex), d)
 
-    @classmethod
-    def identity(cls, d: int) -> "Superoperator":
-        return cls(np.eye(d * d, dtype=complex), d)
-
 
 # ---------------------------------------------------------------------------
 # vec-ing and superoperator assembly

@@ -359,6 +359,20 @@ class TestOutputs:
         write_csv(path, ["a"], [np.array([1.0 / 3.0])])
         assert path.read_text() == "a\n0.33333333333333331\n"
 
+    def test_csv_bytes_match_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(7)
+        special = [-0.0, 0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.0, -3.0, 1e16, 123456789.0]
+        columns = [rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40),
+                   np.resize(special, 40),
+                   rng.uniform(-1.0, 1.0, size=40),
+                   np.arange(-20, 20),
+                   rng.integers(-2 ** 62, 2 ** 62, size=40)]
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b", "c", "d", "e"], columns)
+        lines = ["a,b,c,d,e"] + [",".join(format(float(col[i]), ".17g") for col in columns)
+                                 for i in range(40)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestRunnerDefaults:
     @pytest.mark.parametrize("runner", [run_eigenops, run_coefficients])

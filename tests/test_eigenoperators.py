@@ -356,6 +356,19 @@ class TestVerifyEigenoperator:
                                                  "match H\\(t\\) of dimension 2"):
             verify_eigenoperator(p, 0.0, gen, TimeGrid(0.0, 1.0, 4))
 
+    def test_foreign_dimension_found_before_the_sweep(self):
+        calls = []
+
+        def h_of_t(t):
+            calls.append(t)
+            return 0.5 * Q["sz"] + 0.1 * np.cos(t) * Q["sx"]
+
+        with pytest.raises(DimensionError, match="eigenoperator dimension 3"):
+            verify_eigenoperator(np.eye(3), 0.0, DrivenGenerator(h_of_t),
+                                 TimeGrid(0.0, 10.0, 400))
+        # the sweep would make 2 * 400 * 40 + 1 = 32 001 calls
+        assert len(calls) <= 2
+
 
 class TestHeisenbergResiduals:
     @pytest.mark.parametrize("drive", ["static", "rabi"])

@@ -629,7 +629,8 @@ SM_CHANNEL = Channel(Q["sm"], 1.0)
     (lambda: DissipatorSpec(channels=[SM_CHANNEL], lamb_shift=np.eye(3)),
      DimensionError, r"different dimensions \[2, 3\]"),
     (lambda: total_liouvillian(Q["sz"], DissipatorSpec(lamb_shift=np.eye(3))),
-     DimensionError, "dissipator dimension 2 does not match the spec's terms of dimension 3"),
+     DimensionError, "free Hamiltonian dimension 2 does not match the spec's terms of "
+                     "dimension 3"),
     (lambda: instantaneous_attractor([(Q["sm"], 1.0, 0.5), (np.zeros((3, 3)), 1.0, 0.5)]),
      DimensionError, r"different dimensions \[2, 3\]"),
     (lambda: fixed_point(DissipatorSpec(channels=[Channel(Q["sm"], 1.0, 0.5)]),
@@ -643,11 +644,23 @@ SM_CHANNEL = Channel(Q["sm"], 1.0)
     (lambda: check_time_translation(build_dissipator(DissipatorSpec(channels=[SM_CHANNEL])),
                                     np.eye(3), 1.0, 0.5),
      DimensionError, "free Hamiltonian dimension 3 does not match the generator of dimension 2"),
+    (lambda: Channel(Q["sm"], 1 + 0j), ContractError, r"channel rate must be real, got \(1\+0j\)"),
+    (lambda: Channel(Q["sm"], 1.0, np.complex128(0.5)),
+     ContractError, r"channel reverse rate must be real, got np.complex128\(0.5\+0j\)"),
+    (lambda: DissipatorSpec(dephasing_hermitian=[(Q["sz"], 0.5j)]),
+     ContractError, "dephasing weight must be real, got 0.5j"),
+    (lambda: DissipatorSpec(dephasing_invariant=([Q["sz"]], [[-0.1]])),
+     ContractError, "chi must be positive semi-definite"),
+    (lambda: DissipatorSpec(dephasing_invariant=([Q["sz"], Q["sx"]],
+                                                 [[-0.2, 0.05j], [-0.05j, -0.1]])),
+     ContractError, "chi must be positive semi-definite"),
 ], ids=["nan-weight", "inf-weight", "negative-weight", "channel-vs-dephasing",
         "channel-vs-invariant", "dephasing-vs-invariant", "build-channel", "build-dephasing",
         "build-invariant", "non-hermitian-invariant", "lamb-shift-vs-channel",
         "lamb-shift-vs-hamiltonian", "attractor-mixed", "fixed-point-eigenset-d3",
-        "fixed-point-eigenset-d4", "liouvillian-hamiltonian", "time-translation-hamiltonian"])
+        "fixed-point-eigenset-d4", "liouvillian-hamiltonian", "time-translation-hamiltonian",
+        "complex-rate", "complex-reverse-rate", "complex-weight", "negative-chi-1x1",
+        "negative-definite-chi-2x2"])
 def test_malformed_spec_rejected_by_name(build, error, match):
     with pytest.raises(error, match=match):
         build()

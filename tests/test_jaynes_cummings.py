@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +26,14 @@ from covlind import (
     touchard_asymptotic,
     uhlmann_fidelity,
 )
+from covlind import jaynes_cummings
 from covlind.errors import ContractError, TruncationError
 from covlind.jaynes_cummings import (
     _autonomous_states,
+    _chunk_rows,
+    _grid_step,
+    _kraus_phases,
+    _kraus_sums,
     default_kraus_window,
     fit_gaussian_envelope,
     jc_autonomous_trajectory,
@@ -245,6 +251,55 @@ class TestKrausKernel:
             tracemalloc.stop()
         assert states.shape == (129, 2, 2)
         assert peak < 32 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestPhaseTables:
+    """The uniform-grid phase tables against direct trig of each phase."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.5, 200.0),
+           delta=st.floats(-0.5, 0.5), t0=st.floats(0.1, 50.0), sign=st.sampled_from([-1, 1]),
+           span=st.floats(0.1, 60.0), n=st.integers(2, 3000), chunk=st.integers(1, 97))
+    def test_tables_match_direct_trig(self, seed, modulus, delta, t0, sign, span, n, chunk):
+        rng = np.random.default_rng(seed)
+        p = JCParams.with_rabi(1.0, delta, 2.0, modulus * np.exp(1j * rng.uniform(-3, 3)))
+        times = np.linspace(sign * t0, sign * t0 + span, n)
+        lo, hi = default_kraus_window(p)
+        rows = min(_chunk_rows(lo, hi), n)
+        cos, sin = _kraus_phases(p, times, lo, hi)(0, rows)
+        half = p.omega_n(np.arange(lo, hi + 2)) * times[:rows, None] / 2.0
+        table_sums = _kraus_sums(p, cos, sin, lo, hi)[0]
+        direct_sums = _kraus_sums(p, np.cos(half), np.sin(half), lo, hi)[0]
+        for key, value in table_sums.items():
+            assert np.max(np.abs(value - direct_sums[key])) < 1e-13, key
+
+        rho0 = random_psd(rng)
+        tables = _autonomous_states(rho0, p, times, chunk=chunk)
+        with mock.patch.object(jaynes_cummings, "_grid_step", lambda ts: None):
+            direct = _autonomous_states(rho0, p, times)
+        assert np.max(np.abs(tables - direct)) < 1e-13
+        assert np.array_equal(tables, _autonomous_states(rho0, p, times))
+
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.floats(-1e6, 1e6), span=st.floats(-1e6, 1e6), n=st.integers(2, 3000))
+    def test_every_linspace_grid_is_uniform(self, t0, span, n):
+        times = np.linspace(t0, t0 + span, n)
+        assert _grid_step(times) == (times[-1] - times[0]) / (n - 1)
+
+    def test_jittered_grid_takes_the_direct_path(self):
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 30.0 * np.exp(0.4j))
+        lo, hi = default_kraus_window(p)
+        om = p.omega_n(np.arange(lo, hi + 2))
+        times = np.linspace(0.5, 20.0, 60)
+        jittered = times.copy()
+        jittered[17] += 1e-9
+        assert _grid_step(jittered) is None
+        assert _grid_step(times[:1]) is None
+        for ts, direct in ((jittered, True), (times[:1], True), (times, False)):
+            cos, sin = _kraus_phases(p, ts, lo, hi)(0, len(ts))
+            half = om * ts[:, None] / 2.0
+            assert np.array_equal(cos, np.cos(half)) == direct
+            assert np.array_equal(sin, np.sin(half)) == direct
 
 
 class TestStackedStates:
