@@ -140,10 +140,15 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
 def run_fig2(cfg: ExperimentConfig, out: Path) -> dict:
     """Autonomous vs semi-classical convergence for a list of alphas."""
     alphas = cfg.alphas()
+    tags = [_fmt(abs(a)).replace(".", "p") for a in alphas]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"alphas {alphas[tags.index(tag)]:g} and {alphas[i]:g} share "
+                              f"|alpha| = {abs(alphas[i]):g}, so both would write "
+                              f"fig2_alpha_{tag}.csv")
     results = [_fig2_single(cfg, a) for a in alphas]
     summary_alphas = []
-    for a, (p, times, fid, pa, ps, env) in zip(alphas, results):
-        tag = _fmt(abs(a)).replace(".", "p")
+    for a, tag, (p, times, fid, pa, ps, env) in zip(alphas, tags, results):
         write_csv(out / f"fig2_alpha_{tag}.csv",
                   ["t_normalized", "fidelity",
                    "sx_autonomous", "sy_autonomous", "sz_autonomous",

@@ -117,6 +117,9 @@ class DissipatorSpec:
         wms, self._invariant = [], []
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
+            if len(ws) == 0:
+                raise ContractError("dephasing_invariant needs at least one invariant "
+                                    "operator, got an empty list")
             wms = [_as_matrix(w) for w in ws]
             for wm in wms:
                 _check_hermitian(wm, "invariant operator")

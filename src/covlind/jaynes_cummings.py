@@ -149,12 +149,6 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _chunk_rows(lo: int, hi: int) -> int:
-    """Times in a default chunk: as many as fit its Kraus terms for the
-    window [lo, hi] (at least one, by ``_kraus_window``)."""
-    return _KRAUS_CHUNK_TERMS // (hi - lo + 1)
-
-
 def _grid_step(ts: np.ndarray) -> float | None:
     """The step dt = (t_last - t_0) / (len(ts) - 1) when every ts[k] is
     ts[0] + k dt to within 4 ulp of max |t| plus the rounding of dt summed
@@ -170,48 +164,12 @@ def _grid_step(ts: np.ndarray) -> float | None:
         return float(dt) if drift <= tol else None
 
 
-def _kraus_phases(p: JCParams, ts: np.ndarray, lo: int, hi: int):
-    """cos and sin of the phases Omega_n t_k / 2, n = lo .. hi+1, as a
-    function (k0, k1) -> (cos, sin) of shape (k1 - k0, hi - lo + 2) for the
-    times k0 <= k < k1.
-
-    On a uniform grid (``_grid_step``) each k = qR + r, with R the rows of a
-    default chunk, takes the base phase Omega t_{qR} / 2 plus the offset
-    Omega r dt / 2: cos = c_q c_r - s_q s_r and sin = s_q c_r + c_q s_r, from
-    one R-row table of offsets and one coarse row per base, so trig runs on
-    about len(ts) / R + R rows instead of len(ts).  Any other grid is R = 1:
-    each time is its own base and its offset table is cos 0 = 1, sin 0 = 0.
-    A value depends on k alone, however the times are split.
-    """
-    om = p.omega_n(np.arange(lo, hi + 2))
-    dt = _grid_step(ts)
-    rows = 1 if dt is None else min(_chunk_rows(lo, hi), len(ts))
-    offset = om * (np.arange(rows) * (dt or 0.0) / 2.0)[:, None]
-    c_r, s_r = np.cos(offset), np.sin(offset)
-
-    def phases(k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        qa, qb = k0 // rows, (k1 - 1) // rows + 1
-        # one base takes only the offsets its times use; several take whole blocks
-        r = slice(k0 - qa * rows, k1 - qa * rows) if qb - qa == 1 else slice(0, rows)
-        half = om * ts[qa * rows:qb * rows:rows, None] / 2.0
-        c_q, s_q = np.cos(half)[:, None], np.sin(half)[:, None]
-        cos = c_q * c_r[r]
-        cos -= s_q * s_r[r]
-        sin = s_q * c_r[r]
-        sin += c_q * s_r[r]
-        skip = k0 - qa * rows - r.start
-        return (cos.reshape(-1, len(om))[skip:skip + k1 - k0],
-                sin.reshape(-1, len(om))[skip:skip + k1 - k0])
-
-    return phases
-
-
-def _kraus_sums(p: JCParams, cos: np.ndarray, sin: np.ndarray, lo: int,
-                hi: int) -> tuple[dict, float]:
-    """Sums over the Fock window m = lo..hi of products of real Kraus entries
-    at each time, and the completeness deficit max |sum_m chi_m^dag chi_m - I|,
-    from the cos and sin of the phases Omega_n t / 2, n = lo..hi+1, of each
-    time (``_kraus_phases``).
+def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
+    """The Kraus reduction over the Fock window m = lo..hi at the times ``ts``:
+    the rows R = _KRAUS_CHUNK_TERMS // (hi - lo + 1) of a chunk and a function
+    k0 -> (s, deficit) for the chunk of times k0 .. k0 + R - 1.  ``s`` maps
+    each product of real Kraus entries to its (times,) sums over the window
+    and ``deficit`` is the chunk's max |sum_m chi_m^dag chi_m - I|.
 
     The Kraus operators chi_m(t) = e^{i m wc t} <m| U_D |alpha> (the factor
     is the free phase of the m'th excitation block; it cancels in
@@ -223,36 +181,64 @@ def _kraus_sums(p: JCParams, cos: np.ndarray, sin: np.ndarray, lo: int,
     C = 2 g sqrt(m) r_{m-1} s_m, E = 2 g sqrt(m+1) r_{m+1} s_{m+1},
     F = r_m c_{m+1}, G = delta r_m s_{m+1} (``_rabi_block`` entries), where
     r_n = |<n|alpha>|, c_n = cos(Omega_n t / 2), s_n = sin(Omega_n t / 2) /
-    Omega_n, and 1/Omega_n sits in the per-m coefficients.  Each sum is one
-    row reduction, so a time's sums do not depend on the other times.
+    Omega_n.  r_n, Omega_n, 1/Omega_n and the B, C, E, G coefficients are
+    built once per call, not per chunk.
+
+    On a uniform grid (``_grid_step``) a chunk's time k0 + j takes the base
+    phase Omega t_{k0} / 2 plus the offset Omega j dt / 2: cos = c_q c_j -
+    s_q s_j and sin = s_q c_j + c_q s_j, from one R-row table of offsets and
+    one base row per chunk, so trig runs on about len(ts) / R + R rows
+    instead of len(ts).  On any other grid, and for a single time, a chunk
+    takes cos and sin of its own phases.  Each sum is one row reduction, so
+    a time's sums do not depend on the other times of its chunk.
     """
     # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
     r = np.zeros(len(ext))
     r[ext >= 0] = _coherent_amplitudes(abs(p.alpha), ext[ext >= 0]).real
     ms, r_m = ext[1:-1], r[1:-1]
-
     om = p.omega_n(ext[1:])                      # Omega_n for n = lo .. hi+1
     # each numerator that meets 1/Omega_n is 0 where Omega_n = 0 (delta = g sqrt(n) = 0)
     inv = np.divide(1.0, om, out=np.zeros_like(om), where=om > 0)
-    row = {"A": r_m * cos[:, :-1], "B": (p.delta * r_m * inv[:-1]) * sin[:, :-1],
-           "C": (2.0 * p.g * np.sqrt(ms) * r[:-2] * inv[:-1]) * sin[:, :-1],
-           "E": (2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:]) * sin[:, 1:],
-           "F": r_m * cos[:, 1:], "G": (p.delta * r_m * inv[1:]) * sin[:, 1:]}
-    s = {pq: np.vecdot(row[pq[0]], row[pq[1]])
-         for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
-    # D and P are diagonal and unitary, so they keep these entry moduli
-    deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
-                  np.max(np.abs(s["CC"] + s["FF"] + s["GG"] - 1.0)),
-                  np.max(np.hypot(s["EG"] - s["BC"], s["EF"] - s["AC"])))
-    return s, float(deficit)
+    b, c = p.delta * r_m * inv[:-1], 2.0 * p.g * np.sqrt(ms) * r[:-2] * inv[:-1]
+    e, g = 2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:], p.delta * r_m * inv[1:]
+
+    rows = _KRAUS_CHUNK_TERMS // (hi - lo + 1)
+    dt = _grid_step(ts)
+    if dt is not None:
+        offset = om * (np.arange(min(rows, len(ts))) * dt / 2.0)[:, None]
+        c_r, s_r = np.cos(offset), np.sin(offset)
+
+    def sums(k0: int) -> tuple[dict, float]:
+        t = ts[k0:k0 + rows]
+        if dt is None:
+            half = om * t[:, None] / 2.0
+            cos, sin = np.cos(half), np.sin(half)
+        else:
+            half = om * t[0] / 2.0
+            c_q, s_q = np.cos(half), np.sin(half)
+            c_j, s_j = c_r[:len(t)], s_r[:len(t)]
+            cos = c_q * c_j
+            cos -= s_q * s_j
+            sin = s_q * c_j
+            sin += c_q * s_j
+        row = {"A": r_m * cos[:, :-1], "B": b * sin[:, :-1], "C": c * sin[:, :-1],
+               "E": e * sin[:, 1:], "F": r_m * cos[:, 1:], "G": g * sin[:, 1:]}
+        s = {pq: np.vecdot(row[pq[0]], row[pq[1]])
+             for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
+        # D and P are diagonal and unitary, so they keep these entry moduli
+        deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
+                      np.max(np.abs(s["CC"] + s["FF"] + s["GG"] - 1.0)),
+                      np.max(np.hypot(s["EG"] - s["BC"], s["EF"] - s["AC"])))
+        return s, float(deficit)
+
+    return rows, sums
 
 
 def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
     """max |sum_m chi_m^dag chi_m - I| over the Fock window at time t."""
     lo, hi = _kraus_window(p, window)
-    return _kraus_sums(p, *_kraus_phases(p, np.array([t], dtype=float), lo, hi)(0, 1),
-                       lo, hi)[1]
+    return _kraus_kernel(p, np.array([t], dtype=float), lo, hi)[1](0)[1]
 
 
 def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
@@ -266,31 +252,27 @@ def jc_kraus_reduce(rho_s0: DensityMatrix, p: JCParams, t: float,
     return jc_autonomous_trajectory(rho_s0, p, np.array([t]), window)[0]
 
 
-def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None,
-                       chunk: int | None = None) -> np.ndarray:
+def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.ndarray:
     """Validated reduced qubit states at each time, shape (len(ts), 2, 2),
     from the Hermitian initial state ``rho0``.
 
-    Times go in chunks of ``chunk`` (default: as many as fit about 4 MiB of
-    Kraus terms, so memory stays bounded as alpha grows).  Per chunk, the
-    entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are real combinations
-    of ``_kraus_sums`` of the chunk's ``_kraus_phases``, which depend on each
-    time's index alone; P D acts once on the whole stack after the loop, so
-    the result is bitwise the same for any chunk size.
+    Times go in chunks of the kernel's rows (``_kraus_kernel``: as many as
+    fit about 4 MiB of Kraus terms, so memory stays bounded as alpha grows).
+    Per chunk, the entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are
+    real combinations of the chunk's sums; P D acts once on the whole stack
+    after the loop.
     """
     lo, hi = _kraus_window(p, window)
-    if chunk is None:
-        chunk = _chunk_rows(lo, hi)
     ts = np.asarray(ts, dtype=float)
-    phases = _kraus_phases(p, ts, lo, hi)
+    rows, sums = _kraus_kernel(p, ts, lo, hi)
     phi = float(np.angle(p.alpha))
     q00, q11 = rho0[0, 0].real, rho0[1, 1].real
     q01 = rho0[0, 1] * np.exp(1j * phi)
     x, y = q01.real, q01.imag
     rhos = np.empty((len(ts), 2, 2), dtype=complex)
-    for k0 in range(0, len(ts), chunk):
-        part = slice(k0, k0 + chunk)
-        s, deficit = _kraus_sums(p, *phases(k0, min(k0 + chunk, len(ts))), lo, hi)
+    for k0 in range(0, len(ts), rows):
+        part = slice(k0, k0 + rows)
+        s, deficit = sums(k0)
         if deficit > 1e-6:
             raise TruncationError(
                 f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "

@@ -153,6 +153,9 @@ class TestExitCodes:
         ("eigenops", "jc: {omega_c: 1.0e-8}", 3, "RK4 unitary sweep diverged"),
         ("eigenops", "jc: {omega_c: 1.0e+200}", 3, "RK4 unitary sweep diverged"),
         ("eigenops", "jc: {g: 1.0}", 3, "folds onto the invariants"),
+        ("fig2", "jc: {alphas: [5, 5j]}", 2,
+         "alphas 5+0j and 0+5j share |alpha| = 5, so both would write fig2_alpha_5.csv"),
+        ("fig2", "jc: {alphas: [2.5, 7, -2.5]}", 2, "alphas 2.5+0j and -2.5+0j share"),
     ])
     def test_mistyped_values_exit_cleanly(self, tmp_path, capsys, experiment, body,
                                           code, named):

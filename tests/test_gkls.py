@@ -654,13 +654,15 @@ SM_CHANNEL = Channel(Q["sm"], 1.0)
     (lambda: DissipatorSpec(dephasing_invariant=([Q["sz"], Q["sx"]],
                                                  [[-0.2, 0.05j], [-0.05j, -0.1]])),
      ContractError, "chi must be positive semi-definite"),
+    (lambda: DissipatorSpec(dephasing_invariant=([], np.zeros((0, 0)))),
+     ContractError, "dephasing_invariant needs at least one invariant operator"),
 ], ids=["nan-weight", "inf-weight", "negative-weight", "channel-vs-dephasing",
         "channel-vs-invariant", "dephasing-vs-invariant", "build-channel", "build-dephasing",
         "build-invariant", "non-hermitian-invariant", "lamb-shift-vs-channel",
         "lamb-shift-vs-hamiltonian", "attractor-mixed", "fixed-point-eigenset-d3",
         "fixed-point-eigenset-d4", "liouvillian-hamiltonian", "time-translation-hamiltonian",
         "complex-rate", "complex-reverse-rate", "complex-weight", "negative-chi-1x1",
-        "negative-definite-chi-2x2"])
+        "negative-definite-chi-2x2", "empty-invariant"])
 def test_malformed_spec_rejected_by_name(build, error, match):
     with pytest.raises(error, match=match):
         build()

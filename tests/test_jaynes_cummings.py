@@ -30,10 +30,8 @@ from covlind import jaynes_cummings
 from covlind.errors import ContractError, TruncationError
 from covlind.jaynes_cummings import (
     _autonomous_states,
-    _chunk_rows,
     _grid_step,
-    _kraus_phases,
-    _kraus_sums,
+    _kraus_kernel,
     default_kraus_window,
     fit_gaussian_envelope,
     jc_autonomous_trajectory,
@@ -212,15 +210,20 @@ class TestKrausKernel:
         assert abs(jc_kraus_completeness(p, t, window) - expected) < 1e-12
 
     def test_bitwise_independent_of_chunk(self):
+        # off a uniform grid each time's state is its own: the same for any
+        # rows per chunk, down to one time per chunk
         p = JCParams.with_rabi(1.0, 0.2, 2.0, 7.0 * np.exp(0.3j))
         rho0 = DensityMatrix.from_matrix(random_psd(np.random.default_rng(5)))
         times = np.linspace(0.0, 20.0, 41)
-        default = _autonomous_states(rho0.data, p, times)
-        for chunk in (1, 7):
-            assert np.array_equal(_autonomous_states(rho0.data, p, times, chunk=chunk),
-                                  default)
+        jittered = times + np.random.default_rng(6).uniform(0.0, 1e-3, size=41)
+        lo, hi = default_kraus_window(p)
+        default = _autonomous_states(rho0.data, p, jittered)
+        for rows in (1, 7):
+            with mock.patch.object(jaynes_cummings, "_KRAUS_CHUNK_TERMS", rows * (hi - lo + 1)):
+                assert np.array_equal(_autonomous_states(rho0.data, p, jittered), default)
         wrapped = jc_autonomous_trajectory(rho0, p, times)
-        assert np.array_equal(np.array([s.data for s in wrapped]), default)
+        assert np.array_equal(np.array([s.data for s in wrapped]),
+                              _autonomous_states(rho0.data, p, times))
 
     def test_narrow_window_raises_with_context(self):
         p = JCParams.with_rabi(1.0, 0.0, 2.0, 5.0)
@@ -254,31 +257,31 @@ class TestKrausKernel:
 
 
 class TestPhaseTables:
-    """The uniform-grid phase tables against direct trig of each phase."""
+    """The uniform-grid phase tables of ``_kraus_kernel`` against direct trig
+    of each phase."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.5, 200.0),
            delta=st.floats(-0.5, 0.5), t0=st.floats(0.1, 50.0), sign=st.sampled_from([-1, 1]),
-           span=st.floats(0.1, 60.0), n=st.integers(2, 3000), chunk=st.integers(1, 97))
-    def test_tables_match_direct_trig(self, seed, modulus, delta, t0, sign, span, n, chunk):
+           span=st.floats(0.1, 60.0), n=st.integers(2, 3000))
+    def test_tables_match_direct_trig(self, seed, modulus, delta, t0, sign, span, n):
         rng = np.random.default_rng(seed)
         p = JCParams.with_rabi(1.0, delta, 2.0, modulus * np.exp(1j * rng.uniform(-3, 3)))
         times = np.linspace(sign * t0, sign * t0 + span, n)
         lo, hi = default_kraus_window(p)
-        rows = min(_chunk_rows(lo, hi), n)
-        cos, sin = _kraus_phases(p, times, lo, hi)(0, rows)
-        half = p.omega_n(np.arange(lo, hi + 2)) * times[:rows, None] / 2.0
-        table_sums = _kraus_sums(p, cos, sin, lo, hi)[0]
-        direct_sums = _kraus_sums(p, np.cos(half), np.sin(half), lo, hi)[0]
-        for key, value in table_sums.items():
-            assert np.max(np.abs(value - direct_sums[key])) < 1e-13, key
+        rows, tables = _kraus_kernel(p, times, lo, hi)
+        with mock.patch.object(jaynes_cummings, "_grid_step", lambda ts: None):
+            direct = _kraus_kernel(p, times, lo, hi)[1]
+        for k0 in range(0, n, rows):
+            table_sums, direct_sums = tables(k0)[0], direct(k0)[0]
+            for key, value in table_sums.items():
+                assert np.max(np.abs(value - direct_sums[key])) < 1e-13, (k0, key)
 
         rho0 = random_psd(rng)
-        tables = _autonomous_states(rho0, p, times, chunk=chunk)
+        states = _autonomous_states(rho0, p, times)
         with mock.patch.object(jaynes_cummings, "_grid_step", lambda ts: None):
-            direct = _autonomous_states(rho0, p, times)
-        assert np.max(np.abs(tables - direct)) < 1e-13
-        assert np.array_equal(tables, _autonomous_states(rho0, p, times))
+            direct_states = _autonomous_states(rho0, p, times)
+        assert np.max(np.abs(states - direct_states)) < 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(t0=st.floats(-1e6, 1e6), span=st.floats(-1e6, 1e6), n=st.integers(2, 3000))
@@ -287,19 +290,38 @@ class TestPhaseTables:
         assert _grid_step(times) == (times[-1] - times[0]) / (n - 1)
 
     def test_jittered_grid_takes_the_direct_path(self):
-        p = JCParams.with_rabi(1.0, 0.2, 2.0, 30.0 * np.exp(0.4j))
+        # on the direct path each time's sums are those of that time alone,
+        # which a single time (no grid step) computes by direct trig;
+        # alpha = 100 splits the 60 times into chunks of 32 and 28
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0 * np.exp(0.4j))
         lo, hi = default_kraus_window(p)
-        om = p.omega_n(np.arange(lo, hi + 2))
         times = np.linspace(0.5, 20.0, 60)
         jittered = times.copy()
         jittered[17] += 1e-9
         assert _grid_step(jittered) is None
         assert _grid_step(times[:1]) is None
-        for ts, direct in ((jittered, True), (times[:1], True), (times, False)):
-            cos, sin = _kraus_phases(p, ts, lo, hi)(0, len(ts))
-            half = om * ts[:, None] / 2.0
-            assert np.array_equal(cos, np.cos(half)) == direct
-            assert np.array_equal(sin, np.sin(half)) == direct
+        for ts, direct in ((jittered, True), (times, False)):
+            rows, sums = _kraus_kernel(p, ts, lo, hi)
+            assert rows == 32
+            chunks = [sums(k0)[0] for k0 in range(0, len(ts), rows)]
+            alone = [_kraus_kernel(p, ts[k:k + 1], lo, hi)[1](0)[0] for k in range(len(ts))]
+            same = all(np.array_equal(np.concatenate([chunk[key] for chunk in chunks]),
+                                      [one[key][0] for one in alone]) for key in alone[0])
+            assert same == direct
+
+    def test_chunk_boundaries_match_oracle_at_large_alpha(self):
+        # alpha = 1000 leaves 3 rows per chunk: the times 0-2, 3-5 and a
+        # partial last chunk holding time 6
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 1000.0 * np.exp(0.7j))
+        lo, hi = default_kraus_window(p)
+        times = np.linspace(0.0, 20.0, 7)
+        assert _kraus_kernel(p, times, lo, hi)[0] == 3
+        rho0 = random_psd(np.random.default_rng(3))
+        states = _autonomous_states(rho0, p, times)
+        for k in (2, 3, 6):
+            oracle = kraus_sum_oracle(rho0, p, times[k], (lo, hi))
+            oracle /= np.trace(oracle).real
+            assert np.max(np.abs(states[k] - oracle)) < 1e-12, k
 
 
 class TestStackedStates:
