@@ -45,7 +45,8 @@ for op, freq, inv in zip(eset.ops, eset.freqs, eset.invariant_flags):
 
 print("\n(3) frequency-domain kernel at the drive frequency")
 # the kernel of the static RWA Hamiltonian shifted by omega_c reproduces the
-# quasi-frequencies: eigenvalues -lambda_k(omega)
+# quasi-frequencies: eigenvalues -lambda_k(omega) = E_n - E_m - omega, from
+# one 2 x 2 eigendecomposition of H
 h_rwa = w(0.0).data * p.rabi / np.sqrt(2)  # unnormalized invariant = RWA Hamiltonian
 vals, _ = frequency_eigenoperators(h_rwa, 0.0)
 print(f"  commutator spectrum of the rotating-frame Hamiltonian: "

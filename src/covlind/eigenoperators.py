@@ -43,9 +43,9 @@ from .operators import (
     Superoperator,
     commutator_super,
     hermitian_eig,
-    unvec,
     vec,
     _as_matrix,
+    _check_count,
     _check_dim,
     _check_hermitian,
 )
@@ -233,6 +233,7 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
 def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int) -> np.ndarray:
     """RK4 U(t1) of dU/dt = -i H(t) U, U(t0) = I; calls H(t) 2 * steps + 1
     times whatever ``gen.period``: a path of one point is never tiled."""
+    _check_count(steps, 1, "steps")
     return _unitary_path(gen, t0, t1, steps, steps)[-1]
 
 
@@ -302,19 +303,18 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> Eigenop
 
 
 def frequency_eigenoperators(h_s, omega: float):
-    """Eigenpairs of the single-harmonic frequency-domain kernel.
+    """Eigenpairs of the frequency-domain kernel X -> [H, X] - omega X.
 
-    Diagonalizes kron(I, H) - kron(H.T, I) - omega * I, which is Hermitian
-    for Hermitian H; returns (values, operators) where the values are the
-    kernel eigenvalues (the negatives of the drive eigenfrequencies) in
-    ascending order and the operators are the unvec'd eigenvectors.
+    With H psi_n = E_n psi_n it sends |psi_n><psi_m| to (E_n - E_m - omega)
+    |psi_n><psi_m|; returns (values, operators) with the values (negated
+    drive eigenfrequencies) ascending, ties row by row in (n, m).
     """
-    hm = _as_matrix(h_s)
-    d = hm.shape[0]
-    kernel = commutator_super(hm).data - omega * np.eye(d * d)
-    vals, vecs = hermitian_eig(kernel)
-    ops = [Operator(unvec(vecs[:, k], d)) for k in range(d * d)]
-    return vals, ops
+    w, v = hermitian_eig(h_s)
+    vals = (w[:, None] - w[None, :]).ravel() - omega
+    order = np.argsort(vals, kind="stable")
+    # outer[n, m] = |psi_n><psi_m|, bitwise equal to np.outer
+    outer = v.T[:, None, :, None] * v.conj().T[None, :, None, :]
+    return vals[order], [Operator(outer[n, m]) for n, m in zip(*np.divmod(order, len(w)))]
 
 
 def deviation_up_to_phase(a, b) -> float:
@@ -344,6 +344,7 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
 def _heisenberg_residuals(pairs, gen: DrivenGenerator, grid, substeps: int = 40) -> list[float]:
     """``verify_eigenoperator`` of each (p, lam) in ``pairs``, all from one
     sweep; each operator's dimension is checked against H(t0)'s first."""
+    _check_count(substeps, 1, "substeps")
     times = grid.times()
     h0 = gen.matrix(grid.t0)
     stacks = []

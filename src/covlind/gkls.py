@@ -411,10 +411,10 @@ def instantaneous_attractor(channels) -> AttractorResult:
     """Instantaneous attractor exp(-H_bar)/Z of paired transition channels.
 
     ``channels`` holds (F_k, Gamma_k, Gamma_minus_k) with orthonormal,
-    nilpotent F_k.  H_bar = sum_k (delta_k/2)(F^dag F - F F^dag) with
-    delta_k = ln(Gamma_k / Gamma_minus_k) satisfies
-    [H_bar, F_k] = -delta_k F_k, which makes each channel annihilate the
-    state.
+    nilpotent F_k.  H_bar is the least-squares Hermitian solution of
+    [H_bar, F_k] = -delta_k F_k, delta_k = ln(Gamma_k / Gamma_minus_k), for
+    all k at once: sum_k (delta_k/2)(F^dag F - F F^dag) only when no two
+    channels share a level.  A residual above 1e-10 max(1, |delta|) raises.
     """
     if not channels:
         raise ContractError("instantaneous_attractor needs at least one channel")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, TruncationError
-from .operators import (DensityMatrix, Operator, _coherent_amplitudes, _poisson_window,
-                        destroy, qubit_ops, validate_states)
+from .operators import (DensityMatrix, Operator, _check_count, _coherent_amplitudes,
+                        _poisson_window, destroy, qubit_ops, validate_states)
 
 _Q = qubit_ops()
 
@@ -87,8 +87,7 @@ def default_kraus_window(p: JCParams) -> tuple[int, int]:
 
 def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:
     """H = omega_c (a^dag a + 1/2) + (omega_eg/2) sigma_z + g (sm a^dag + sp a)."""
-    if n_max < 1:
-        raise ContractError("n_max must be at least 1")
+    _check_count(n_max, 1, "n_max")
     a = destroy(n_max + 1)
     num = a.conj().T @ a
     eye_m = np.eye(n_max + 1, dtype=complex)
@@ -121,8 +120,7 @@ def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
     """Closed-form propagator of the n'th block in basis {|g,n>, |e,n-1>}:
     the Rabi block with coupling g sqrt(n) and the global phase
     exp(-i n omega_c t)."""
-    if n < 1:
-        raise ContractError("blocks are defined for n >= 1")
+    _check_count(n, 1, "block index n")
     block = _rabi_block(float(p.omega_n(n)), p.g * math.sqrt(n), p.delta, t)
     return np.exp(-1j * n * p.omega_c * t) * block
 
@@ -372,8 +370,7 @@ def jc_dressed_states(n: int, p: JCParams):
     angle theta = atan2(2 g sqrt(n), delta), and energies
     n omega_c +- Omega_n / 2.
     """
-    if n < 1:
-        raise ContractError("dressed states are defined for n >= 1")
+    _check_count(n, 1, "block index n")
     om = float(p.omega_n(n))
     theta = math.atan2(2.0 * p.g * math.sqrt(n), p.delta)
     s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
@@ -393,34 +390,27 @@ def collapse_envelope(t: float, p: JCParams) -> float:
 
 
 def touchard(j: int, x: float) -> float:
-    """Touchard polynomial T_j(x) = e^-x sum_k k^j x^k / k!.
+    """Touchard polynomial T_j(x) = e^-x sum_k k^j x^k / k! = sum_k S(j, k) x^k.
 
-    Numerically stable truncated summation with log-space terms; the sum
-    stops once terms past the Poisson mode drop below 1e-18 of the partial
-    sum.  Guarded to j <= 12 to avoid overflow of k^j, and to x <= 1e6 as
-    the sum runs over about x terms (~1 s at the bound).
+    Stirling numbers S(n, k) = k S(n-1, k) + S(n-1, k-1) in exact integers;
+    Horner's rule on these positive coefficients is exact to a few ulp.
+    Guarded to integer 0 <= j <= 12 and 0 < x <= 1e6, where every S(j, k)
+    is below 2^53 and T_j(x) below 1e73.
     """
-    if j < 0 or j > 12:
-        raise ContractError("touchard implemented for 0 <= j <= 12")
+    if not (isinstance(j, (int, np.integer)) and 0 <= j <= 12):
+        raise ContractError(f"touchard implemented for integer 0 <= j <= 12, got {j!r}")
     if not 0 < x <= 1e6:
         raise ContractError(f"touchard implemented for 0 < x <= 1e6, got {x}")
-    if j == 0:
-        return 1.0
-    total = 0.0
-    k = 1
-    log_x = math.log(x)
-    while True:
-        log_term = -x + k * log_x - math.lgamma(k + 1) + j * math.log(k)
-        term = math.exp(log_term) if log_term > -745 else 0.0
-        total += term
-        if k > x + j and term < 1e-18 * max(total, 1e-300):
-            break
-        k += 1
-    return total
+    row = np.ones(1, dtype=np.int64)  # S(0, k) for k = 0
+    for _ in range(j):
+        row = np.arange(len(row) + 1) * np.append(row, 0) + np.append(0, row)
+    return float(np.polynomial.polynomial.polyval(x, row))
 
 
 def touchard_asymptotic(j: int, x: float) -> float:
-    """Large-x form x^j (1 + j(j-1)/(2x))."""
+    """Large-x form x^j (1 + j(j-1)/(2x)), for x != 0."""
+    if x == 0:
+        raise ContractError("touchard_asymptotic needs x != 0, the form expands in 1/x")
     return x ** j * (1.0 + j * (j - 1) / (2.0 * x))
 
 
@@ -432,8 +422,8 @@ def fit_gaussian_envelope(times, signal) -> float:
     """
     t = np.asarray(times, dtype=float)
     y = np.abs(np.asarray(signal, dtype=float))
-    idx = [i for i in range(1, len(y) - 1)
-           if y[i] >= y[i - 1] and y[i] >= y[i + 1] and y[i] > 1e-6]
+    inner = y[1:-1]
+    idx = 1 + np.flatnonzero((inner >= y[:-2]) & (inner >= y[2:]) & (inner > 1e-6))
     if len(idx) < 3:
         raise ContractError("too few oscillation peaks to fit an envelope")
     tp = t[idx]

@@ -243,6 +243,12 @@ def _check_dim(dim: int, want: int, what: str, ref: str):
         raise DimensionError(f"{what} dimension {dim} does not match {ref} of dimension {want}")
 
 
+def _check_count(value, least: int, what: str):
+    """Raise ContractError naming ``what`` unless ``value`` is an int >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ContractError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _check_hermitian(m: np.ndarray, stage: str):
     """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10;
     a non-finite M fails too."""
@@ -285,13 +291,9 @@ def hermitian_eig(h):
     hm = _as_matrix(h)
     _check_hermitian(hm, "hermitian_eig input")
     w, v = np.linalg.eigh(hm)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-8)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            v[:, k] = col / phase
-    return w, v
+    # a unit column always has an entry of modulus > 1e-8 below d = 1e16
+    top = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(v.shape[1])]
+    return w, v / (top / np.abs(top))
 
 
 def matrix_exp(a) -> np.ndarray:
@@ -485,8 +487,7 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
         raise ContractError(f"alpha must be finite, got {alpha}")
     if n_max is None:
         n_max = _poisson_window(alpha)[1]
-    if not n_max >= 0:
-        raise ContractError(f"n_max must be nonnegative, got {n_max}")
+    _check_count(n_max, 0, "n_max")
     # the lost weight is the exact Poisson tail beyond n_max: 1 - sum |amp|^2
     # would measure the amplitudes' rounding (5e-10 at |alpha| = 1000) instead
     deficit = float(pdtrc(n_max, abs(alpha) ** 2))

@@ -12,6 +12,7 @@ from .operators import (
     DensityMatrix,
     Superoperator,
     _as_matrix,
+    _check_count,
     _check_dim,
     _check_trace_annihilating,
     matrix_exp,
@@ -36,8 +37,7 @@ class TimeGrid:
     def __post_init__(self):
         if not -np.inf < self.t0 < self.t1 < np.inf:
             raise ContractError(f"TimeGrid requires finite t1 > t0, got [{self.t0}, {self.t1}]")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
-            raise ContractError(f"TimeGrid requires an integer steps >= 1, got {self.steps!r}")
+        _check_count(self.steps, 1, "TimeGrid steps")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)

@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from covlind import JCParams, Operator, qubit_ops, unvec, vec
+from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
 from covlind.eigenoperators import (
     DegeneracyWarning,
     EigenoperatorSet,
@@ -19,7 +20,7 @@ from covlind.jaynes_cummings import (
     jc_eigenoperators,
     jc_semiclassical_propagator,
 )
-from covlind.operators import _as_matrix, hermitian_eig
+from covlind.operators import _as_matrix, _check_hermitian, hermitian_eig
 
 Q = qubit_ops()
 
@@ -358,3 +359,46 @@ def effective_hamiltonian_oracle(jumps, deltas):
     resid = max(np.max(np.abs(h_bar @ fm - fm @ h_bar + dl * fm))
                 for fm, dl in zip(jumps, deltas))
     return h_bar, float(resid)
+
+
+def touchard_exact(j: int, x: float) -> Fraction:
+    """T_j(x) = sum_k S(j, k) x^k in exact rationals, with the Stirling
+    numbers from the explicit sum S(j, k) = sum_i (-1)^i C(k, i) (k - i)^j / k!."""
+    xf = Fraction(x)
+    return sum(Fraction(sum((-1) ** i * math.comb(k, i) * (k - i) ** j for i in range(k + 1)),
+                        math.factorial(k)) * xf ** k
+               for k in range(j + 1))
+
+
+def hermitian_eig_loop_oracle(h):
+    """hermitian_eig with its phase fixed column by column, as the library
+    first wrote it: the reference for its bits."""
+    hm = _as_matrix(h)
+    _check_hermitian(hm, "hermitian_eig input")
+    w, v = np.linalg.eigh(hm)
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-8)
+        if idx.size:
+            phase = col[idx[0]] / abs(col[idx[0]])
+            v[:, k] = col / phase
+    return w, v
+
+
+def envelope_peaks_oracle(signal) -> list:
+    """Indices of the local maxima of |signal| above 1e-6 that
+    fit_gaussian_envelope fits, one sample at a time."""
+    y = np.abs(np.asarray(signal, dtype=float))
+    return [i for i in range(1, len(y) - 1)
+            if y[i] >= y[i - 1] and y[i] >= y[i + 1] and y[i] > 1e-6]
+
+
+def frequency_kernel_oracle(h_s, omega: float):
+    """frequency_eigenoperators as the library first wrote it: eigh of the
+    d^2 x d^2 kernel kron(I, H) - kron(H.T, I) - omega I, values ascending
+    and the operators unvec'd from its eigenvectors."""
+    hm = _as_matrix(h_s)
+    d = hm.shape[0]
+    kernel = commutator_super(hm).data - omega * np.eye(d * d)
+    vals, vecs = hermitian_eig(kernel)
+    return vals, [Operator(unvec(vecs[:, k], d)) for k in range(d * d)]

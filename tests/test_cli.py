@@ -15,6 +15,7 @@ from covlind.cli import main, run_coefficients, run_eigenops, write_csv, write_j
 from covlind.config import _SCHEMA, _SECTIONS, load_config, parse_initial_state
 from covlind.eigenoperators import DegeneracyWarning
 from covlind.errors import ConfigError, ContractError
+from oracles import touchard_exact
 
 
 def run_cli(args):
@@ -225,6 +226,20 @@ class TestOutputs:
         assert "library_version" in summary
         for j in ("3", "4", "5", "6"):
             assert abs(summary["loglog_slopes"][j] + 2.0) < 0.1
+
+    def test_touchard_defaults_are_exact(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["touchard", "--out", str(out)]) == 0
+        _, data = read_csv(out / "touchard.csv")
+        for j, x, tj, _, _ in data:
+            exact = touchard_exact(int(j), x)
+            assert abs(tj - exact) <= 1e-15 * exact, (j, x)
+        # T_3 = x^3 + 3 x^2 + x: the scaled residual is 1/x^2 exactly
+        j3 = data[data[:, 0] == 3]
+        assert j3[-1, 1] == 1e4
+        assert abs(j3[-1, 4] - 1e-8) <= 1e-6 * 1e-8
+        summary = json.loads((out / "touchard_summary.json").read_text())
+        assert abs(summary["loglog_slopes"]["3"] + 2.0) <= 1e-6
 
     def test_failed_envelope_fit_is_null(self, tmp_path):
         out = tmp_path / "o"

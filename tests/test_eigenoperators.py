@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from covlind.jaynes_cummings import jc_hamiltonian
 from covlind.propagate import TimeGrid
 from oracles import (
     bohr_nondegenerate_oracle,
+    frequency_kernel_oracle,
     monodromy_kron_oracle,
     random_hermitian,
     static_eigenoperators_oracle,
@@ -315,6 +317,40 @@ class TestFrequencyDomain:
         for val, op in zip(vals[:4], ops[:4]):
             resid = h @ op.data - op.data @ h - 0.77 * op.data - val * op.data
             assert np.max(np.abs(resid)) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", ["random", "ladder", "degenerate"])
+    def test_matches_kernel_eigensolve(self, d, kind):
+        rng = np.random.default_rng(10 * d + len(kind))
+        levels = {"random": rng.normal(size=d), "ladder": 0.7 * np.arange(d),
+                  "degenerate": rng.choice([0.0, 1.5], size=d)}[kind]
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        h = (q * levels) @ q.conj().T
+        h = 0.5 * (h + h.conj().T)
+        omega = 0.37
+        vals, ops = frequency_eigenoperators(h, omega)
+        ref_vals, ref_ops = frequency_kernel_oracle(h, omega)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(levels))))
+        assert np.max(np.abs(vals - ref_vals)) <= tol
+        assert np.all(np.diff(vals) >= 0)
+        vs = np.array([vec(op) for op in ops])
+        ref_vs = np.array([vec(op) for op in ref_ops])
+        # orthonormal, and each operator satisfies [H, F] - omega F = lambda F
+        assert np.max(np.abs(vs.conj() @ vs.T - np.eye(d * d))) <= 1e-12
+        for val, op in zip(vals, ops):
+            f = op.data
+            assert np.max(np.abs(h @ f - f @ h - omega * f - val * f)) <= 1e-10
+        # the bases of a repeated value differ, but they span one eigenspace
+        for block in np.split(np.arange(d * d), np.flatnonzero(np.diff(vals) > 1e-9) + 1):
+            proj = vs[block].T @ vs[block].conj()
+            ref_proj = ref_vs[block].T @ ref_vs[block].conj()
+            assert np.max(np.abs(proj - ref_proj)) <= 1e-10
+
+    def test_decomposes_only_d_by_d(self):
+        h = random_hermitian(6, np.random.default_rng(6))
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            frequency_eigenoperators(h, 0.5)
+        assert [c.args[0].shape for c in eigh.call_args_list] == [(6, 6)]
 
 
 class TestVerifyEigenoperator:

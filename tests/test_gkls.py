@@ -224,6 +224,24 @@ class TestInstantaneousAttractor:
         resid = h @ Q["sm"] - Q["sm"] @ h + delta * Q["sm"]
         assert np.max(np.abs(resid)) < 1e-10
 
+    def test_ladder_sharing_a_level(self):
+        # |0><1| and |1><2| share level 1: the channel-by-channel closed
+        # form sum_k (delta_k/2)(F^dag F - F F^dag) misses the relations
+        f01, f12 = np.zeros((3, 3)), np.zeros((3, 3))
+        f01[0, 1] = f12[1, 2] = 1.0
+        res = instantaneous_attractor([(f01, 1.0, 0.3), (f12, 1.0, 0.6)])
+        h = res.effective_hamiltonian.data
+        naive = sum(0.5 * dl * (f.T @ f - f @ f.T) for f, dl in zip((f01, f12), res.deltas))
+
+        def commutation_residual(hm):
+            return max(np.max(np.abs(hm @ f - f @ hm + dl * f))
+                       for f, dl in zip((f01, f12), res.deltas))
+
+        assert commutation_residual(h) < 1e-12
+        assert commutation_residual(naive) > 0.5
+        assert np.max(np.abs(h - effective_hamiltonian_oracle([f01, f12], res.deltas)[0])) < 1e-12
+        assert res.residual < 1e-12
+
     def test_rejects_non_nilpotent(self):
         with pytest.raises(ContractError):
             instantaneous_attractor([(Q["sx"] / math.sqrt(2), 1.0, 0.5)])

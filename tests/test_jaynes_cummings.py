@@ -38,7 +38,8 @@ from covlind.jaynes_cummings import (
     jc_kraus_completeness,
 )
 from covlind.operators import coherent_state, validate_states
-from oracles import kraus_completeness_oracle, kraus_sum_oracle
+from oracles import (envelope_peaks_oracle, kraus_completeness_oracle, kraus_sum_oracle,
+                     touchard_exact)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(31415)
@@ -610,7 +611,32 @@ class TestTouchard:
             touchard(3, -1.0)
 
 
+class TestTouchardExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(j=st.integers(0, 12), log_x=st.floats(-3.0, 6.0))
+    def test_matches_exact_stirling_sum(self, j, log_x):
+        x = 10.0 ** log_x
+        exact = touchard_exact(j, x)
+        assert abs(touchard(j, x) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("x", [1e4, 1e6])
+    def test_first_moment_is_the_mean(self, x):
+        assert touchard(1, x) == x
+
+    def test_numpy_integer_order(self):
+        assert touchard(np.int64(3), 2.0) == touchard(3, 2.0) == 22.0
+
+
 class TestEnvelopeFit:
+    def test_peaks_bitwise_equal_to_sample_scan(self):
+        t = np.linspace(0, 10, 2000)
+        # rounding flattens each peak into a plateau of equal samples
+        sig = np.round(np.cos(4.0 * t) * np.exp(-0.03 * t ** 2), 3)
+        idx = envelope_peaks_oracle(sig)
+        y = np.abs(sig)
+        want = float(-np.polyfit(t[idx] ** 2, np.log(y[idx]), 1)[0])
+        assert fit_gaussian_envelope(t, sig) == want
+
     def test_recovers_known_rate(self):
         t = np.linspace(0, 10, 2000)
         sig = np.cos(4.0 * t) * np.exp(-0.03 * t ** 2)

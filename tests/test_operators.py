@@ -23,11 +23,16 @@ from covlind import (
     vec,
 )
 from covlind.bath import BathSpec, bose_einstein, gamma_one_sided
+from covlind.eigenoperators import (DrivenGenerator, integrate_unitary,
+                                    monodromy_eigenoperators, verify_eigenoperator)
 from covlind.errors import ContractError, DimensionError, TruncationError
 from covlind.gkls import detailed_balance_rates
-from covlind.jaynes_cummings import JCParams, default_kraus_window
+from covlind.jaynes_cummings import (JCParams, default_kraus_window, jc_block_propagator,
+                                     jc_dressed_states, jc_hamiltonian, touchard,
+                                     touchard_asymptotic)
 from covlind.operators import liouville_unitary
 from covlind.propagate import TimeGrid
+from oracles import hermitian_eig_loop_oracle
 
 Q = qubit_ops()
 RNG = np.random.default_rng(20240811)
@@ -150,6 +155,20 @@ class TestHermitianEig:
         for k in range(5):
             first = v[np.flatnonzero(np.abs(v[:, k]) > 1e-8)[0], k]
             assert abs(first.imag) < 1e-10 and first.real > 0
+
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_bitwise_equal_to_column_loop(self, d):
+        # complex, real and degenerate (sparse eigenvectors with leading
+        # zeros) inputs; the dtype of V must match too
+        rng = np.random.default_rng(d)
+        levels = np.diag(rng.choice([0.0, 1.0, 2.5], size=d))
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        for h in (random_hermitian(d, rng), random_hermitian(d, rng).real, levels,
+                  q @ levels @ q.T):
+            w, v = hermitian_eig(h)
+            w_ref, v_ref = hermitian_eig_loop_oracle(h)
+            assert v.dtype == v_ref.dtype
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):
@@ -385,6 +404,14 @@ class TestFidelityContract:
             uhlmann_fidelity(np.array([[0.5, 1.0], [0.0, 0.5]]), rho)
 
 
+def _h_never_called(t):
+    pytest.fail(f"H({t}) called before the step count was checked")
+
+
+# a step count is checked before the sweep evaluates H(t)
+_UNCALLED = DrivenGenerator(_h_never_called, period=1.0)
+
+
 @pytest.mark.parametrize("build, name", [
     pytest.param(lambda: JCParams(math.nan, 1.0, 0.2), "omega_c", id="JCParams-omega_c-nan"),
     pytest.param(lambda: JCParams(1.0, math.inf, 0.2), "omega_eg", id="JCParams-omega_eg-inf"),
@@ -408,6 +435,8 @@ class TestFidelityContract:
     pytest.param(lambda: TimeGrid(math.nan, 1.0, 10), "t0", id="TimeGrid-t0-nan"),
     pytest.param(lambda: TimeGrid(0.0, 1.0, 2.5), "steps", id="TimeGrid-steps-float"),
     pytest.param(lambda: coherent_state(2.0, n_max=-1), "n_max", id="coherent_state-n_max-neg"),
+    pytest.param(lambda: coherent_state(2.0, n_max=30.5), "n_max",
+                 id="coherent_state-n_max-float"),
     pytest.param(lambda: coherent_state(math.nan), "alpha", id="coherent_state-alpha-nan"),
     pytest.param(lambda: BathSpec(1.0, model="band", omega_lo=2.0, omega_hi=1.0), "omega_hi",
                  id="BathSpec-band-inverted"),
@@ -419,6 +448,28 @@ class TestFidelityContract:
     pytest.param(lambda: bose_einstein(math.nan, 1.0), "omega", id="bose_einstein-omega-nan"),
     pytest.param(lambda: gamma_one_sided(math.nan, BathSpec(1.0)), "nu",
                  id="gamma_one_sided-nu-nan"),
+    pytest.param(lambda: integrate_unitary(_UNCALLED, 0.0, 1.0, 0), "steps",
+                 id="integrate_unitary-steps-zero"),
+    pytest.param(lambda: monodromy_eigenoperators(_UNCALLED, steps=0), "steps",
+                 id="monodromy-steps-zero"),
+    pytest.param(lambda: monodromy_eigenoperators(_UNCALLED, steps=-4), "steps",
+                 id="monodromy-steps-neg"),
+    pytest.param(lambda: monodromy_eigenoperators(_UNCALLED, steps=2.5), "steps",
+                 id="monodromy-steps-float"),
+    pytest.param(lambda: verify_eigenoperator(np.eye(2), 0.0, _UNCALLED, TimeGrid(0.0, 1.0, 4),
+                                              substeps=0), "substeps",
+                 id="verify_eigenoperator-substeps-zero"),
+    pytest.param(lambda: verify_eigenoperator(np.eye(2), 0.0, _UNCALLED, TimeGrid(0.0, 1.0, 4),
+                                              substeps=-1), "substeps",
+                 id="verify_eigenoperator-substeps-neg"),
+    pytest.param(lambda: touchard(2.5, 3.0), "integer 0 <= j", id="touchard-j-float"),
+    pytest.param(lambda: touchard_asymptotic(3, 0.0), "x != 0", id="touchard_asymptotic-x-zero"),
+    pytest.param(lambda: jc_block_propagator(1.5, 0.3, JCParams(1.0, 1.0, 0.2)), "block index n",
+                 id="jc_block_propagator-n-float"),
+    pytest.param(lambda: jc_dressed_states(2.5, JCParams(1.0, 1.0, 0.2)), "block index n",
+                 id="jc_dressed_states-n-float"),
+    pytest.param(lambda: jc_hamiltonian(JCParams(1.0, 1.0, 0.2), 2.5), "n_max",
+                 id="jc_hamiltonian-n_max-float"),
 ])
 def test_malformed_value_rejected_by_name(build, name):
     # NaN fails every comparison, so an `x < 0` guard lets it through
