@@ -22,7 +22,11 @@ more than d invariants or a run of phases within 1e-7 on the circle.
 
 One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
 takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
-exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.  On a
+exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.  It
+works in blocks of 100 steps, the re-unitarisation cadence: a block stacks
+its H(t) calls, checks their Hermiticity at once, forms all its RK4 step
+maps with one batched ``propagate._rk4_maps`` call and chains U through
+them, one product per step, so its temporaries are O(200 d^2).  On a
 periodic drive whose period is a whole number of steps, the sweep
 integrates one period and tiles the rest as U(t + n T) = U(t) U(t0 + T)^n,
 so its H(t) calls scale with the period, not the grid.
@@ -49,7 +53,11 @@ from .operators import (
     _check_dim,
     _check_hermitian,
 )
-from .propagate import _rk4_step
+from .propagate import _rk4_maps
+
+# RK4 steps per block of the unitary sweep: the steps whose maps are formed
+# together, and the cadence of the polar re-unitarisation
+_RK4_BLOCK = 100
 
 
 class DegeneracyWarning(UserWarning):
@@ -188,37 +196,50 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     """U(t0 + k dt), k = every, 2 every, ..., steps, as a (steps // every, d, d)
     array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
-    Classical RK4 on -i H at t, t + dt/2 and t + dt; H(t + dt) is reused as
-    the next step's H(t), and U is re-unitarised every 100 steps.  When
-    ``gen.period`` is a whole number m < steps of steps that ``every``
-    divides, RK4 covers the first period only and Floquet's theorem
-    U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one batched product per
-    period; otherwise m = steps.  A sweep calls H 2 m + 1 times, or 2 m when
-    the caller passes H(t0) as ``h0``.  A step too long for the drive makes
-    U overflow, silently, until the next re-unitarisation or the finiteness
-    check of the whole path raises an IntegrationError.
+    Classical RK4 on -i H at t, t + dt/2 and t + dt, in blocks of
+    ``_RK4_BLOCK`` steps.  A block calls H at its midpoints and endpoints in
+    time order, reusing the previous block's last H(t + dt) as its first
+    H(t); each H(t) must have H(t0)'s dimension, and one Hermiticity check
+    covers the block's stack, naming the first failing t.  The block's RK4
+    maps come from one batched ``_rk4_maps`` call, and U is chained through
+    them one product per step, then re-unitarised at the block's end, so the
+    temporaries are O(200 d^2) whatever the step count.  When ``gen.period``
+    is a whole number m < steps of steps that ``every`` divides, RK4 covers
+    the first period only and Floquet's theorem U(t + n T) = U(t) U(t0 + T)^n
+    tiles the rest, one batched product per period; otherwise m = steps.  A
+    sweep calls H 2 m + 1 times, or 2 m when the caller passes H(t0) as
+    ``h0``.  A step too long for the drive makes U overflow, silently, until
+    the next re-unitarisation or the finiteness check of the whole path
+    raises an IntegrationError.
     """
     dt = (t1 - t0) / steps
     m = _period_steps(gen.period, dt, steps, every)
-    a_prev = -1j * (gen.matrix(t0) if h0 is None else h0)
-    u = np.eye(a_prev.shape[0], dtype=complex)
-    path = np.empty((steps // every,) + u.shape, dtype=complex)
+    h_end = gen.matrix(t0) if h0 is None else h0
+    d = h_end.shape[0]
+    u = np.eye(d, dtype=complex)
+    path = np.empty((steps // every, d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            t = t0 + k * dt
-            a_mid = -1j * gen.matrix(t + dt / 2)
-            a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
-            u = _rk4_step(u, a_prev, a_mid, a_next, dt)
-            renorm = (k + 1) % 100 == 0
-            if renorm and not np.isfinite(u).all():
-                raise _diverged(t0 + (k + 1) * dt, dt)
-            if renorm:
-                # polar projection keeps the propagator on the unitary group
-                a, _, b = np.linalg.svd(u)
-                u = a @ b
-            a_prev = a_next
-            if (k + 1) % every == 0:
-                path[k // every] = u
+        for start in range(0, m, _RK4_BLOCK):
+            ks = range(start, min(start + _RK4_BLOCK, m))
+            ts = [s for k in ks for s in (t0 + k * dt + dt / 2, t0 + (k + 1) * dt)]
+            hs = [h_end] + [_as_matrix(gen.h_of_t(t)) for t in ts]
+            for t, h in zip(ts, hs[1:]):
+                if h.shape[0] != d:  # naming t costs more than the check
+                    _check_dim(h.shape[0], d, f"H(t={t})", f"H(t={t0})")
+            hs = np.array(hs)
+            _check_hermitian(hs[1:], lambda i: f"H(t={ts[i]})")
+            a = -1j * hs
+            for k, step in zip(ks, _rk4_maps(a[:-1:2], a[1::2], a[2::2], dt)):
+                u = step @ u
+                if (k + 1) % _RK4_BLOCK == 0:
+                    if not np.isfinite(u).all():
+                        raise _diverged(t0 + (k + 1) * dt, dt)
+                    # polar projection keeps the propagator on the unitary group
+                    w, _, vh = np.linalg.svd(u)
+                    u = w @ vh
+                if (k + 1) % every == 0:
+                    path[k // every] = u
+            h_end = hs[-1]
         block = m // every
         power = u
         for start in range(block, len(path), block):

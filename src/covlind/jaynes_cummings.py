@@ -401,10 +401,17 @@ def touchard(j: int, x: float) -> float:
         raise ContractError(f"touchard implemented for integer 0 <= j <= 12, got {j!r}")
     if not 0 < x <= 1e6:
         raise ContractError(f"touchard implemented for 0 < x <= 1e6, got {x}")
+    return float(np.polynomial.polynomial.polyval(x, _stirling_row(j)))
+
+
+def _stirling_row(j: int) -> np.ndarray:
+    """Stirling numbers S(j, k) of the second kind for k = 0..j as int64, from
+    S(n, k) = k S(n-1, k) + S(n-1, k-1); exact for the orders j <= 12 that
+    ``touchard`` allows."""
     row = np.ones(1, dtype=np.int64)  # S(0, k) for k = 0
     for _ in range(j):
         row = np.arange(len(row) + 1) * np.append(row, 0) + np.append(0, row)
-    return float(np.polynomial.polynomial.polyval(x, row))
+    return row
 
 
 def touchard_asymptotic(j: int, x: float) -> float:

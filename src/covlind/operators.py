@@ -249,9 +249,15 @@ def _check_count(value, least: int, what: str):
         raise ContractError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _check_hermitian(m: np.ndarray, stage: str):
+def _check_hermitian(m: np.ndarray, stage):
     """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10;
-    a non-finite M fails too."""
+    a non-finite M fails too.  A (n, d, d) stack is checked in one pass, and
+    its first failing matrix, say the i-th, is reported as ``stage(i)``."""
+    if m.ndim == 3:
+        diff = np.conjugate(m.swapaxes(1, 2))
+        np.subtract(m, diff, out=diff)  # in place: the stack may outgrow the cache
+        i = int(np.argmin(np.abs(diff).max(axis=(1, 2)) <= 1e-10))
+        m, stage = m[i], stage(i)
     worst = float(np.abs(m - m.conj().T).max())
     if not worst <= 1e-10:
         raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")

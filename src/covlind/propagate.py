@@ -94,14 +94,30 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     return Trajectory(times, states, {"mode": "static-expm", "dt": grid.dt})
 
 
-def _rk4_step(y: np.ndarray, l0: np.ndarray, lm: np.ndarray, l1: np.ndarray,
-              dt: float) -> np.ndarray:
-    """One classical RK4 step with the generator at t, t + dt/2 and t + dt."""
-    k1 = l0 @ y
-    k2 = lm @ (y + dt / 2 * k1)
-    k3 = lm @ (y + dt / 2 * k2)
-    k4 = l1 @ (y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt) -> np.ndarray:
+    """Classical RK4 step maps P, y(t + dt) = P y(t) for dy/dt = A(t) y, from A
+    at t, t + dt/2 and t + dt: the stages k_i = X_i y are regrouped as
+    X_2 = A_m + dt/2 A_m A_0, X_3 = A_m + dt/2 A_m X_2, X_4 = A_1 + dt A_1 X_3
+    and P = I + dt/6 (A_0 + 2 X_2 + 2 X_3 + X_4).  Stacks of generators give
+    a stack of maps, one step is a stack of one, and ``dt`` may be an array
+    broadcasting against the stack.  One factor of each product is scaled by
+    dt, so a huge generator on a short step does not overflow."""
+    # in place: a block's stack can outgrow the cache, where every extra
+    # pass and allocation shows
+    half = dt / 2 * am
+    x2 = half @ a0
+    x2 += am
+    x3 = half @ x2
+    x3 += am
+    x4 = (dt * a1) @ x3
+    x4 += a1
+    x2 += x3
+    x2 *= 2
+    x2 += a0
+    x2 += x4
+    x2 *= dt / 6
+    x2.reshape(x2.shape[:-2] + (-1,))[..., ::a0.shape[-1] + 1] += 1
+    return x2
 
 
 def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
@@ -147,10 +163,9 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
                 coarse = matrix_exp(generator(t) * (times[i + 1] - times[i - 1])) @ coarse
         else:
             l_next = generator(times[i + 1])
-            y = _rk4_step(y, l_prev, generator(t + dt / 2), l_next, dt)
+            y = _rk4_maps(l_prev, generator(t + dt / 2), l_next, dt) @ y
             if i % 2:
-                coarse = _rk4_step(coarse, l_even, l_prev, l_next,
-                                   times[i + 1] - times[i - 1])
+                coarse = _rk4_maps(l_even, l_prev, l_next, times[i + 1] - times[i - 1]) @ coarse
             else:
                 l_even = l_prev
             l_prev = l_next

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
+from covlind import eigenoperators
 from covlind.eigenoperators import (
     DegeneracyWarning,
     EigenoperatorSet,
@@ -158,6 +159,38 @@ def three_call_sweep_oracle(l_of_t, y0, times, mode="rk4"):
             y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(y.copy())
     return np.array(out)
+
+
+def unitary_path_oracle(gen, t0, t1, steps, every, h0=None):
+    """The unitary sweep one RK4 step at a time: U(t0 + k dt) for k = every,
+    2 every, ..., steps with H called at t, t + dt/2 and t + dt per step
+    (H(t + dt) reused as the next H(t)), U re-unitarised every 100 steps and
+    the sweep tiled from its first period as ``_unitary_path`` does."""
+    dt = (t1 - t0) / steps
+    m = eigenoperators._period_steps(gen.period, dt, steps, every)
+    a_prev = -1j * (gen.matrix(t0) if h0 is None else h0)
+    u = np.eye(a_prev.shape[0], dtype=complex)
+    path = np.empty((steps // every,) + u.shape, dtype=complex)
+    for k in range(m):
+        t = t0 + k * dt
+        a_mid = -1j * gen.matrix(t + dt / 2)
+        a_next = -1j * gen.matrix(t0 + (k + 1) * dt)
+        k1 = a_prev @ u
+        k2 = a_mid @ (u + dt / 2 * k1)
+        k3 = a_mid @ (u + dt / 2 * k2)
+        k4 = a_next @ (u + dt * k3)
+        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (k + 1) % 100 == 0:
+            a, _, b = np.linalg.svd(u)
+            u = a @ b
+        a_prev = a_next
+        if (k + 1) % every == 0:
+            path[k // every] = u
+    block = m // every
+    for n in range(block, len(path), block):
+        for i in range(n, min(n + block, len(path))):
+            path[i] = path[i - n] @ np.linalg.matrix_power(u, n // block)
+    return path
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:

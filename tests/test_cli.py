@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,21 @@ class TestOutputs:
         j3 = data[data[:, 0] == 3]
         assert j3[-1, 1] == 1e4
         assert abs(j3[-1, 4] - 1e-8) <= 1e-6 * 1e-8
+        summary = json.loads((out / "touchard_summary.json").read_text())
+        assert abs(summary["loglog_slopes"]["3"] + 2.0) <= 1e-6
+
+    def test_touchard_large_x_residuals_are_exact(self, tmp_path):
+        # T_j / x^j - 1 - j(j-1)/(2x) cancelled to 1.6e-4 relative at x = 1e6;
+        # the residual is now summed from its positive Stirling tail
+        out, cfg = tmp_path / "o", tmp_path / "c.yaml"
+        cfg.write_text("touchard: {x_values: [1.0e+4, 1.0e+5, 1.0e+6], orders: [3, 4, 12]}\n")
+        assert run_cli(["touchard", "--config", str(cfg), "--out", str(out)]) == 0
+        _, data = read_csv(out / "touchard.csv")
+        for j, x, _, _, resid in data:
+            j = int(j)
+            xf = Fraction(x)
+            exact = touchard_exact(j, x) / xf ** j - 1 - Fraction(j * (j - 1), 2) / xf
+            assert abs(Fraction(resid) - exact) <= Fraction(1, 10 ** 14) * exact, (j, x)
         summary = json.loads((out / "touchard_summary.json").read_text())
         assert abs(summary["loglog_slopes"]["3"] + 2.0) <= 1e-6
 

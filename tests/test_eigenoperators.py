@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covlind import (
     DrivenGenerator,
@@ -38,6 +39,7 @@ from oracles import (
     monodromy_kron_oracle,
     random_hermitian,
     static_eigenoperators_oracle,
+    unitary_path_oracle,
 )
 
 Q = qubit_ops()
@@ -520,6 +522,88 @@ class TestFloquetTiling:
         with pytest.raises(IntegrationError,
                            match=r"RK4 unitary sweep diverged by t = 1 \(dt = 0.1\)"):
             eigenoperators._unitary_path(gen, 0.0, 1.0, 10, 1)
+
+
+class RecordingHamiltonian:
+    def __init__(self, h_of_t):
+        self.h_of_t, self.times = h_of_t, []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.h_of_t(t)
+
+
+class TestBlockedSweep:
+    """The sweep forms the RK4 maps of 100 steps at once and chains U through
+    them; the per-step loop of ``unitary_path_oracle`` is its reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), periods=st.integers(1, 4),
+           per_period=st.integers(1, 60), every=st.sampled_from([1, 2, 5, 8]),
+           tiled=st.booleans(), pass_h0=st.booleans())
+    @example(seed=1, d=2, periods=3, per_period=25, every=4, tiled=True, pass_h0=False)
+    @example(seed=2, d=3, periods=1, per_period=37, every=7, tiled=False, pass_h0=True)
+    def test_matches_the_per_step_oracle(self, seed, d, periods, per_period, every,
+                                         tiled, pass_h0):
+        # m = per_period * every steps per period, 1 to 480: block sizes that
+        # are and are not multiples of 100, sweeps of one block and of several
+        rng = np.random.default_rng(seed)
+        h0, v = scaled_hermitian(d, rng, 1.0), scaled_hermitian(d, rng, 0.5)
+        # dyadic t0 and period keep m dt within the tiling test's rounding bound
+        t0, period, m = rng.integers(-4, 5) / 4, 1.25, per_period * every
+
+        def h(t):
+            return h0 + math.cos(2 * math.pi * t / period) * v
+
+        got_h, ref_h = RecordingHamiltonian(h), RecordingHamiltonian(h)
+        args = (t0, t0 + periods * period, periods * m, every)
+        got = eigenoperators._unitary_path(
+            DrivenGenerator(got_h, period=period if tiled else None), *args,
+            h0=h(t0) if pass_h0 else None)
+        ref = unitary_path_oracle(DrivenGenerator(ref_h, period=period if tiled else None),
+                                  *args, h0=h(t0) if pass_h0 else None)
+        assert got.shape == ref.shape == (periods * per_period, d, d)
+        assert np.max(np.abs(got - ref)) < 1e-12
+        # the same H(t) calls at the same float times, in the same order
+        assert got_h.times == ref_h.times
+        assert len(got_h.times) == 2 * (m if tiled else periods * m) + (not pass_h0)
+
+    def test_huge_hamiltonian_on_a_short_step_does_not_overflow(self):
+        # |H| = 1e200 with |H dt| = 5e-3: a product of two unscaled
+        # generators would be 1e400
+        gen = DrivenGenerator(lambda t: 1e200 * (0.5 * Q["sz"]))
+        u = integrate_unitary(gen, 0.0, 1e-199, 1000)
+        assert np.max(np.abs(u - hermitian_unitary(0.5 * Q["sz"], 10.0))) < 1e-8
+
+    def test_non_hermitian_h_in_the_second_block_is_named(self):
+        dt = 0.01
+        bad = [0.0 + 150 * dt + dt / 2, 0.0 + 181 * dt]  # a midpoint, then an endpoint
+
+        def h(t):
+            return Q["sp"] if t in bad else 0.5 * Q["sz"]
+
+        with pytest.raises(ContractError,
+                           match=re.escape(f"H(t={bad[0]}) is not Hermitian (1.00e+00)")):
+            integrate_unitary(DrivenGenerator(h), 0.0, 2.5, 250)
+
+    def test_store_on_a_renormalisation_step_is_the_polar_factor(self):
+        # dt = 0.05 leaves the raw RK4 product visibly off the unitary group
+        def h(t):
+            return 0.5 * Q["sz"] + math.cos(t) * Q["sx"]
+
+        dt = 5.0 / 100
+        path = eigenoperators._unitary_path(DrivenGenerator(h), 0.0, 5.0, 100, 1)
+        t = 0.0 + 99 * dt
+        a0, am, a1 = (-1j * h(s) for s in (t, t + dt / 2, 0.0 + 100 * dt))
+        u = path[98]
+        k1 = a0 @ u
+        k2 = am @ (u + dt / 2 * k1)
+        k3 = am @ (u + dt / 2 * k2)
+        raw = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + a1 @ (u + dt * k3))
+        assert np.max(np.abs(raw.conj().T @ raw - np.eye(2))) > 1e-9
+        w, _, vh = np.linalg.svd(raw)
+        assert np.max(np.abs(path[99] - w @ vh)) < 1e-14
+        assert np.max(np.abs(path[99].conj().T @ path[99] - np.eye(2))) < 1e-14
 
 
 class TestInvariantCommutation:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -475,3 +476,14 @@ def test_malformed_value_rejected_by_name(build, name):
     # NaN fails every comparison, so an `x < 0` guard lets it through
     with pytest.raises(ContractError, match=name):
         build()
+
+
+@pytest.mark.parametrize("k", [3, 150], ids=["first-block", "second-block"])
+def test_sweep_hamiltonian_changing_dimension_is_named(k):
+    # the sweep stacks each block's H(t); a foreign dimension is named by its t
+    dt = 0.01
+    switch = 0.0 + k * dt + dt / 2
+    gen = DrivenGenerator(lambda t: np.eye(3) if t >= switch else 0.5 * Q["sz"])
+    with pytest.raises(DimensionError, match=re.escape(
+            f"H(t={switch}) dimension 3 does not match H(t=0.0) of dimension 2")):
+        integrate_unitary(gen, 0.0, 2.5, 250)
