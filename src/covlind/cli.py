@@ -103,10 +103,14 @@ def _driven_qubit_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _pauli_series(states) -> dict[str, np.ndarray]:
-    """<sx>, <sy>, <sz> over a list of DensityMatrix or a (T, 2, 2) stack."""
+    """<sx>, <sy>, <sz> over a list of DensityMatrix or a (T, 2, 2) stack,
+    read from the entries in the (|g>, |e>) basis: Re(rho_10 + rho_01),
+    Re(i (rho_10 - rho_01)) and Re(rho_11 - rho_00).  Adding 0.0 writes an
+    exact zero as 0, never -0, as tr(sigma rho) does."""
     rhos = states if isinstance(states, np.ndarray) else np.array([st.data for st in states])
-    return {name: np.trace(_Q[name] @ rhos, axis1=1, axis2=2).real
-            for name in ("sx", "sy", "sz")}
+    r00, r01, r10, r11 = rhos[:, 0, 0], rhos[:, 0, 1], rhos[:, 1, 0], rhos[:, 1, 1]
+    return {"sx": r10.real + r01.real + 0.0, "sy": r01.imag - r10.imag + 0.0,
+            "sz": r11.real - r00.real + 0.0}
 
 
 def _fig2_single(cfg: ExperimentConfig, alpha: complex):

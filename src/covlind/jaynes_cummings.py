@@ -17,7 +17,11 @@ covariance carries H_sc, F_pm and W from t = 0.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +132,11 @@ def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
 # Kraus terms per chunk of times: 4 MiB of per-term temporaries, 8 B each for
 # the cosine, the sine and the six real entries of one Kraus operator
 _KRAUS_CHUNK_TERMS = (4 << 20) // 64
+# most threads that compute Kraus chunks at once, each holding one chunk
+_KRAUS_WORKERS = 4
+# terms per BLAS dot product: OpenBLAS splits a longer dot product over its
+# own threads, whose count would then set the last bits of the Kraus sums
+_DOT_TERMS = 10_000
 
 
 def _kraus_window(p: JCParams, window) -> tuple[int, int]:
@@ -145,6 +154,16 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
         raise ContractError(f"Kraus window [{lo}, {hi}] at alpha={p.alpha:g} reaches "
                             f"past 2^53, where Fock numbers are not exact")
     return int(lo), int(hi)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (times, M) arrays, summed over column
+    blocks of at most _DOT_TERMS terms, left to right; one np.vecdot call
+    when M <= _DOT_TERMS."""
+    total = np.vecdot(a[:, :_DOT_TERMS], b[:, :_DOT_TERMS])
+    for j in range(_DOT_TERMS, a.shape[1], _DOT_TERMS):
+        total += np.vecdot(a[:, j:j + _DOT_TERMS], b[:, j:j + _DOT_TERMS])
+    return total
 
 
 def _grid_step(ts: np.ndarray) -> float | None:
@@ -222,7 +241,7 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
             sin += c_q * s_j
         row = {"A": r_m * cos[:, :-1], "B": b * sin[:, :-1], "C": c * sin[:, :-1],
                "E": e * sin[:, 1:], "F": r_m * cos[:, 1:], "G": g * sin[:, 1:]}
-        s = {pq: np.vecdot(row[pq[0]], row[pq[1]])
+        s = {pq: _row_dots(row[pq[0]], row[pq[1]])
              for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
         # D and P are diagonal and unitary, so they keep these entry moduli
         deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
@@ -231,6 +250,38 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
         return s, float(deficit)
 
     return rows, sums
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks_in_order(sums, starts: range):
+    """Yield ``sums(k0)`` for each chunk start in ``starts``, in order.
+
+    With one chunk or one usable CPU the chunks run inline.  Otherwise they
+    run on a pool of min(CPUs, chunks, _KRAUS_WORKERS) threads (the kernel's
+    ufuncs and vecdot release the GIL).  At most one chunk per thread, plus
+    the next one queued, is submitted ahead of the chunk yielded, so memory
+    holds one chunk's temporaries per thread, and a caller that stops early
+    waits only for those.
+    """
+    workers = min(_usable_cpus(), len(starts), _KRAUS_WORKERS)
+    if workers < 2:
+        yield from map(sums, starts)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(sums, k0) for k0 in starts[:workers])
+        for k0 in starts[workers:]:
+            first = pending.popleft()
+            pending.append(pool.submit(sums, k0))
+            yield first.result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
@@ -256,9 +307,14 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
 
     Times go in chunks of the kernel's rows (``_kraus_kernel``: as many as
     fit about 4 MiB of Kraus terms, so memory stays bounded as alpha grows).
-    Per chunk, the entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are
-    real combinations of the chunk's sums; P D acts once on the whole stack
-    after the loop.
+    The chunks' sums are computed on up to _KRAUS_WORKERS threads
+    (``_chunks_in_order``) and combined here in time order: a chunk's sums
+    depend on its own times only and the rows do not depend on the thread
+    count, so the states are bitwise the same for any number of threads, and
+    a failing completeness check names the earliest failing chunk.  Per
+    chunk, the entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are real
+    combinations of the chunk's sums; P D acts once on the whole stack after
+    the loop.
     """
     lo, hi = _kraus_window(p, window)
     ts = np.asarray(ts, dtype=float)
@@ -268,23 +324,25 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
     q01 = rho0[0, 1] * np.exp(1j * phi)
     x, y = q01.real, q01.imag
     rhos = np.empty((len(ts), 2, 2), dtype=complex)
-    for k0 in range(0, len(ts), rows):
-        part = slice(k0, k0 + rows)
-        s, deficit = sums(k0)
-        if deficit > 1e-6:
-            raise TruncationError(
-                f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
-                f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
-                f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
-                deficit=deficit)
-        af_bg, ag_bf = s["AF"] - s["BG"], s["AG"] + s["BF"]
-        rhos[part, 0, 0] = (q00 * (s["AA"] + s["BB"]) + q11 * s["CC"]
-                            - 2.0 * (x * s["BC"] + y * s["AC"]))
-        rhos[part, 1, 1] = (q00 * s["EE"] + q11 * (s["FF"] + s["GG"])
-                            + 2.0 * (x * s["EG"] + y * s["EF"]))
-        rhos[part, 0, 1] = (q00 * -s["BE"] + x * (af_bg + s["CE"]) - y * ag_bf + q11 * s["CG"]
-                            + 1j * (q00 * s["AE"] + x * ag_bf + y * (af_bg - s["CE"])
-                                    - q11 * s["CF"]))
+    starts = range(0, len(ts), rows)
+    with contextlib.closing(_chunks_in_order(sums, starts)) as chunks:
+        for k0, (s, deficit) in zip(starts, chunks):
+            part = slice(k0, k0 + rows)
+            if deficit > 1e-6:
+                raise TruncationError(
+                    f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
+                    f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
+                    f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
+                    deficit=deficit)
+            af_bg, ag_bf = s["AF"] - s["BG"], s["AG"] + s["BF"]
+            rhos[part, 0, 0] = (q00 * (s["AA"] + s["BB"]) + q11 * s["CC"]
+                                - 2.0 * (x * s["BC"] + y * s["AC"]))
+            rhos[part, 1, 1] = (q00 * s["EE"] + q11 * (s["FF"] + s["GG"])
+                                + 2.0 * (x * s["EG"] + y * s["EF"]))
+            rhos[part, 0, 1] = (q00 * -s["BE"] + x * (af_bg + s["CE"]) - y * ag_bf
+                                + q11 * s["CG"]
+                                + 1j * (q00 * s["AE"] + x * ag_bf + y * (af_bg - s["CE"])
+                                        - q11 * s["CF"]))
     rhos[:, 0, 1] *= np.exp(1j * (p.omega_c * ts - phi))
     rhos[:, 1, 0] = rhos[:, 0, 1].conj()
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]

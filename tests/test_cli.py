@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import math
 import tempfile
@@ -406,6 +407,27 @@ class TestOutputs:
         lines = ["a,b,c,d,e"] + [",".join(format(float(col[i]), ".17g") for col in columns)
                                  for i in range(40)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_pauli_series_bitwise_equal_to_traces(self):
+        # random states and every pattern of signed zeros in the entries:
+        # the entry formulas give tr(sigma rho) bit for bit, sign of zero too
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+        states = [a @ a.conj().transpose(0, 2, 1)]
+        zeros = [0.0, -0.0, 0.5, -0.25]
+        grid = np.array(list(itertools.product(zeros, repeat=8)))
+        states.append((grid[:, :4] + 1j * grid[:, 4:]).reshape(-1, 2, 2))
+        q = cli.qubit_ops()
+        for rhos in states:
+            series = cli._pauli_series(rhos)
+            for name in ("sx", "sy", "sz"):
+                trace = np.trace(q[name] @ rhos, axis1=1, axis2=2).real
+                assert np.array_equal(series[name], trace), name
+                assert np.array_equal(np.signbit(series[name]), np.signbit(trace)), name
+        wrapped = [cli.DensityMatrix.from_matrix(rho / np.trace(rho).real) for rho in states[0]]
+        stack = np.array([rho.data for rho in wrapped])
+        assert all(np.array_equal(cli._pauli_series(wrapped)[name], cli._pauli_series(stack)[name])
+                   for name in ("sx", "sy", "sz"))
 
 
 class TestRunnerDefaults:

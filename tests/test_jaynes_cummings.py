@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -256,6 +260,11 @@ class TestKrausKernel:
         assert states.shape == (129, 2, 2)
         assert peak < 32 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
+    def test_memory_bounded_at_large_alpha_on_four_workers(self):
+        # each worker holds one chunk in flight; the same bound holds
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4):
+            self.test_memory_bounded_at_large_alpha()
+
 
 class TestPhaseTables:
     """The uniform-grid phase tables of ``_kraus_kernel`` against direct trig
@@ -323,6 +332,125 @@ class TestPhaseTables:
             oracle = kraus_sum_oracle(rho0, p, times[k], (lo, hi))
             oracle /= np.trace(oracle).real
             assert np.max(np.abs(states[k] - oracle)) < 1e-12, k
+
+
+def _no_pool():
+    return mock.patch.object(jaynes_cummings, "ThreadPoolExecutor",
+                             side_effect=AssertionError("a thread pool was started"))
+
+
+class TestKrausThreads:
+    """The Kraus chunks on a thread pool against the same chunks inline."""
+
+    def test_single_chunk_starts_no_thread(self):
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 25.0 * np.exp(0.5j))
+        rho0 = DensityMatrix.from_ket([1, 1])
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4), _no_pool():
+            jc_kraus_reduce(rho0, p, 3.0)
+            jc_kraus_completeness(p, 3.0)
+            jc_autonomous_trajectory(rho0, p, np.linspace(0.0, 5.0, 11))
+
+    def test_one_cpu_runs_inline(self):
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0)
+        times = np.linspace(0.0, 20.0, 100)  # 4 chunks of up to 32 rows
+        rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 1), _no_pool():
+            _autonomous_states(rho0, p, times)
+
+    @pytest.mark.parametrize("alpha, n, jitter", [
+        (5.0, 2501, False), (5.0, 2501, True),        # 682 rows: 4 chunks
+        (100.0, 150, False), (100.0, 150, True),      # 32 rows: 5 chunks
+        (1000.0, 13, False),                          # 3 rows: 5 chunks, the last of 1
+    ])
+    def test_states_bitwise_equal_for_any_worker_count(self, alpha, n, jitter):
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, alpha * np.exp(0.7j))
+        times = np.linspace(0.0, 20.0, n)
+        if jitter:
+            times += np.random.default_rng(8).uniform(0.0, 1e-3, size=n)
+            assert _grid_step(times) is None
+        rows = _kraus_kernel(p, times, *default_kraus_window(p))[0]
+        chunks = -(-n // rows)
+        assert chunks >= 4
+        rho0 = random_psd(np.random.default_rng(9))
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 1):
+            serial = _autonomous_states(rho0, p, times)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads hand over the interpreter often
+        try:
+            for workers in (2, 3, 4):
+                with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: workers), \
+                        mock.patch.object(jaynes_cummings, "ThreadPoolExecutor",
+                                          wraps=ThreadPoolExecutor) as pool:
+                    threaded = _autonomous_states(rho0, p, times)
+                pool.assert_called_once_with(workers)
+                assert np.array_equal(threaded, serial), workers
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_narrow_window_raises_the_serial_message(self):
+        # every chunk of this window fails; the first one is named
+        p = JCParams.with_rabi(1.0, 0.3, 2.0, 30.0)
+        rho0 = DensityMatrix.from_ket([1, 1])
+        times = np.linspace(0.0, 40.0, 600)
+        messages = []
+        for workers in (1, 4):
+            with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: workers), \
+                    pytest.raises(TruncationError) as info:
+                jc_autonomous_trajectory(rho0, p, times, window=(600, 1040))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "t in [0, 9.81636]" in messages[0]
+
+    def test_earliest_failing_chunk_named_when_it_finishes_last(self):
+        # chunks 0 and 1 pass but finish after chunks 2 and 3 fail: the error
+        # names chunk 2, and no chunk past 6 (2 + 4 threads + 1 queued) starts
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0)
+        times = np.linspace(0.0, 20.0, 40 * 32)
+        real_kernel = jaynes_cummings._kraus_kernel
+        started = []
+
+        def kernel(p, ts, lo, hi):
+            rows, sums = real_kernel(p, ts, lo, hi)
+
+            def sums_failing_from_chunk_2(k0):
+                started.append(k0 // rows)
+                s, deficit = sums(k0)
+                if k0 < 2 * rows:
+                    time.sleep(0.05)
+                    return s, deficit
+                return s, 1.0
+
+            return rows, sums_failing_from_chunk_2
+
+        threads = threading.active_count()
+        with mock.patch.object(jaynes_cummings, "_kraus_kernel", kernel), \
+                mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4), \
+                pytest.raises(TruncationError, match=r"t in \[1.00078, 1.48554\]"):
+            _autonomous_states(0.5 * np.ones((2, 2), dtype=complex), p, times)
+        assert max(started) <= 6
+        assert threading.active_count() == threads
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(jaynes_cummings.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(jaynes_cummings.os, "cpu_count", lambda: None)
+        assert jaynes_cummings._usable_cpus() == 1
+        monkeypatch.setattr(jaynes_cummings.os, "cpu_count", lambda: 3)
+        assert jaynes_cummings._usable_cpus() == 3
+
+    def test_row_dots_sum_blocks_of_dot_terms(self):
+        # a window of more than _DOT_TERMS terms is summed in blocks, so no
+        # BLAS call is long enough for BLAS to split it over its threads
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 3, 25_000))
+        n = jaynes_cummings._DOT_TERMS
+        blocks = np.vecdot(a[:, :n], b[:, :n])
+        blocks += np.vecdot(a[:, n:2 * n], b[:, n:2 * n])
+        blocks += np.vecdot(a[:, 2 * n:], b[:, 2 * n:])
+        assert np.array_equal(jaynes_cummings._row_dots(a, b), blocks)
+        exact = [math.fsum(x * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+        assert np.max(np.abs(blocks - exact)) < 1e-10
+        assert np.array_equal(jaynes_cummings._row_dots(a[:, :n], b[:, :n]),
+                              np.vecdot(a[:, :n], b[:, :n]))
 
 
 class TestStackedStates:
