@@ -20,6 +20,7 @@ import cmath
 import contextlib
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -208,6 +209,13 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     instead of len(ts).  On any other grid, and for a single time, a chunk
     takes cos and sin of its own phases.  Each sum is one row reduction, so
     a time's sums do not depend on the other times of its chunk.
+
+    Each thread that calls ``sums`` gets one workspace on its first chunk:
+    cos, sin and a trig temporary of shape (n, M + 1) and the six rows of
+    shape (n, M), n = min(R, len(ts)), which every chunk overwrites (a
+    partial chunk its leading rows); row A reuses the temporary's buffer.
+    The returned sums are fresh arrays, so a thread may start its next
+    chunk while the caller reads them.
     """
     # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
@@ -221,26 +229,41 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     e, g = 2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:], p.delta * r_m * inv[1:]
 
     rows = _KRAUS_CHUNK_TERMS // (hi - lo + 1)
+    n = min(rows, len(ts))
     dt = _grid_step(ts)
     if dt is not None:
-        offset = om * (np.arange(min(rows, len(ts))) * dt / 2.0)[:, None]
+        offset = om * (np.arange(n) * dt / 2.0)[:, None]
         c_r, s_r = np.cos(offset), np.sin(offset)
+    local = threading.local()
 
     def sums(k0: int) -> tuple[dict, float]:
         t = ts[k0:k0 + rows]
+        if not hasattr(local, "trig"):
+            # the trig temporary is dead before row A is written: one buffer
+            spare = np.empty(n * len(om))
+            local.trig = [np.empty((n, len(om))), np.empty((n, len(om))),
+                          spare.reshape(n, len(om))]
+            local.row = {key: np.empty((n, len(ms))) for key in "BCEFG"}
+            local.row["A"] = spare[:n * len(ms)].reshape(n, len(ms))
+        cos, sin, tmp = (x[:len(t)] for x in local.trig)
+        row = {key: x[:len(t)] for key, x in local.row.items()}
         if dt is None:
-            half = om * t[:, None] / 2.0
-            cos, sin = np.cos(half), np.sin(half)
+            np.multiply(om, t[:, None], out=tmp)
+            np.divide(tmp, 2.0, out=tmp)
+            np.cos(tmp, out=cos)
+            np.sin(tmp, out=sin)
         else:
             half = om * t[0] / 2.0
             c_q, s_q = np.cos(half), np.sin(half)
             c_j, s_j = c_r[:len(t)], s_r[:len(t)]
-            cos = c_q * c_j
-            cos -= s_q * s_j
-            sin = s_q * c_j
-            sin += c_q * s_j
-        row = {"A": r_m * cos[:, :-1], "B": b * sin[:, :-1], "C": c * sin[:, :-1],
-               "E": e * sin[:, 1:], "F": r_m * cos[:, 1:], "G": g * sin[:, 1:]}
+            np.multiply(c_q, c_j, out=cos)
+            cos -= np.multiply(s_q, s_j, out=tmp)
+            np.multiply(s_q, c_j, out=sin)
+            sin += np.multiply(c_q, s_j, out=tmp)
+        for key, coef, trig in (("A", r_m, cos[:, :-1]), ("B", b, sin[:, :-1]),
+                                ("C", c, sin[:, :-1]), ("E", e, sin[:, 1:]),
+                                ("F", r_m, cos[:, 1:]), ("G", g, sin[:, 1:])):
+            np.multiply(coef, trig, out=row[key])
         s = {pq: _row_dots(row[pq[0]], row[pq[1]])
              for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
         # D and P are diagonal and unitary, so they keep these entry moduli
@@ -266,9 +289,10 @@ def _chunks_in_order(sums, starts: range):
     With one chunk or one usable CPU the chunks run inline.  Otherwise they
     run on a pool of min(CPUs, chunks, _KRAUS_WORKERS) threads (the kernel's
     ufuncs and vecdot release the GIL).  At most one chunk per thread, plus
-    the next one queued, is submitted ahead of the chunk yielded, so memory
-    holds one chunk's temporaries per thread, and a caller that stops early
-    waits only for those.
+    the next one queued, is submitted ahead of the chunk yielded, so a
+    caller that stops early waits only for those.  Each thread writes all
+    its chunks into its own kernel workspace (``_kraus_kernel``), so memory
+    holds one chunk workspace per thread.
     """
     workers = min(_usable_cpus(), len(starts), _KRAUS_WORKERS)
     if workers < 2:

@@ -392,6 +392,11 @@ def uhlmann_fidelity(rho, sigma):
     Either a pair of states, giving a float, or two equal-shape stacks
     (..., d, d), giving an array of fidelities.  A single pair is computed
     as a stack of one, so it matches the same pair inside a stack bitwise.
+
+    Qubits take the closed form F = tr(rho sigma) + 2 sqrt(det rho det sigma)
+    (Huebner, Phys. Lett. A 163, 239 (1992); Jozsa, J. Mod. Opt. 41, 2315
+    (1994)), which needs no square roots of rounding-level eigenvalues, so a
+    near-pure pair keeps its digits; larger states take the eigenvalue path.
     """
     a, b = _state_stack(rho), _state_stack(sigma)
     if a.shape != b.shape:
@@ -403,12 +408,31 @@ def uhlmann_fidelity(rho, sigma):
         if (np.abs(_trace(m) - 1.0).max(initial=0.0) > 1e-8
                 or np.abs(m - _dagger(m)).max(initial=0.0) > 1e-8):
             raise ContractError("uhlmann_fidelity requires unit-trace Hermitian states")
+    f = _qubit_fidelity(a, b) if a.shape[-1] == 2 else _eigen_fidelity(a, b)
+    f = np.clip(f, 0.0, 1.0)
+    return float(f[0]) if single else f
+
+
+def _qubit_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) + 2 sqrt(det a det b) for Hermitian (..., 2, 2) stacks, in
+    real arithmetic on the diagonals and the upper off-diagonal entries; a
+    determinant below zero at rounding level counts as zero."""
+    a00, a11, a01 = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
+    b00, b11, b01 = b[..., 0, 0].real, b[..., 1, 1].real, b[..., 0, 1]
+    overlap = a00 * b00 + a11 * b11 + 2.0 * (a01.real * b01.real + a01.imag * b01.imag)
+    det_a = a00 * a11 - (a01.real * a01.real + a01.imag * a01.imag)
+    det_b = b00 * b11 - (b01.real * b01.real + b01.imag * b01.imag)
+    return overlap + 2.0 * np.sqrt(np.clip(det_a, 0.0, None) * np.clip(det_b, 0.0, None))
+
+
+def _eigen_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(tr sqrt(sqrt(a) b sqrt(a)))^2 from eigenvalues, for Hermitian
+    (..., d, d) stacks of any d."""
     w, v = np.linalg.eigh(a)
     sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     m = sqrt_a @ b @ sqrt_a
     ev = np.linalg.eigvalsh(0.5 * (m + _dagger(m)))
-    f = np.clip(np.sum(np.sqrt(np.clip(ev, 0.0, None)), axis=-1) ** 2, 0.0, 1.0)
-    return float(f[0]) if single else f
+    return np.sum(np.sqrt(np.clip(ev, 0.0, None)), axis=-1) ** 2
 
 
 def _shannon(p: np.ndarray) -> float:

@@ -265,6 +265,50 @@ class TestKrausKernel:
         with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4):
             self.test_memory_bounded_at_large_alpha()
 
+    def test_single_time_workspace_is_one_row(self):
+        # alpha = 25: M = 521 and 125 rows per chunk, so a full-chunk
+        # workspace would take about 4.2 MB; one time needs only one row
+        p = JCParams.with_rabi(1.0, 0.0, 2.0, 25.0)
+        lo, hi = default_kraus_window(p)
+        assert hi - lo + 1 == 521
+        assert _kraus_kernel(p, np.zeros(2), lo, hi)[0] == 125
+        tracemalloc.start()
+        try:
+            deficit = jc_kraus_completeness(p, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deficit < 1e-6
+        assert peak < 1 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("alpha, n, jitter", [
+        (5.0, 3 * 682 + 100, False), (5.0, 3 * 682 + 100, True),  # 682 rows, last chunk of 100
+        (1000.0, 10, False), (1000.0, 10, True),                  # 3 rows, last chunk of 1
+    ])
+    def test_workspace_reuse_leaves_no_trace(self, alpha, n, jitter):
+        # one kernel on one thread computes the partial last chunk, then
+        # chunks 0 and 1 and the last one again in the same workspace; each
+        # result is that of a fresh kernel and owns its memory
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, alpha * np.exp(0.7j))
+        lo, hi = default_kraus_window(p)
+        times = np.linspace(0.0, 20.0, n)
+        if jitter:
+            times += np.random.default_rng(4).uniform(0.0, 1e-3, size=n)
+            assert _grid_step(times) is None
+        rows, sums = _kraus_kernel(p, times, lo, hi)
+        last = (n - 1) // rows * rows
+        assert 0 < n - last < rows
+        assert (hi - lo + 1 > jaynes_cummings._DOT_TERMS) == (alpha == 1000.0)
+        order = [last, 0, rows, last]
+        results = [sums(k0) for k0 in order]
+        for k0, (s, deficit) in zip(order, results):
+            fresh, fresh_deficit = _kraus_kernel(p, times, lo, hi)[1](k0)
+            assert deficit == fresh_deficit
+            assert s.keys() == fresh.keys()
+            assert all(np.array_equal(s[key], fresh[key]) for key in s), k0
+        arrays = [(i, x) for i, (s, _) in enumerate(results) for x in s.values()]
+        assert not any(np.shares_memory(x, y) for i, x in arrays for j, y in arrays if i != j)
+
 
 class TestPhaseTables:
     """The uniform-grid phase tables of ``_kraus_kernel`` against direct trig

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, jc_block_propagator,
                                      jc_dressed_states, jc_hamiltonian, touchard,
                                      touchard_asymptotic)
-from covlind.operators import liouville_unitary
+from covlind.operators import _eigen_fidelity, liouville_unitary
 from covlind.propagate import TimeGrid
 from oracles import hermitian_eig_loop_oracle
 
@@ -254,6 +255,60 @@ class TestUhlmannFidelity:
     def test_symmetry(self):
         a, b = random_state(3), random_state(3)
         assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) < 1e-10
+
+
+def _qubit(theta, phi, mix):
+    """(1 - mix) |psi><psi| + mix I/2 for the Bloch angles (theta, phi)."""
+    psi = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
+    return (1.0 - mix) * np.outer(psi, psi.conj()) + mix * np.eye(2) / 2
+
+
+_MIX = st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 1.0))
+
+
+def _exact_qubit_fidelity(rho, sigma):
+    """tr(rho sigma) + 2 sqrt(det rho det sigma) in rationals, for states given
+    as (rho_00, Re rho_01, Im rho_01) whose determinant product is a square."""
+    (a, ar, ai), (b, br, bi) = rho, sigma
+    overlap = a * b + (1 - a) * (1 - b) + 2 * (ar * br + ai * bi)
+    det = (a * (1 - a) - ar * ar - ai * ai) * (b * (1 - b) - br * br - bi * bi)
+    root = Fraction(math.isqrt(det.numerator), math.isqrt(det.denominator))
+    assert root * root == det
+    return overlap + 2 * root
+
+
+def _rational_state(a, re, im):
+    return np.array([[a, complex(re, im)], [complex(re, -im), 1 - a]], dtype=complex)
+
+
+class TestQubitFidelity:
+    """The qubit closed form against the eigenvalue path and exact values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi), mix_a=_MIX,
+           d_theta=st.one_of(st.floats(-1e-4, 1e-4), st.floats(-math.pi, math.pi)),
+           d_phi=st.one_of(st.floats(-1e-4, 1e-4), st.floats(-math.pi, math.pi)), mix_b=_MIX)
+    def test_matches_eigenvalue_path(self, theta, phi, mix_a, d_theta, d_phi, mix_b):
+        a = _qubit(theta, phi, mix_a)
+        b = _qubit(theta + d_theta, phi + d_phi, mix_b)
+        oracle = float(np.clip(_eigen_fidelity(a[None], b[None])[0], 0.0, 1.0))
+        assert abs(uhlmann_fidelity(a, b) - oracle) < 1e-7
+
+    @pytest.mark.parametrize("rho, sigma", [
+        ((Fraction(1, 2), Fraction(1, 4), 0), (Fraction(3, 4), 0, 0)),            # 7/8
+        ((Fraction(1, 2), 0, Fraction(1, 4)), (Fraction(1, 2), 0, Fraction(-1, 4))),  # 3/4
+        ((Fraction(1, 2), Fraction(1, 2), 0), (Fraction(3, 4), 0, 0)),            # pure: 1/2
+        ((Fraction(1), 0, 0), (Fraction(0), 0, 0)),                              # orthogonal
+        ((Fraction(5, 8), Fraction(1, 8), Fraction(1, 8)),) * 2,                  # itself: 1
+    ])
+    def test_exact_on_rational_states(self, rho, sigma):
+        expected = _exact_qubit_fidelity(rho, sigma)
+        assert uhlmann_fidelity(_rational_state(*rho), _rational_state(*sigma)) == expected
+
+    def test_exact_values_in_a_stack(self):
+        rhos = np.array([_rational_state(0.5, 0.25, 0.0), _rational_state(0.5, 0.0, 0.25)])
+        sigmas = np.array([_rational_state(0.75, 0.0, 0.0), _rational_state(0.5, 0.0, -0.25)])
+        assert np.array_equal(uhlmann_fidelity(rhos, sigmas), [0.875, 0.75])
 
 
 class TestCoherence:
