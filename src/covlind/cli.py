@@ -114,6 +114,8 @@ def _pauli_series(states) -> dict[str, np.ndarray]:
 
 
 def _fig2_single(cfg: ExperimentConfig, alpha: complex):
+    """One alpha's trajectory table, its header and columns with t first
+    (jc-sim writes it whole, fig2 without t), and its summary fields."""
     p = cfg.jc_params(alpha=alpha)
     if not p.rabi > 0:
         raise ContractError(f"the Rabi frequency sets the time scale and must be "
@@ -139,7 +141,12 @@ def _fig2_single(cfg: ExperimentConfig, alpha: complex):
         envelope_rate = fit_gaussian_envelope(times, pa["sx"])
     except CovlindError:
         envelope_rate = None  # written as null
-    return p, times, fid, pa, ps, envelope_rate
+    table = {"t": times, "t_normalized": times * p.rabi, "fidelity": fid,
+             **{f"{key}_autonomous": col for key, col in pa.items()},
+             **{f"{key}_semiclassical": col for key, col in ps.items()}}
+    fields = {"min_fidelity": float(np.min(fid)), "envelope_decay_rate": envelope_rate,
+              "params": _echo_params(p)}
+    return list(table), list(table.values()), fields
 
 
 def run_fig2(cfg: ExperimentConfig, out: Path) -> dict:
@@ -153,17 +160,9 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> dict:
                               f"fig2_alpha_{tag}.csv")
     results = [_fig2_single(cfg, a) for a in alphas]
     summary_alphas = []
-    for a, tag, (p, times, fid, pa, ps, env) in zip(alphas, tags, results):
-        write_csv(out / f"fig2_alpha_{tag}.csv",
-                  ["t_normalized", "fidelity",
-                   "sx_autonomous", "sy_autonomous", "sz_autonomous",
-                   "sx_semiclassical", "sy_semiclassical", "sz_semiclassical"],
-                  [times * p.rabi, fid, pa["sx"], pa["sy"], pa["sz"],
-                   ps["sx"], ps["sy"], ps["sz"]])
-        summary_alphas.append({"alpha": [complex(a).real, complex(a).imag],
-                               "min_fidelity": float(np.min(fid)),
-                               "envelope_decay_rate": env,
-                               "params": _echo_params(p)})
+    for a, tag, (header, columns, fields) in zip(alphas, tags, results):
+        write_csv(out / f"fig2_alpha_{tag}.csv", header[1:], columns[1:])
+        summary_alphas.append({"alpha": [complex(a).real, complex(a).imag], **fields})
     summary = {"experiment": "fig2", "alphas": summary_alphas,
                "initial_state": str(cfg.initial_state),
                "monotone_min_fidelity": bool(np.all(np.diff(
@@ -174,17 +173,9 @@ def run_fig2(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_jc_sim(cfg: ExperimentConfig, out: Path) -> dict:
     """Single-alpha autonomous + semi-classical trajectory dump."""
-    alpha = cfg.alphas()[0]
-    p, times, fid, pa, ps, env = _fig2_single(cfg, alpha)
-    write_csv(out / "jc_sim.csv",
-              ["t", "t_normalized", "fidelity",
-               "sx_autonomous", "sy_autonomous", "sz_autonomous",
-               "sx_semiclassical", "sy_semiclassical", "sz_semiclassical"],
-              [times, times * p.rabi, fid, pa["sx"], pa["sy"], pa["sz"],
-               ps["sx"], ps["sy"], ps["sz"]])
-    summary = {"experiment": "jc-sim", "min_fidelity": float(np.min(fid)),
-               "envelope_decay_rate": env, "params": _echo_params(p),
-               "initial_state": str(cfg.initial_state)}
+    header, columns, fields = _fig2_single(cfg, cfg.alphas()[0])
+    write_csv(out / "jc_sim.csv", header, columns)
+    summary = {"experiment": "jc-sim", **fields, "initial_state": str(cfg.initial_state)}
     write_json(out / "jc_sim_summary.json", summary)
     return summary
 

@@ -10,8 +10,9 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .jaynes_cummings import JCParams
+from .operators import validate_states
 
 EXPERIMENTS = ("fig2", "jc-sim", "eigenops", "attractor", "coefficients", "touchard")
 _SECTIONS = ("jc", "bath", "grid", "sweep", "touchard")
@@ -99,7 +100,12 @@ def parse_initial_state(spec) -> np.ndarray:
     tr = np.trace(mat)
     if abs(tr) < 1e-12:
         raise ConfigError("initial_state has zero trace")
-    return mat / tr
+    mat = mat / tr
+    try:
+        validate_states(mat)
+    except ContractError as exc:
+        raise ConfigError(f"initial_state is not a density matrix: {exc}") from exc
+    return mat
 
 
 def _number(where: str, x):

@@ -53,10 +53,15 @@ class JCParams:
         for name, value in (("omega_c", self.omega_c), ("omega_eg", self.omega_eg)):
             if not 0 < value < math.inf:
                 raise ContractError(f"{name} must be positive and finite, got {value}")
-        if not 0 <= self.g < math.inf:
-            raise ContractError(f"coupling g must be nonnegative and finite, got {self.g}")
-        if not cmath.isfinite(self.alpha):
-            raise ContractError(f"coherent amplitude alpha must be finite, got {self.alpha}")
+        # float products give inf or nan where ** raises a bare OverflowError
+        g2, nbar = self.g * self.g, abs(self.alpha) * abs(self.alpha)
+        if not (self.g >= 0 and math.isfinite(g2)):
+            raise ContractError(f"coupling g = {self.g:g} must be nonnegative with finite g^2")
+        if not math.isfinite(nbar):
+            raise ContractError(f"amplitude alpha = {self.alpha:g} has no finite |alpha|^2")
+        if not math.isfinite(self.delta * self.delta + 4.0 * g2 * nbar):
+            raise ContractError(f"delta^2 + 4 g^2 |alpha|^2 overflows at delta = "
+                                f"{self.delta:g}, g = {self.g:g}, alpha = {self.alpha:g}")
 
     @property
     def delta(self) -> float:
@@ -202,13 +207,13 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     Omega_n.  r_n, Omega_n, 1/Omega_n and the B, C, E, G coefficients are
     built once per call, not per chunk.
 
-    On a uniform grid (``_grid_step``) a chunk's time k0 + j takes the base
-    phase Omega t_{k0} / 2 plus the offset Omega j dt / 2: cos = c_q c_j -
-    s_q s_j and sin = s_q c_j + c_q s_j, from one R-row table of offsets and
-    one base row per chunk, so trig runs on about len(ts) / R + R rows
-    instead of len(ts).  On any other grid, and for a single time, a chunk
-    takes cos and sin of its own phases.  Each sum is one row reduction, so
-    a time's sums do not depend on the other times of its chunk.
+    Each phase is a base phase plus an offset: cos = c_q c_j - s_q s_j and
+    sin = s_q c_j + c_q s_j.  On a uniform grid (``_grid_step``) a chunk's
+    time k0 + j takes the base Omega t_{k0} / 2 and the offset Omega j dt / 2
+    from one R-row table, so trig runs on about len(ts) / R + R rows instead
+    of len(ts); on any other grid, and for a single time, each time is its
+    own base with the zero offset (cos 1, sin 0, exact).  Each sum is one row
+    reduction, so a time's sums do not depend on the other times of its chunk.
 
     Each thread that calls ``sums`` gets one workspace on its first chunk:
     cos, sin and a trig temporary of shape (n, M + 1) and the six rows of
@@ -247,19 +252,14 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
             local.row["A"] = spare[:n * len(ms)].reshape(n, len(ms))
         cos, sin, tmp = (x[:len(t)] for x in local.trig)
         row = {key: x[:len(t)] for key, x in local.row.items()}
-        if dt is None:
-            np.multiply(om, t[:, None], out=tmp)
-            np.divide(tmp, 2.0, out=tmp)
-            np.cos(tmp, out=cos)
-            np.sin(tmp, out=sin)
-        else:
-            half = om * t[0] / 2.0
-            c_q, s_q = np.cos(half), np.sin(half)
-            c_j, s_j = c_r[:len(t)], s_r[:len(t)]
-            np.multiply(c_q, c_j, out=cos)
-            cos -= np.multiply(s_q, s_j, out=tmp)
-            np.multiply(s_q, c_j, out=sin)
-            sin += np.multiply(c_q, s_j, out=tmp)
+        base, c_j, s_j = ((t[:, None], 1.0, 0.0) if dt is None
+                          else (t[:1, None], c_r[:len(t)], s_r[:len(t)]))
+        half = om * base / 2.0
+        c_q, s_q = np.cos(half), np.sin(half)
+        np.multiply(c_q, c_j, out=cos)
+        cos -= np.multiply(s_q, s_j, out=tmp)
+        np.multiply(s_q, c_j, out=sin)
+        sin += np.multiply(c_q, s_j, out=tmp)
         for key, coef, trig in (("A", r_m, cos[:, :-1]), ("B", b, sin[:, :-1]),
                                 ("C", c, sin[:, :-1]), ("E", e, sin[:, 1:]),
                                 ("F", r_m, cos[:, 1:]), ("G", g, sin[:, 1:])):

@@ -149,6 +149,16 @@ class TestExitCodes:
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
         ("jc-sim", "jc: {alpha: 1.0e+20}", 3, "past 2^53"),
         ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
+        ("jc-sim", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
+        ("attractor", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
+        ("coefficients", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
+        ("eigenops", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
+        ("jc-sim", "jc: {alpha: 1.0e-200}", 3, "g = 1e+200"),
+        ("attractor", "jc: {alpha: 1.0e-200}", 3, "g = 1e+200"),
+        ("coefficients", "jc: {alpha: 1.0e-200}", 3, "g = 2e+199"),
+        ("eigenops", "jc: {alpha: 1.0e-200}", 3, "g = 2e+199"),
+        ("jc-sim", 'initial_state: [[1, 0], [0, "1j"]]', 2, "initial_state"),
+        ("jc-sim", "initial_state: [[1, 2], [2, 1]]", 2, "initial_state"),
         ("attractor", "jc: {g: 0.0, delta: 0.1}", 3, "(g = 0, alpha = 5+0j"),
         ("eigenops", "jc: {g: 0.0, delta: 0.1}", 3, "(g = 0, alpha = 2+0j"),
         ("eigenops", "jc: {rabi: 1.0e+6}", 3, "RK4 unitary sweep diverged"),
@@ -370,6 +380,20 @@ class TestOutputs:
         _, coarse = read_csv(out1 / "fig2_alpha_5.csv")
         _, fine = read_csv(out2 / "fig2_alpha_5.csv")
         assert np.max(np.abs(fine[::2] - coarse)) < 1e-6
+
+    def test_jc_sim_writes_the_fig2_trajectory(self, tmp_path):
+        # jc-sim's table is fig2's at the same alpha with a leading t column,
+        # and its summary fields are fig2's entry for that alpha
+        sim, fig = tmp_path / "sim", tmp_path / "fig"
+        assert run_cli(["jc-sim", "--out", str(sim), "--steps", "200"]) == 0
+        assert run_cli(["fig2", "--alpha", "5", "--out", str(fig), "--steps", "200"]) == 0
+        lines = (sim / "jc_sim.csv").read_bytes().split(b"\n")
+        without_t = b"\n".join(line.partition(b",")[2] for line in lines)
+        assert without_t == (fig / "fig2_alpha_5.csv").read_bytes()
+        summary = json.loads((sim / "jc_sim_summary.json").read_text())
+        entry = json.loads((fig / "fig2_summary.json").read_text())["alphas"][0]
+        for key in ("min_fidelity", "envelope_decay_rate", "params"):
+            assert summary[key] == entry[key], key
 
     def test_jc_sim(self, tmp_path):
         out = tmp_path / "o"
