@@ -125,7 +125,10 @@ def jc_sideband_weights(params: JCParams) -> tuple[float, float]:
     Equivalently (Delta(Delta pm Omega) + 2 g^2 |alpha|^2) / (2 Omega^2).
     """
     om, dl = params.rabi, params.delta
-    return (om + dl) ** 2 / (4 * om ** 2), (om - dl) ** 2 / (4 * om ** 2)
+    try:
+        return (om + dl) ** 2 / (4 * om ** 2), (om - dl) ** 2 / (4 * om ** 2)
+    except OverflowError:
+        raise ContractError(f"sideband weights overflow at delta = {dl:g}, rabi = {om:g}") from None
 
 
 def jc_kinetic_coefficients(params: JCParams, bath: BathSpec) -> tuple[float, float, float]:

@@ -17,11 +17,9 @@ covariance carries H_sc, F_pm and W from t = 0.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,7 +84,10 @@ class JCParams:
         if not rabi >= abs(delta):
             raise ContractError(f"rabi must be at least |delta|, got rabi = {rabi:g}, "
                                 f"delta = {delta:g}")
-        g = math.sqrt(rabi ** 2 - delta ** 2) / (2.0 * abs(alpha))
+        try:
+            g = math.sqrt(rabi ** 2 - delta ** 2) / (2.0 * abs(alpha))
+        except OverflowError:
+            raise ContractError(f"rabi^2 overflows at rabi = {rabi:g}, delta = {delta:g}") from None
         return cls(omega_c, omega_c + delta, g, alpha)
 
 
@@ -219,8 +220,7 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     cos, sin and a trig temporary of shape (n, M + 1) and the six rows of
     shape (n, M), n = min(R, len(ts)), which every chunk overwrites (a
     partial chunk its leading rows); row A reuses the temporary's buffer.
-    The returned sums are fresh arrays, so a thread may start its next
-    chunk while the caller reads them.
+    The returned sums are fresh arrays, which outlive the thread's next chunk.
     """
     # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
@@ -283,31 +283,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunks_in_order(sums, starts: range):
-    """Yield ``sums(k0)`` for each chunk start in ``starts``, in order.
-
-    With one chunk or one usable CPU the chunks run inline.  Otherwise they
-    run on a pool of min(CPUs, chunks, _KRAUS_WORKERS) threads (the kernel's
-    ufuncs and vecdot release the GIL).  At most one chunk per thread, plus
-    the next one queued, is submitted ahead of the chunk yielded, so a
-    caller that stops early waits only for those.  Each thread writes all
-    its chunks into its own kernel workspace (``_kraus_kernel``), so memory
-    holds one chunk workspace per thread.
-    """
-    workers = min(_usable_cpus(), len(starts), _KRAUS_WORKERS)
-    if workers < 2:
-        yield from map(sums, starts)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(sums, k0) for k0 in starts[:workers])
-        for k0 in starts[workers:]:
-            first = pending.popleft()
-            pending.append(pool.submit(sums, k0))
-            yield first.result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def jc_kraus_completeness(p: JCParams, t: float, window=None) -> float:
     """max |sum_m chi_m^dag chi_m - I| over the Fock window at time t."""
     lo, hi = _kraus_window(p, window)
@@ -331,14 +306,14 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
 
     Times go in chunks of the kernel's rows (``_kraus_kernel``: as many as
     fit about 4 MiB of Kraus terms, so memory stays bounded as alpha grows).
-    The chunks' sums are computed on up to _KRAUS_WORKERS threads
-    (``_chunks_in_order``) and combined here in time order: a chunk's sums
-    depend on its own times only and the rows do not depend on the thread
-    count, so the states are bitwise the same for any number of threads, and
-    a failing completeness check names the earliest failing chunk.  Per
-    chunk, the entries of sum_m chi~ q chi~^dag, q = D^dag rho0 D, are real
-    combinations of the chunk's sums; P D acts once on the whole stack after
-    the loop.
+    Each of min(CPUs, chunks, _KRAUS_WORKERS) workers, inline when that is
+    one and else pool threads (the kernel's ufuncs and vecdot release the
+    GIL), takes the next chunk in time order and writes its states, real
+    combinations of the chunk's sums (sum_m chi~ q chi~^dag, q = D^dag rho0 D)
+    over its own times only, so the states are bitwise the same for any
+    thread count.  A failing chunk stops the workers from taking more, and
+    the earliest failing chunk's error is raised after the join, as a serial
+    run raises it.  P D acts once on the whole stack after the chunks.
     """
     lo, hi = _kraus_window(p, window)
     ts = np.asarray(ts, dtype=float)
@@ -349,24 +324,45 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
     x, y = q01.real, q01.imag
     rhos = np.empty((len(ts), 2, 2), dtype=complex)
     starts = range(0, len(ts), rows)
-    with contextlib.closing(_chunks_in_order(sums, starts)) as chunks:
-        for k0, (s, deficit) in zip(starts, chunks):
+    lock, todo, failed = threading.Lock(), iter(starts), {}
+
+    def work() -> None:
+        while True:
+            with lock:
+                k0 = None if failed else next(todo, None)
+            if k0 is None:
+                return
             part = slice(k0, k0 + rows)
-            if deficit > 1e-6:
-                raise TruncationError(
-                    f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
-                    f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
-                    f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
-                    deficit=deficit)
-            af_bg, ag_bf = s["AF"] - s["BG"], s["AG"] + s["BF"]
-            rhos[part, 0, 0] = (q00 * (s["AA"] + s["BB"]) + q11 * s["CC"]
-                                - 2.0 * (x * s["BC"] + y * s["AC"]))
-            rhos[part, 1, 1] = (q00 * s["EE"] + q11 * (s["FF"] + s["GG"])
-                                + 2.0 * (x * s["EG"] + y * s["EF"]))
-            rhos[part, 0, 1] = (q00 * -s["BE"] + x * (af_bg + s["CE"]) - y * ag_bf
-                                + q11 * s["CG"]
-                                + 1j * (q00 * s["AE"] + x * ag_bf + y * (af_bg - s["CE"])
-                                        - q11 * s["CF"]))
+            try:
+                s, deficit = sums(k0)
+                if deficit > 1e-6:
+                    raise TruncationError(
+                        f"Kraus completeness deficit {deficit:.2e} exceeds 1e-6 at "
+                        f"alpha={p.alpha:g}, Fock window [{lo}, {hi}], "
+                        f"t in [{ts[part][0]:g}, {ts[part][-1]:g}]; widen the Fock window",
+                        deficit=deficit)
+                af_bg, ag_bf = s["AF"] - s["BG"], s["AG"] + s["BF"]
+                rhos[part, 0, 0] = (q00 * (s["AA"] + s["BB"]) + q11 * s["CC"]
+                                    - 2.0 * (x * s["BC"] + y * s["AC"]))
+                rhos[part, 1, 1] = (q00 * s["EE"] + q11 * (s["FF"] + s["GG"])
+                                    + 2.0 * (x * s["EG"] + y * s["EF"]))
+                rhos[part, 0, 1] = (q00 * -s["BE"] + x * (af_bg + s["CE"]) - y * ag_bf
+                                    + q11 * s["CG"]
+                                    + 1j * (q00 * s["AE"] + x * ag_bf + y * (af_bg - s["CE"])
+                                            - q11 * s["CF"]))
+            except BaseException as exc:  # re-raised below, after the join
+                with lock:
+                    failed[k0] = exc
+
+    workers = min(_usable_cpus(), len(starts), _KRAUS_WORKERS)
+    if workers < 2:
+        work()
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(work) for _ in range(workers)]:
+                done.result()
+    if failed:
+        raise failed[min(failed)]
     rhos[:, 0, 1] *= np.exp(1j * (p.omega_c * ts - phi))
     rhos[:, 1, 0] = rhos[:, 0, 1].conj()
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]

@@ -149,6 +149,12 @@ class TestExitCodes:
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
         ("jc-sim", "jc: {alpha: 1.0e+20}", 3, "past 2^53"),
         ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
+        ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "rabi = 1e+200"),
+        ("attractor", "jc: {rabi: 1.0e+200}", 3, "rabi = 1e+200"),
+        ("coefficients", "jc: {rabi: 1.0e+200}", 3, "rabi = 1e+200"),
+        ("eigenops", "jc: {rabi: 1.0e+200}", 3, "rabi = 1e+200"),
+        ("attractor", "jc: {delta: 1.0e+154, g: 1.0e-300}", 3,
+         "delta = 1e+154, rabi = 1e+154"),
         ("jc-sim", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
         ("attractor", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),
         ("coefficients", "jc: {alpha: 1.0e+200}", 3, "alpha = 1e+200"),

@@ -445,9 +445,11 @@ class TestKrausThreads:
         assert messages[0] == messages[1]
         assert "t in [0, 9.81636]" in messages[0]
 
-    def test_earliest_failing_chunk_named_when_it_finishes_last(self):
-        # chunks 0 and 1 pass but finish after chunks 2 and 3 fail: the error
-        # names chunk 2, and no chunk past 6 (2 + 4 threads + 1 queued) starts
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_earliest_failing_chunk_named_when_it_finishes_last(self, workers):
+        # chunks 0 and 1 pass but finish after chunk 2 fails: the error names
+        # chunk 2; every chunk from 2 on fails and stops its worker, so each
+        # worker takes at most one of them and none past 1 + workers starts
         p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0)
         times = np.linspace(0.0, 20.0, 40 * 32)
         real_kernel = jaynes_cummings._kraus_kernel
@@ -468,10 +470,46 @@ class TestKrausThreads:
 
         threads = threading.active_count()
         with mock.patch.object(jaynes_cummings, "_kraus_kernel", kernel), \
-                mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4), \
+                mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: workers), \
                 pytest.raises(TruncationError, match=r"t in \[1.00078, 1.48554\]"):
             _autonomous_states(0.5 * np.ones((2, 2), dtype=complex), p, times)
-        assert max(started) <= 6
+        assert max(started) <= 1 + workers
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_kernel_exception_stops_every_worker(self, workers):
+        # chunk 2 of 8 raises 20 ms in, while every other chunk takes 50 ms:
+        # chunks start in time order, none after the failure, and the caller
+        # raises the kernel's own exception once every worker has returned
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0)
+        times = np.linspace(0.0, 20.0, 8 * 32)
+        real_kernel = jaynes_cummings._kraus_kernel
+        failure = RuntimeError("chunk 2 failed")
+        started, before_failure = [], []
+
+        def kernel(p, ts, lo, hi):
+            rows, sums = real_kernel(p, ts, lo, hi)
+            assert rows == 32
+
+            def sums_raising_on_chunk_2(k0):
+                started.append(k0 // rows)
+                if k0 == 2 * rows:
+                    time.sleep(0.02)
+                    before_failure.extend(started)
+                    raise failure
+                time.sleep(0.05)
+                return sums(k0)
+
+            return rows, sums_raising_on_chunk_2
+
+        threads = threading.active_count()
+        with mock.patch.object(jaynes_cummings, "_kraus_kernel", kernel), \
+                mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: workers), \
+                pytest.raises(RuntimeError) as info:
+            _autonomous_states(0.5 * np.ones((2, 2), dtype=complex), p, times)
+        assert info.value is failure
+        assert sorted(started) == sorted(before_failure) == list(range(len(started)))
+        assert 2 in started
         assert threading.active_count() == threads
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
