@@ -265,6 +265,13 @@ def run_coefficients(cfg: ExperimentConfig, out: Path) -> dict:
     rows = {"delta": [], "T": [], "gamma0": [], "gammaMinus": [], "gammaPlus": []}
     for v in values:
         if variable == "delta":
+            if not base.omega_c + v > 0:
+                origin = ("sweep.values" if "values" in cfg.sweep else
+                          f"the default sweep over +-2 rabi at jc.rabi = {base.rabi:g}")
+                raise ConfigError(f"sweep value delta = {v:g} from {origin} makes omega_eg = "
+                                  f"omega_c + delta = {base.omega_c + v:g} not positive at "
+                                  f"omega_c = {base.omega_c:g}; set sweep.values to "
+                                  f"detunings above -omega_c")
             p = JCParams(base.omega_c, base.omega_c + v, base.g, base.alpha)
             b = bath
         else:

@@ -40,6 +40,7 @@ from .operators import (
     _check_hermitian,
     _check_trace_annihilating,
     _commutator,
+    _identity,
     _kron,
     liouville_unitary,
     matrix_exp,
@@ -57,8 +58,9 @@ class ZeroTemperatureWarning(UserWarning):
 
 
 def _check_real(value, name: str):
-    """Raise ContractError naming ``name`` if ``value`` is complex."""
-    if np.iscomplexobj(value):
+    """Raise ContractError naming ``name`` if ``value`` is complex; a float
+    (np.float64 too) is real without asking numpy."""
+    if not isinstance(value, float) and np.iscomplexobj(value):
         raise ContractError(f"{name} must be real, got {value!r}")
 
 
@@ -107,7 +109,8 @@ class DissipatorSpec:
 
     def __post_init__(self):
         jumps = [_as_matrix(ch.op) for ch in self.channels]
-        self._rates = np.array([(ch.rate, ch.rate_rev) for ch in self.channels]).reshape(-1, 2).T
+        self._rates = np.array([[ch.rate for ch in self.channels],
+                                [ch.rate_rev for ch in self.channels]])
         self._hermitian = [(_as_matrix(v), lam) for v, lam in self.dephasing_hermitian]
         for vm, lam in self._hermitian:
             _check_real(lam, "dephasing weight")
@@ -131,7 +134,7 @@ class DissipatorSpec:
             lowest = chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0]
             if float(lowest) < -1e-10:
                 raise ContractError("chi must be positive semi-definite")
-            self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi)
+            self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi.tolist())
                                for wj, c in zip(wms, row) if c != 0]
         self._lamb = None if self.lamb_shift is None else _as_matrix(self.lamb_shift)
         ops = jumps + [vm for vm, _ in self._hermitian] + wms + [self._lamb]
@@ -149,44 +152,93 @@ class DissipatorSpec:
         return self._dim
 
 
-def _lindblad(a: np.ndarray, b: np.ndarray, coeff) -> np.ndarray:
-    """Matrix of coeff * (A . B - 1/2 {B A, .}); B = A^dag gives a channel."""
-    eye = np.eye(a.shape[0])
-    ba = b @ a
-    return (_kron(b.T, a) - 0.5 * (_kron(eye, ba) + _kron(ba.T, eye))) * coeff
+# Lindblad pairs per assembly block: 4 MiB of (d^2, d^2) complex terms,
+# 16 B per entry, so assembly holds two such buffers however many pairs
+# a spec has
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray):
+    """Yield the matrix of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) for each
+    pair of the (n, d, d) stacks in order; B = A^dag gives a channel.
+
+    Blocks of at most max(1, _BLOCK_BYTES // (16 d^4)) pairs form
+    kron(B^T, A), kron(I, BA) and kron((BA)^T, I) as broadcasts over the
+    block, with the products and elementwise arithmetic of the term-by-term
+    formula, so each term is bitwise that formula's.  Every block reuses
+    the same two buffers, so a yielded term is overwritten by the next
+    block: add it up before asking for the next one.
+    """
+    n, d = a.shape[:2]
+    dd = d * d
+    step = max(1, min(n, _BLOCK_BYTES // (16 * dd * dd)))
+    eye = _identity(d)
+    # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block
+    half, terms = np.empty((2, step, d, d, d, d), dtype=complex)
+    for start in range(0, n, step):
+        ab, bb = a[start:start + step], b[start:start + step]
+        m = len(ab)
+        ba = bb @ ab
+        h, t = half[:m], terms[:m]
+        np.multiply(eye[:, None, :, None], ba[:, None, :, None, :], h)
+        np.multiply(ba.transpose(0, 2, 1)[:, :, None, :, None], eye[:, None, :], t)
+        h += t
+        h *= 0.5
+        np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
+        t -= h
+        t *= coeff[start:start + m, None, None, None, None]
+        yield from t.reshape(m, dd, dd)
 
 
 def lindblad_term(f, rate: float = 1.0) -> Superoperator:
     """GKLS channel rate * (F . F^dag - 1/2 {F^dag F, .})."""
-    fm = _as_matrix(f)
-    return Superoperator(_lindblad(fm, fm.conj().T, rate), fm.shape[0])
+    fm = _as_matrix(f)[None]
+    term = next(_pair_terms(fm, fm.conj().transpose(0, 2, 1), np.array([rate], dtype=complex)))
+    return Superoperator._adopt(term, fm.shape[1])
 
 
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
     """Assemble the dissipator superoperator from a DissipatorSpec.
 
+    The spec's normal form gives (A, B, c) pairs in order, each the term
+    c (A . B - 1/2 {B A, .}): (F, F^dag, rate) and (F^dag, F, rate_rev) for
+    each channel, skipping zero rates, then (W_i, W_j, chi_ij) for each
+    nonzero chi entry; the Hermitian terms -lambda [V, [V, .]] come between
+    the two groups.  The pairs are formed in blocks of at most 4 MiB of
+    terms (``_pair_terms``) and each term is added as soon as its block is
+    formed, so memory stays two block buffers whatever the number of pairs
+    and the result is bitwise the term-by-term sum.
+
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
     An empty spec with an explicit dimension gives the zero superoperator;
-    any other spec takes only its own dimension.
+    any other spec takes only its own dimension.  The returned matrix is
+    read-only and shares no memory with the spec.
     """
     if d is None:
         d = spec.dim
     elif spec._dim is not None:
         _check_dim(d, spec._dim, "dissipator", "the spec's terms")
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for fm, rate, rate_rev in zip(spec._jumps, *spec._rates):
-        fdag = fm.conj().T
+    f = spec._jumps.reshape(-1, d, d)
+    pairs = []
+    for fm, fdag, rate, rate_rev in zip(f, f.conj().transpose(0, 2, 1), *spec._rates.tolist()):
         if rate:
-            total += _lindblad(fm, fdag, rate)
+            pairs.append((fm, fdag, rate))
         if rate_rev:
-            total += _lindblad(fdag, fm, rate_rev)
+            pairs.append((fdag, fm, rate_rev))
+    n_channel = len(pairs)
+    pairs += spec._invariant
+    ab = np.array([(x, y) for x, y, _ in pairs], dtype=complex).reshape(-1, 2, d, d)
+    terms = _pair_terms(ab[:, 0], ab[:, 1], np.array([c for _, _, c in pairs], dtype=complex))
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for _ in range(n_channel):
+        total += next(terms)
     for vm, lam in spec._hermitian:
         cv = _commutator(vm)
         total -= (cv @ cv) * lam
-    for wi, wj, c in spec._invariant:
-        total += _lindblad(wi, wj, c)
+    for term in terms:
+        total += term
     _check_trace_annihilating(total, d, "assembled dissipator")
-    return Superoperator(total, d)
+    return Superoperator._adopt(total, d)
 
 
 def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
@@ -217,14 +269,22 @@ def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
-    """L = -i [H_eff, .] + D; trace-annihilating by construction."""
+    """L = -i [H_eff, .] + D; trace-annihilating by construction.
+
+    L is formed in the commutator's fresh matrix, -1j (kron(I, H) -
+    kron(H^T, I)) + D with the arithmetic of that expression, and returned
+    read-only without a copy; it shares no memory with ``h_eff`` or
+    ``d_super``.
+    """
     hm = _as_matrix(h_eff)
     _check_hermitian(hm, "effective Hamiltonian")
     d = d_super.source_dim
     _check_dim(hm.shape[0], d, "Hamiltonian", "the dissipator")
-    l_mat = -1j * _commutator(hm) + d_super.data
+    l_mat = _commutator(hm)
+    l_mat *= -1j
+    l_mat += d_super.data
     _check_trace_annihilating(l_mat, d, "Liouvillian")
-    return Superoperator(l_mat, d)
+    return Superoperator._adopt(l_mat, d)
 
 
 def total_liouvillian(h_free, spec: DissipatorSpec) -> Superoperator:

@@ -433,7 +433,7 @@ def jc_eigenoperators(p: JCParams):
         return norm * (u1 * _Q["sm"] + u2 * _Q["sp"] + _Q["sz"] / math.sqrt(2.0))
 
     def co_rotated(x0: np.ndarray):
-        return lambda t: Operator(_co_rotating(x0, t, p.omega_c), (2,))
+        return lambda t: Operator._adopt(_co_rotating(x0, t, p.omega_c), (2,))
 
     w0 = g * (np.conj(alpha) * _Q["sm"] + alpha * _Q["sp"]) + 0.5 * dl * _Q["sz"]
     return co_rotated(f_at_zero(+1.0)), co_rotated(f_at_zero(-1.0)), co_rotated(w0 * math.sqrt(2.0) / om)

@@ -11,6 +11,7 @@ sigma_z = |e><e| - |g><g| = diag(-1, +1) and sigma_minus = |g><e|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,6 +72,17 @@ class Operator:
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, dims: tuple[int, ...]) -> "Operator":
+        """Wrap a square complex matrix the library has just built and holds
+        no other reference to: read-only, without the defensive copy, with
+        ``dims`` taken as given."""
+        data.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "data", data)
+        object.__setattr__(op, "dims", dims)
+        return op
 
     @property
     def dim(self) -> int:
@@ -159,6 +171,16 @@ class Superoperator:
         object.__setattr__(self, "data", a)
         object.__setattr__(self, "source_dim", d)
 
+    @classmethod
+    def _adopt(cls, data: np.ndarray, source_dim: int) -> "Superoperator":
+        """Wrap a (d^2, d^2) complex matrix the library has just built and
+        holds no other reference to: read-only, without the defensive copy."""
+        data.setflags(write=False)
+        sup = object.__new__(cls)
+        object.__setattr__(sup, "data", data)
+        object.__setattr__(sup, "source_dim", source_dim)
+        return sup
+
     def apply(self, x):
         """Apply to an operator; returns an Operator with the input's dims."""
         a = _as_matrix(x)
@@ -219,10 +241,20 @@ def kron(a, b) -> Operator:
     return Operator(_kron(am, bm), dims)
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """Read-only np.eye(d), built once per dimension."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _commutator(hm: np.ndarray) -> np.ndarray:
     """Matrix of X -> [H, X] on vec'd operators."""
-    eye = np.eye(hm.shape[0])
-    return _kron(eye, hm) - _kron(hm.T, eye)
+    eye = _identity(hm.shape[0])
+    out = _kron(eye, hm)
+    out -= _kron(hm.T, eye)
+    return out
 
 
 def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
@@ -230,9 +262,10 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
     1e-10 relative to L's largest entry; a non-finite L fails too.  vec(I)
     is 1 at rows j*(d+1), so this sums those rows of L: tr L[X] = 0 for
     every X."""
-    worst = float(np.abs(l_mat[::d + 1].sum(axis=0)).max())
-    scale = float(np.abs(l_mat).max())  # inf or NaN when any entry is
-    if not (np.isfinite(scale) and worst <= 1e-10 * max(1.0, scale)):
+    # ufunc reductions rather than the array methods: no Python wrapper per call
+    worst = float(np.maximum.reduce(np.abs(np.add.reduce(l_mat[::d + 1])), axis=None))
+    scale = float(np.maximum.reduce(np.abs(l_mat), axis=None))  # inf or NaN when any entry is
+    if not (math.isfinite(scale) and worst <= 1e-10 * max(1.0, scale)):
         raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e}; "
                             f"largest entry {scale:.2e})")
 
@@ -258,7 +291,11 @@ def _check_hermitian(m: np.ndarray, stage):
         np.subtract(m, diff, out=diff)  # in place: the stack may outgrow the cache
         i = int(np.argmin(np.abs(diff).max(axis=(1, 2)) <= 1e-10))
         m, stage = m[i], stage(i)
-    worst = float(np.abs(m - m.conj().T).max())
+    if m.shape == (1, 1):  # a scalar, as a one-term chi is, without numpy's per-call cost
+        c = complex(m[0, 0])
+        worst = abs(c - c.conjugate())
+    else:
+        worst = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
     if not worst <= 1e-10:
         raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")
 

@@ -105,6 +105,13 @@ def kraus_completeness_oracle(p: JCParams, t: float, window):
     return out
 
 
+def lindblad_pair_oracle(a, b, coeff):
+    """coeff (A . B - 1/2 {B A, .}) with np.kron: kron(B.T, A) for X -> A X B."""
+    eye = np.eye(a.shape[0])
+    ba = b @ a
+    return (np.kron(b.T, a) - 0.5 * (np.kron(eye.T, ba) + np.kron(ba.T, eye))) * coeff
+
+
 def dissipator_kron_oracle(spec, d):
     """build_dissipator spelled out term by term with np.kron.
 
@@ -113,18 +120,13 @@ def dissipator_kron_oracle(spec, d):
     assembly matches this bitwise.
     """
     eye = np.eye(d)
-
-    def pair(a, b, coeff):
-        ba = b @ a
-        return (np.kron(b.T, a) - 0.5 * (np.kron(eye.T, ba) + np.kron(ba.T, eye))) * coeff
-
     total = np.zeros((d * d, d * d), dtype=complex)
     for ch in spec.channels:
         f = np.asarray(ch.op, dtype=complex)
         if ch.rate:
-            total = total + pair(f, f.conj().T, ch.rate)
+            total = total + lindblad_pair_oracle(f, f.conj().T, ch.rate)
         if ch.rate_rev:
-            total = total + pair(f.conj().T, f, ch.rate_rev)
+            total = total + lindblad_pair_oracle(f.conj().T, f, ch.rate_rev)
     for v, lam in spec.dephasing_hermitian:
         v = np.asarray(v, dtype=complex)
         cv = np.kron(eye, v) - np.kron(v.T, eye)
@@ -135,8 +137,9 @@ def dissipator_kron_oracle(spec, d):
         for i, wi in enumerate(ws):
             for j, wj in enumerate(ws):
                 if chi[i, j] != 0:
-                    total = total + pair(np.asarray(wi, dtype=complex),
-                                         np.asarray(wj, dtype=complex), chi[i, j])
+                    total = total + lindblad_pair_oracle(np.asarray(wi, dtype=complex),
+                                                         np.asarray(wj, dtype=complex),
+                                                         chi[i, j])
     return total
 
 

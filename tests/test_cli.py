@@ -145,6 +145,12 @@ class TestExitCodes:
         ("touchard", "touchard: {orders: [2, 3]}", 2, "touchard.orders"),
         ("attractor", "bath: {omega_cut: 0.0}", 3, "omega_cut"),
         ("coefficients", "bath: {model: band, omega_lo: 2, omega_hi: 1}", 3, "omega_hi"),
+        ("coefficients", "jc: {rabi: 30.0}", 2,
+         "sweep value delta = -60 from the default sweep over +-2 rabi at jc.rabi = 30 "
+         "makes omega_eg = omega_c + delta = -59 not positive at omega_c = 1; "
+         "set sweep.values"),
+        ("coefficients", "sweep: {values: [0.0, -2.5]}", 2,
+         "sweep value delta = -2.5 from sweep.values makes omega_eg"),
         ("attractor", "bath: {model: band, omega_lo: 2, omega_hi: 1}", 3, "omega_hi"),
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
         ("jc-sim", "jc: {alpha: 1.0e+20}", 3, "past 2^53"),

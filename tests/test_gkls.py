@@ -34,6 +34,7 @@ from covlind import (
 from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
 from covlind.gkls import (
+    _BLOCK_BYTES,
     ZeroTemperatureWarning,
     _deltas_from_rates,
     _apply_dissipator,
@@ -42,7 +43,8 @@ from covlind.gkls import (
     lindblad_term,
 )
 from covlind.operators import hermitian_eig
-from oracles import dissipator_kron_oracle, effective_hamiltonian_oracle
+from oracles import (dissipator_kron_oracle, effective_hamiltonian_oracle,
+                     lindblad_pair_oracle)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(4242)
@@ -542,6 +544,101 @@ class TestAssemblyProperties:
         assert np.max(np.abs(idv @ l_super.data), initial=0.0) < 1e-12
         choi = choi_matrix(Superoperator_like(matrix_exp(0.1 * l_super.data), d))
         assert float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]) >= -1e-10
+
+
+def thermal_two_way_spec(d, rng):
+    """Every downward transition of a random Hamiltonian as a two-way
+    detailed-balance channel (d (d - 1) / 2 of them) and one Hermitian
+    dephasing term built from its energy projectors."""
+    eset = static_eigenoperators(random_hermitian(d, rng) / math.sqrt(d))
+    down = [(op, f) for op, f, inv in zip(eset.ops, eset.freqs, eset.invariant_flags)
+            if not inv and f > 0]
+    rates = detailed_balance_rates([f for _, f in down], 1.0,
+                                   rng.uniform(0.2, 0.8, size=len(down)))
+    v = sum(wt * prj.data for wt, prj in zip(rng.uniform(0.05, 0.25, size=d), eset.projectors))
+    return DissipatorSpec(channels=[Channel(op, g, grev) for (op, _), (g, grev)
+                                    in zip(down, rates)],
+                          dephasing_hermitian=[(v, 0.15)])
+
+
+class TestBlockAssembly:
+    """build_dissipator forms its Lindblad pairs in blocks of at most
+    _BLOCK_BYTES of terms and adds each term in the library's order."""
+
+    def test_block_boundary_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(25)
+        d = 8
+
+        def op():
+            return (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
+
+        # every 5th forward and every 7th reverse rate is zero
+        channels = [Channel(op(), 0.0 if k % 5 == 0 else float(rng.uniform(0.1, 1.5)),
+                            0.0 if k % 7 == 3 else float(rng.uniform(0.1, 1.5)))
+                    for k in range(40)]
+        ws = [random_hermitian(d, rng) / math.sqrt(d) for _ in range(4)]
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        chi = 0.25 * b @ b.conj().T
+        assert np.count_nonzero(chi - np.diag(np.diag(chi))) == 12
+        spec = DissipatorSpec(channels=channels,
+                              dephasing_hermitian=[(random_hermitian(d, rng) / math.sqrt(d), 0.3)],
+                              dephasing_invariant=(ws, chi))
+        n_channel = sum((ch.rate != 0) + (ch.rate_rev != 0) for ch in channels)
+        # one block holds 64 pairs: the channel pairs cross into the second
+        # block, where the Hermitian term comes before the 16 chi pairs
+        assert _BLOCK_BYTES // (16 * d**4) == 64
+        assert n_channel == 66
+        got = build_dissipator(spec).data
+        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_lindblad_term_is_the_oracle_pair(self, d):
+        rng = np.random.default_rng(d)
+        f = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
+        got = lindblad_term(f, 0.7).data
+        assert got.tobytes() == lindblad_pair_oracle(f, f.conj().T, 0.7).tobytes()
+
+    def test_memory_stays_a_few_blocks(self):
+        spec = thermal_two_way_spec(14, np.random.default_rng(14))
+        assert len(spec.channels) == 91
+        assert all(ch.rate > 0 and ch.rate_rev > 0 for ch in spec.channels)
+        tracemalloc.start()
+        try:
+            build_dissipator(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two 4 MiB block buffers, the (182, 14, 14) pair stacks and the
+        # result; the 182 terms at once would take 182 x 0.6 MB = 112 MB
+        assert peak < 16 * 2**20
+
+    def test_results_are_read_only_and_unaliased(self):
+        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+        _, f_minus, w = jc_eigenoperators(p)
+        fm, wt = f_minus(0.3), w(0.3)
+        assert not (fm.data.flags.writeable or wt.data.flags.writeable)
+        assert not np.shares_memory(fm.data, f_minus(0.3).data)
+        op, wm, chi = fm.data.copy(), wt.data.copy(), np.array([[0.2 + 0j]])
+        h = jc_semiclassical_hamiltonian(0.3, p)
+        d_super = build_dissipator(DissipatorSpec(channels=[Channel(op, 0.4, 0.1)],
+                                                  dephasing_invariant=([wm], chi)))
+        l_super = liouvillian(h, d_super)
+        term = lindblad_term(op, 0.4)
+        before = [m.data.copy() for m in (d_super, l_super, term)]
+        for m in (d_super, l_super, term):
+            assert not m.data.flags.writeable
+        assert not np.shares_memory(l_super.data, d_super.data)
+        for m in (op, wm, chi, h):
+            m[...] = 7.0
+        for m, want in zip((d_super, l_super, term), before):
+            assert np.array_equal(m.data, want)
+        with pytest.raises(ValueError, match="read-only"):
+            d_super.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("chi", [[[0.1j]], [[np.nan]], [[np.inf]]])
+    def test_scalar_chi_must_be_hermitian(self, chi):
+        with pytest.raises(ContractError, match="chi is not Hermitian"):
+            DissipatorSpec(dephasing_invariant=([Q["sz"]], chi))
 
 
 class TestOperatorSpaceDissipator:
