@@ -219,16 +219,23 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     elif spec._dim is not None:
         _check_dim(d, spec._dim, "dissipator", "the spec's terms")
     f = spec._jumps.reshape(-1, d, d)
-    pairs = []
+    a, b, coeff = [], [], []
     for fm, fdag, rate, rate_rev in zip(f, f.conj().transpose(0, 2, 1), *spec._rates.tolist()):
         if rate:
-            pairs.append((fm, fdag, rate))
+            a.append(fm)
+            b.append(fdag)
+            coeff.append(rate)
         if rate_rev:
-            pairs.append((fdag, fm, rate_rev))
-    n_channel = len(pairs)
-    pairs += spec._invariant
-    ab = np.array([(x, y) for x, y, _ in pairs], dtype=complex).reshape(-1, 2, d, d)
-    terms = _pair_terms(ab[:, 0], ab[:, 1], np.array([c for _, _, c in pairs], dtype=complex))
+            a.append(fdag)
+            b.append(fm)
+            coeff.append(rate_rev)
+    n_channel = len(coeff)
+    for wi, wj, c in spec._invariant:
+        a.append(wi)
+        b.append(wj)
+        coeff.append(c)
+    ab = np.array(a + b, dtype=complex).reshape(2, -1, d, d)
+    terms = _pair_terms(ab[0], ab[1], np.array(coeff, dtype=complex))
     total = np.zeros((d * d, d * d), dtype=complex)
     for _ in range(n_channel):
         total += next(terms)

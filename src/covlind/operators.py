@@ -243,8 +243,9 @@ def kron(a, b) -> Operator:
 
 @functools.lru_cache(maxsize=16)
 def _identity(d: int) -> np.ndarray:
-    """Read-only np.eye(d), built once per dimension."""
-    eye = np.eye(d)
+    """Read-only complex np.eye(d), built once per dimension: its products
+    with complex matrices are those of the float identity, without a cast."""
+    eye = np.eye(d, dtype=complex)
     eye.setflags(write=False)
     return eye
 
