@@ -136,8 +136,9 @@ def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
     return np.exp(-1j * n * p.omega_c * t) * block
 
 
-# Kraus terms per chunk of times: 4 MiB of per-term temporaries, 8 B each for
-# the cosine, the sine and the six real entries of one Kraus operator
+# Kraus terms per chunk of times: as many as 4 MiB of Kraus operators hold,
+# a 2x2 complex block (64 B) each; a chunk's workspace keeps three 8 B
+# arrays of them (cos, sin and a trig temporary), about 1.5 MiB
 _KRAUS_CHUNK_TERMS = (4 << 20) // 64
 # most threads that compute Kraus chunks at once, each holding one chunk
 _KRAUS_WORKERS = 4
@@ -164,12 +165,12 @@ def _kraus_window(p: JCParams, window) -> tuple[int, int]:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (times, M) arrays, summed over column
-    blocks of at most _DOT_TERMS terms, left to right; one np.vecdot call
-    when M <= _DOT_TERMS."""
-    total = np.vecdot(a[:, :_DOT_TERMS], b[:, :_DOT_TERMS])
+    """Row-wise dot products of a (times, M) array with a (times, M) array or
+    with one (M,) row for every time, summed over column blocks of at most
+    _DOT_TERMS terms, left to right; one np.vecdot call when M <= _DOT_TERMS."""
+    total = np.vecdot(a[:, :_DOT_TERMS], b[..., :_DOT_TERMS])
     for j in range(_DOT_TERMS, a.shape[1], _DOT_TERMS):
-        total += np.vecdot(a[:, j:j + _DOT_TERMS], b[:, j:j + _DOT_TERMS])
+        total += np.vecdot(a[:, j:j + _DOT_TERMS], b[..., j:j + _DOT_TERMS])
     return total
 
 
@@ -200,27 +201,35 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     chi rho chi^dag and chi^dag chi) conserve excitations, so the phase
     phi = arg(alpha) only rotates them about z:
     chi_m = e^{i m phi} P D [[A + iB, -iC], [-iE, F - iG]] D^dag with
-    P = diag(1, e^{-i wc t}), D = diag(1, e^{i phi}) and the real
-    (times, M) rows A = r_m c_m, B = delta r_m s_m,
-    C = 2 g sqrt(m) r_{m-1} s_m, E = 2 g sqrt(m+1) r_{m+1} s_{m+1},
-    F = r_m c_{m+1}, G = delta r_m s_{m+1} (``_rabi_block`` entries), where
-    r_n = |<n|alpha>|, c_n = cos(Omega_n t / 2), s_n = sin(Omega_n t / 2) /
-    Omega_n.  r_n, Omega_n, 1/Omega_n and the B, C, E, G coefficients are
-    built once per call, not per chunk.
+    P = diag(1, e^{-i wc t}), D = diag(1, e^{i phi}) and the real entries
+    A = r_m c_m, B = delta r_m s_m, C = 2 g sqrt(m) r_{m-1} s_m,
+    E = 2 g sqrt(m+1) r_{m+1} s_{m+1}, F = r_m c_{m+1}, G = delta r_m s_{m+1}
+    (``_rabi_block`` entries), where r_n = |<n|alpha>|,
+    c_n = cos(Omega_n t / 2), s_n = sin(Omega_n t / 2) / Omega_n.
+
+    Each of the 19 sums PQ = sum_m P_m Q_m is sum_m w_m x_m y_m, where x and
+    y are the cosine or sine of Omega_n t / 2 at n = m or m + 1 and the
+    weight w is a time-independent product of r_m and the B, C, E, G
+    coefficients (with 1/Omega_n folded in); r_n, Omega_n and the weights
+    are built once per call, not per chunk.  A chunk forms the seven trig
+    products one at a time in its trig temporary (sin^2, cos^2 and cos sin
+    over the M + 1 phases, read at columns m and m + 1, and the four
+    products of a phase at m with one at m + 1) and reduces each against
+    its weights by ``_row_dots``.  Each sum is one row reduction, so a
+    time's sums do not depend on the other times of its chunk.
 
     Each phase is a base phase plus an offset: cos = c_q c_j - s_q s_j and
     sin = s_q c_j + c_q s_j.  On a uniform grid (``_grid_step``) a chunk's
     time k0 + j takes the base Omega t_{k0} / 2 and the offset Omega j dt / 2
     from one R-row table, so trig runs on about len(ts) / R + R rows instead
-    of len(ts); on any other grid, and for a single time, each time is its
-    own base with the zero offset (cos 1, sin 0, exact).  Each sum is one row
-    reduction, so a time's sums do not depend on the other times of its chunk.
+    of len(ts); on any other grid, and for a single time, each time takes
+    cos and sin of its own phase.
 
     Each thread that calls ``sums`` gets one workspace on its first chunk:
-    cos, sin and a trig temporary of shape (n, M + 1) and the six rows of
-    shape (n, M), n = min(R, len(ts)), which every chunk overwrites (a
-    partial chunk its leading rows); row A reuses the temporary's buffer.
-    The returned sums are fresh arrays, which outlive the thread's next chunk.
+    cos, sin and the trig temporary, each of shape (n, M + 1) with
+    n = min(R, len(ts)), which every chunk overwrites (a partial chunk its
+    leading rows).  The returned sums are fresh arrays, which outlive the
+    thread's next chunk.
     """
     # |<n|alpha>| for n = lo-1 .. hi+1; n = -1 has none
     ext = np.arange(lo - 1, hi + 2)
@@ -232,6 +241,17 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     inv = np.divide(1.0, om, out=np.zeros_like(om), where=om > 0)
     b, c = p.delta * r_m * inv[:-1], 2.0 * p.g * np.sqrt(ms) * r[:-2] * inv[:-1]
     e, g = 2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:], p.delta * r_m * inv[1:]
+    rr, re = r_m * r_m, r_m * e
+    # x_n y_n over the M + 1 phases: the weights at n = m, then at n = m + 1
+    same = (("sin", "sin", {"BB": b * b, "CC": c * c, "BC": b * c},
+             {"EE": e * e, "GG": g * g, "EG": e * g}),
+            ("cos", "cos", {"AA": rr}, {"FF": rr}),
+            ("cos", "sin", {"AC": r_m * c}, {"EF": re}))
+    # x_m y_{m+1}
+    cross = (("cos", "sin", {"AE": re, "AG": r_m * g}),
+             ("sin", "cos", {"BF": b * r_m, "CF": c * r_m}),
+             ("cos", "cos", {"AF": rr}),
+             ("sin", "sin", {"BE": b * e, "BG": b * g, "CE": c * e, "CG": c * g}))
 
     rows = _KRAUS_CHUNK_TERMS // (hi - lo + 1)
     n = min(rows, len(ts))
@@ -244,28 +264,29 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     def sums(k0: int) -> tuple[dict, float]:
         t = ts[k0:k0 + rows]
         if not hasattr(local, "trig"):
-            # the trig temporary is dead before row A is written: one buffer
-            spare = np.empty(n * len(om))
-            local.trig = [np.empty((n, len(om))), np.empty((n, len(om))),
-                          spare.reshape(n, len(om))]
-            local.row = {key: np.empty((n, len(ms))) for key in "BCEFG"}
-            local.row["A"] = spare[:n * len(ms)].reshape(n, len(ms))
-        cos, sin, tmp = (x[:len(t)] for x in local.trig)
-        row = {key: x[:len(t)] for key, x in local.row.items()}
-        base, c_j, s_j = ((t[:, None], 1.0, 0.0) if dt is None
-                          else (t[:1, None], c_r[:len(t)], s_r[:len(t)]))
-        half = om * base / 2.0
-        c_q, s_q = np.cos(half), np.sin(half)
-        np.multiply(c_q, c_j, out=cos)
-        cos -= np.multiply(s_q, s_j, out=tmp)
-        np.multiply(s_q, c_j, out=sin)
-        sin += np.multiply(c_q, s_j, out=tmp)
-        for key, coef, trig in (("A", r_m, cos[:, :-1]), ("B", b, sin[:, :-1]),
-                                ("C", c, sin[:, :-1]), ("E", e, sin[:, 1:]),
-                                ("F", r_m, cos[:, 1:]), ("G", g, sin[:, 1:])):
-            np.multiply(coef, trig, out=row[key])
-        s = {pq: _row_dots(row[pq[0]], row[pq[1]])
-             for pq in "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()}
+            local.trig = np.empty((3, n, len(om)))
+        cos, sin, tmp = local.trig[:, :len(t)]
+        if dt is None:
+            half = np.multiply(om, t[:, None], out=tmp)
+            half /= 2.0
+            np.cos(half, out=cos)
+            np.sin(half, out=sin)
+        else:
+            half = om * t[0] / 2.0
+            c_q, s_q = np.cos(half), np.sin(half)
+            c_j, s_j = c_r[:len(t)], s_r[:len(t)]
+            np.multiply(c_q, c_j, out=cos)
+            cos -= np.multiply(s_q, s_j, out=tmp)
+            np.multiply(s_q, c_j, out=sin)
+            sin += np.multiply(c_q, s_j, out=tmp)
+        trig, s = {"cos": cos, "sin": sin}, {}
+        for x, y, at_m, at_next in same:
+            np.multiply(trig[x], trig[y], out=tmp)
+            for weights, xy in ((at_m, tmp[:, :-1]), (at_next, tmp[:, 1:])):
+                s.update((key, _row_dots(xy, w)) for key, w in weights.items())
+        for x, y, weights in cross:
+            xy = np.multiply(trig[x][:, :-1], trig[y][:, 1:], out=tmp[:, :-1])
+            s.update((key, _row_dots(xy, w)) for key, w in weights.items())
         # D and P are diagonal and unitary, so they keep these entry moduli
         deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
                       np.max(np.abs(s["CC"] + s["FF"] + s["GG"] - 1.0)),

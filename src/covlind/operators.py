@@ -49,6 +49,14 @@ def _dims_of(x):
     return x.dims if isinstance(x, Operator) else (_as_matrix(x).shape[0],)
 
 
+def _checked_dims(dims: Sequence[int], n: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints, (n,) when empty; their product must be n."""
+    dims = tuple(int(d) for d in dims) if dims else (n,)
+    if math.prod(dims) != n:
+        raise DimensionError(f"dims {dims} do not multiply to matrix dimension {n}")
+    return dims
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense complex square matrix with subsystem dimensions.
@@ -65,13 +73,9 @@ class Operator:
         a = np.array(self.data, dtype=complex, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"operator must be square, got shape {a.shape}")
-        dims = tuple(int(d) for d in self.dims) if self.dims else (a.shape[0],)
-        if math.prod(dims) != a.shape[0]:
-            raise DimensionError(
-                f"dims {dims} do not multiply to matrix dimension {a.shape[0]}")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _checked_dims(self.dims, a.shape[0]))
 
     @classmethod
     def _adopt(cls, data: np.ndarray, dims: tuple[int, ...]) -> "Operator":
@@ -125,13 +129,11 @@ class DensityMatrix(Operator):
         validate_states(self.data[None])
 
     @classmethod
-    def _wrap(cls, data, dims: Sequence[int] = ()) -> "DensityMatrix":
-        """Wrap a matrix that ``validate_states`` has just returned, unchecked."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "data", data)
-        object.__setattr__(state, "dims", dims)
-        Operator.__post_init__(state)
-        return state
+    def _wrap(cls, data: np.ndarray, dims: Sequence[int] = ()) -> "DensityMatrix":
+        """Wrap a matrix of a read-only stack that ``validate_states`` has just
+        returned, unchecked and without a copy: the state is a view of its
+        row, and holds the stack alive."""
+        return cls._adopt(data, _checked_dims(dims, data.shape[0]))
 
     @classmethod
     def from_matrix(cls, data, dims: Sequence[int] = (), trace_tol: float = TRACE_TOL,
@@ -385,10 +387,25 @@ def _first(mask: np.ndarray) -> str:
     return "" if mask.size == 1 else f" (state {int(np.flatnonzero(mask)[0])})"
 
 
+def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a stack (..., d, d).
+
+    A qubit [[p, z], [z*, q]] takes the closed form
+    (p + q) / 2 - hypot((p - q) / 2, |z|), as accurate as eigvalsh (a few
+    ulp of the largest entry) at a fraction of its cost; larger matrices
+    take eigvalsh.
+    """
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)[..., 0]
+    p, q = h[..., 0, 0].real, h[..., 1, 1].real
+    return 0.5 * (p + q) - np.hypot(0.5 * (p - q), np.abs(h[..., 0, 1]))
+
+
 def validate_states(states, trace_tol: float = TRACE_TOL,
                     herm_tol: float = HERMITICITY_TOL,
                     eig_tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Check a stack (..., d, d) of density matrices and return a tidied copy.
+    """Check a stack (..., d, d) of density matrices and return a tidied,
+    read-only copy.
 
     Every matrix needs unit trace within ``trace_tol``, Hermiticity within
     ``herm_tol`` and no eigenvalue below ``-eig_tol``; the first violation
@@ -409,7 +426,7 @@ def validate_states(states, trace_tol: float = TRACE_TOL,
     if bad.any():
         raise ContractError(f"matrix is not Hermitian within tolerance{_first(bad)}")
     a = 0.5 * (a + a_dag)
-    wmin = np.linalg.eigvalsh(a)[..., 0]
+    wmin = _min_eigenvalues(a)
     bad = wmin < -eig_tol
     if bad.any():
         raise ContractError(f"minimum eigenvalue {wmin[bad][0]} below "
@@ -421,6 +438,7 @@ def validate_states(states, trace_tol: float = TRACE_TOL,
         w, v = np.linalg.eigh(a[clip])
         fixed = (v * np.clip(w, 0.0, None)[..., None, :]) @ _dagger(v)
         a[clip] = fixed / _trace(fixed).real[..., None, None]
+    a.setflags(write=False)
     return a
 
 

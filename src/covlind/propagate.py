@@ -15,6 +15,7 @@ from .operators import (
     _check_count,
     _check_dim,
     _check_trace_annihilating,
+    _min_eigenvalues,
     matrix_exp,
     uhlmann_fidelity,
     validate_states,
@@ -60,12 +61,13 @@ class Trajectory:
 def _checked_states(ys: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> list:
     """rho0, then the states vec(rho) = ys[k] at times[k] checked as one stack:
     the first trace drift or eigenvalue breach raises IntegrationError or
-    PositivityError naming its t, then one ``validate_states`` call."""
+    PositivityError naming its t, then one ``validate_states`` call, whose
+    read-only stack the states are views of."""
     rhos = ys.reshape((len(ys),) + rho0.data.shape).swapaxes(-1, -2)
     tr = np.trace(rhos, axis1=1, axis2=2).real
     drift = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
-    n = int(np.argmax(drift)) if drift.any() else len(rhos)  # drifted states skip eigvalsh
-    wmin = np.linalg.eigvalsh(0.5 * (rhos[:n] + rhos[:n].conj().swapaxes(-1, -2)))[:, 0]
+    n = int(np.argmax(drift)) if drift.any() else len(rhos)  # drifted states skip the check
+    wmin = _min_eigenvalues(0.5 * (rhos[:n] + rhos[:n].conj().swapaxes(-1, -2)))
     breach = np.flatnonzero(wmin < -POSITIVITY_BREACH)
     if breach.size:
         raise PositivityError(f"state eigenvalue {wmin[breach[0]]:.2e} at t={times[breach[0]]}; "

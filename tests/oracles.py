@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
-from covlind import eigenoperators
+from covlind import eigenoperators, jaynes_cummings
 from covlind.eigenoperators import (
     DegeneracyWarning,
     EigenoperatorSet,
@@ -21,7 +21,8 @@ from covlind.jaynes_cummings import (
     jc_eigenoperators,
     jc_semiclassical_propagator,
 )
-from covlind.operators import _as_matrix, _check_hermitian, hermitian_eig
+from covlind.operators import (_as_matrix, _check_hermitian, _coherent_amplitudes,
+                               hermitian_eig)
 
 Q = qubit_ops()
 
@@ -102,6 +103,50 @@ def kraus_completeness_oracle(p: JCParams, t: float, window):
     out = np.zeros((2, 2), dtype=complex)
     for chi in kraus_operators_oracle(p, t, window):
         out += chi.conj().T @ chi
+    return out
+
+
+def kraus_row_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
+    """The 19 Kraus sums of ``jaynes_cummings._kraus_kernel`` at every time,
+    from six real (times, M) entry rows and 19 pairwise row dot products.
+
+    The rows are A = r_m c_m, B = delta r_m s_m, C = 2 g sqrt(m) r_{m-1} s_m,
+    E = 2 g sqrt(m+1) r_{m+1} s_{m+1}, F = r_m c_{m+1}, G = delta r_m s_{m+1}
+    and the sum PQ is sum_m P_m Q_m.  The phases are the kernel's: chunks of
+    the kernel's rows, each phase by angle addition from the chunk's first
+    time and a table of offsets on a uniform grid, and from its own time
+    with the zero offset on any other grid.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ext = np.arange(lo - 1, hi + 2)
+    r = np.zeros(len(ext))
+    r[ext >= 0] = _coherent_amplitudes(abs(p.alpha), ext[ext >= 0]).real
+    ms, r_m = ext[1:-1], r[1:-1]
+    om = p.omega_n(ext[1:])
+    inv = np.divide(1.0, om, out=np.zeros_like(om), where=om > 0)
+    coef = {"A": r_m, "B": p.delta * r_m * inv[:-1],
+            "C": 2.0 * p.g * np.sqrt(ms) * r[:-2] * inv[:-1],
+            "E": 2.0 * p.g * np.sqrt(ms + 1) * r[2:] * inv[1:],
+            "F": r_m, "G": p.delta * r_m * inv[1:]}
+    rows = jaynes_cummings._KRAUS_CHUNK_TERMS // (hi - lo + 1)
+    dt = jaynes_cummings._grid_step(ts)
+    keys = "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()
+    out = {key: np.empty(len(ts)) for key in keys}
+    for k0 in range(0, len(ts), rows):
+        t = ts[k0:k0 + rows]
+        if dt is None:
+            base, c_j, s_j = t[:, None], 1.0, 0.0
+        else:
+            offset = om * (np.arange(len(t)) * dt / 2.0)[:, None]
+            base, c_j, s_j = t[:1, None], np.cos(offset), np.sin(offset)
+        half = om * base / 2.0
+        c_q, s_q = np.cos(half), np.sin(half)
+        cos, sin = c_q * c_j - s_q * s_j, s_q * c_j + c_q * s_j
+        trig = {"A": cos[:, :-1], "B": sin[:, :-1], "C": sin[:, :-1],
+                "E": sin[:, 1:], "F": cos[:, 1:], "G": sin[:, 1:]}
+        row = {key: coef[key] * trig[key] for key in coef}
+        for pq in keys:
+            out[pq][k0:k0 + rows] = jaynes_cummings._row_dots(row[pq[0]], row[pq[1]])
     return out
 
 

@@ -584,9 +584,10 @@ class TestBlockAssembly:
                               dephasing_hermitian=[(random_hermitian(d, rng) / math.sqrt(d), 0.3)],
                               dephasing_invariant=(ws, chi))
         n_channel = sum((ch.rate != 0) + (ch.rate_rev != 0) for ch in channels)
-        # one block holds 64 pairs: the channel pairs cross into the second
-        # block, where the Hermitian term comes before the 16 chi pairs
-        assert _BLOCK_BYTES // (16 * d**4) == 64
+        # one block holds 16 pairs: the 66 channel pairs cross into the
+        # fifth block, where the Hermitian term comes before its 14 chi
+        # pairs, and the last 2 chi pairs fill the sixth
+        assert _BLOCK_BYTES // (16 * d**4) == 16
         assert n_channel == 66
         got = build_dissipator(spec).data
         assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
@@ -608,7 +609,7 @@ class TestBlockAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two 4 MiB block buffers, the (182, 14, 14) pair stacks and the
+        # two 1 MiB block buffers, the (182, 14, 14) pair stacks and the
         # result; the 182 terms at once would take 182 x 0.6 MB = 112 MB
         assert peak < 16 * 2**20
 

@@ -42,8 +42,8 @@ from covlind.jaynes_cummings import (
     jc_kraus_completeness,
 )
 from covlind.operators import coherent_state, validate_states
-from oracles import (envelope_peaks_oracle, kraus_completeness_oracle, kraus_sum_oracle,
-                     touchard_exact)
+from oracles import (envelope_peaks_oracle, kraus_completeness_oracle, kraus_row_sums_oracle,
+                     kraus_sum_oracle, touchard_exact)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(31415)
@@ -229,6 +229,48 @@ class TestKrausKernel:
         wrapped = jc_autonomous_trajectory(rho0, p, times)
         assert np.array_equal(np.array([s.data for s in wrapped]),
                               _autonomous_states(rho0.data, p, times))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.5, 1000.0),
+           phase=st.floats(-math.pi, math.pi), delta=st.floats(-0.5, 0.5),
+           g=st.floats(0.0, 0.5), t0=st.floats(-30.0, 30.0), span=st.floats(0.1, 40.0),
+           n=st.integers(1, 40), jitter=st.booleans())
+    def test_sums_match_the_six_row_oracle(self, seed, modulus, phase, delta, g, t0,
+                                           span, n, jitter):
+        # the weighted trig products reorder the arithmetic of the six entry
+        # rows and their 19 pairwise dots, but not the phases; alpha up to
+        # 1000 opens windows of more than _DOT_TERMS Fock numbers, and n = 1
+        # is a single time
+        p = JCParams(1.0, 1.0 + delta, g, modulus * np.exp(1j * phase))
+        lo, hi = default_kraus_window(p)
+        times = np.linspace(t0, t0 + span, n)
+        if jitter:
+            times += np.random.default_rng(seed).uniform(0.0, 1e-3, size=n)
+        rows, sums = _kraus_kernel(p, times, lo, hi)
+        oracle = kraus_row_sums_oracle(p, times, lo, hi)
+        for k0 in range(0, n, rows):
+            s = sums(k0)[0]
+            assert s.keys() == oracle.keys()
+            for key, value in s.items():
+                assert np.max(np.abs(value - oracle[key][k0:k0 + rows])) < 1e-14, (k0, key)
+
+    def test_first_chunk_workspace_fits_two_megabytes(self):
+        # alpha = 100: M = 2022 and 32 rows per chunk; cos, sin and the trig
+        # temporary take 3 x 32 x 2023 x 8 B = 1.55 MB, and six (32, 2022)
+        # entry rows, the first in the temporary's buffer, would add 2.6 MB
+        p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0 * np.exp(0.4j))
+        lo, hi = default_kraus_window(p)
+        assert hi - lo + 1 == 2022
+        rows, sums = _kraus_kernel(p, np.linspace(0.0, 20.0, 100), lo, hi)
+        assert rows == 32
+        tracemalloc.start()
+        try:
+            deficit = sums(0)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deficit < 1e-6
+        assert peak <= 2_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_narrow_window_raises_with_context(self):
         p = JCParams.with_rabi(1.0, 0.0, 2.0, 5.0)

@@ -32,7 +32,8 @@ from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, jc_block_propagator,
                                      jc_dressed_states, jc_hamiltonian, touchard,
                                      touchard_asymptotic)
-from covlind.operators import _eigen_fidelity, liouville_unitary
+from covlind.operators import (POSITIVITY_TOL, _eigen_fidelity, _min_eigenvalues,
+                               liouville_unitary, validate_states)
 from covlind.propagate import TimeGrid
 from oracles import hermitian_eig_loop_oracle
 
@@ -377,6 +378,62 @@ class TestCoherentState:
     def test_default_truncation_is_the_kraus_window_top(self, alpha):
         p = JCParams(1.0, 1.0, 0.1, alpha)
         assert len(coherent_state(alpha)) == default_kraus_window(p)[1] + 1
+
+
+class TestMinEigenvalues:
+    """The closed-form smallest eigenvalue of qubit stacks against eigvalsh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           scale=st.floats(1e-6, 1e6))
+    def test_random_qubit_stacks(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        h = np.array([random_hermitian(2, rng) for _ in range(n)]) * scale
+        # eigvalsh is accurate to a few ulp of the largest entry; so is the
+        # closed form
+        tol = 8 * np.finfo(float).eps * np.abs(h).max(axis=(1, 2))
+        assert np.all(np.abs(_min_eigenvalues(h) - np.linalg.eigvalsh(h)[:, 0]) <= tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           mixing=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]))
+    def test_near_pure_states(self, seed, n, mixing):
+        # a pure state mixed with a little of its orthogonal complement:
+        # the smallest eigenvalue is about ``mixing``, a rounding-level
+        # difference of two numbers near 1/2
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        perp = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)
+        rho = ((1 - mixing) * kets[:, :, None] * kets[:, None, :].conj()
+               + mixing * perp[:, :, None] * perp[:, None, :].conj())
+        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        got, want = _min_eigenvalues(rho), np.linalg.eigvalsh(rho)[:, 0]
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps)
+        assert np.all(np.abs(got - mixing) <= 4 * np.finfo(float).eps)
+
+    def test_larger_matrices_take_eigvalsh(self):
+        h = np.array([random_hermitian(3) for _ in range(5)])
+        assert np.array_equal(_min_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0])
+
+    def test_clipped_qubit_keeps_the_eigh_path(self):
+        # a tail of -1e-9 is within the looser tolerance and clipped by eigh,
+        # bit for bit; the untouched states and the clipped one are read-only
+        w = np.array([1.0 + 1e-9, -1e-9])
+        v = np.linalg.qr(random_hermitian(2) + 3j * np.eye(2))[0]
+        tail = (v * w) @ v.conj().T
+        tail = 0.5 * (tail + tail.conj().T)
+        stack = np.array([random_state(2).data, tail, random_state(2).data])
+        out = validate_states(stack, eig_tol=1e-7)
+        assert not out.flags.writeable
+        hermitized = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+        assert _min_eigenvalues(hermitized)[1] < -POSITIVITY_TOL
+        a = hermitized[1] / np.trace(hermitized[1]).real
+        ew, ev = np.linalg.eigh(a[None])
+        fixed = (ev * np.clip(ew, 0.0, None)[..., None, :]) @ ev.conj().swapaxes(-1, -2)
+        assert out[1].tobytes() == (fixed / np.trace(fixed, axis1=1, axis2=2).real)[0].tobytes()
+        for k in (0, 2):
+            assert out[k].tobytes() == (hermitized[k] / np.trace(hermitized[k]).real).tobytes()
 
 
 class TestDensityMatrixIsOperator:

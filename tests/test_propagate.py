@@ -9,6 +9,7 @@ from covlind import (
     DissipatorSpec,
     DrivenQubitMasterEquation,
     JCParams,
+    Operator,
     Superoperator,
     TimeGrid,
     build_dissipator,
@@ -30,6 +31,7 @@ from covlind import (
     unvec,
     vec,
 )
+from covlind import operators, propagate
 from covlind.bath import BathSpec
 from covlind.errors import ContractError, DimensionError, IntegrationError
 from oracles import three_call_sweep_oracle
@@ -323,16 +325,22 @@ class TestStateChecks:
         lambda l, grid: evolve_timedep(lambda t: l, EXCITED, grid, mode="expm"),
     ], ids=["static", "rk4", "expm"])
     def test_eigvalsh_calls_do_not_grow_with_steps(self, monkeypatch, evolve):
-        # the integrated states are checked as one stack, not one by one
+        # the integrated states are checked as one stack, not one by one;
+        # a qubit stack's smallest eigenvalues take a closed form, so the
+        # checks are counted where eigvalsh would be called
         l_super = damping_liouvillian(0.7, omega=1.3)
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, min_eigenvalues = np.linalg.eigvalsh, operators._min_eigenvalues
         calls = []
 
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+        def counting(real):
+            def count(a, *args, **kwargs):
+                calls.append(np.shape(a))
+                return real(a, *args, **kwargs)
+            return count
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh))
+        monkeypatch.setattr(operators, "_min_eigenvalues", counting(min_eigenvalues))
+        monkeypatch.setattr(propagate, "_min_eigenvalues", counting(min_eigenvalues))
         counts = []
         for steps in (10, 200):
             calls.clear()
@@ -340,3 +348,39 @@ class TestStateChecks:
             assert len(traj.states) == steps + 1
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("mode", ["rk4", "expm"])
+    def test_states_are_read_only_rows_of_one_stack(self, monkeypatch, mode):
+        # each state wraps its row of the checked stack without a copy: the
+        # same bytes as a copying wrap, read-only, and no Operator built
+        l_super = damping_liouvillian(0.7, omega=1.3)
+        grid = TimeGrid(0, 2, 40)
+        post_init = Operator.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(type(self))
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        traj = evolve_timedep(lambda t: l_super, EXCITED, grid, mode=mode)
+        monkeypatch.undo()
+        assert calls == []
+        states = traj.states[1:]
+        assert all(type(s) is DensityMatrix and s.dims == (2,) for s in states)
+        assert not any(s.data.flags.writeable for s in states)
+        assert len({id(s.data.base) for s in states}) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            states[0].data[0, 0] = 1.0
+
+        def copying_wrap(cls, data, dims=()):
+            state = object.__new__(cls)
+            object.__setattr__(state, "data", data)
+            object.__setattr__(state, "dims", dims)
+            Operator.__post_init__(state)
+            return state
+
+        monkeypatch.setattr(DensityMatrix, "_wrap", classmethod(copying_wrap))
+        copied = evolve_timedep(lambda t: l_super, EXCITED, grid, mode=mode)
+        assert np.array([s.data for s in states]).tobytes() == \
+            np.array([s.data for s in copied.states[1:]]).tobytes()
