@@ -156,7 +156,8 @@ class DissipatorSpec:
 # 16 B per entry, so assembly holds two such buffers however many pairs
 # a spec has; a block of about half a core's L2 stays in it while the next
 # broadcast reads it (on an Intel Xeon with 2 MiB of L2 per core, a d = 14
-# build took 0.092 s with 4 MiB blocks and 0.067 s with 1 MiB, one pair each)
+# build took 0.092-0.101 s with 4 MiB blocks and 0.067-0.079 s with 1 MiB,
+# one pair each; the fastest of 8-12 calls in each of three runs)
 _BLOCK_BYTES = 2**20
 
 
