@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covlind import (
     DensityMatrix,
@@ -235,6 +235,10 @@ class TestKrausKernel:
            phase=st.floats(-math.pi, math.pi), delta=st.floats(-0.5, 0.5),
            g=st.floats(0.0, 0.5), t0=st.floats(-30.0, 30.0), span=st.floats(0.1, 40.0),
            n=st.integers(1, 40), jitter=st.booleans())
+    @example(seed=1, modulus=1000.0, phase=0.7, delta=0.2, g=0.1, t0=0.0, span=20.0,
+             n=7, jitter=False)
+    @example(seed=2, modulus=1000.0, phase=-2.0, delta=-0.3, g=0.4, t0=5.0, span=1.0,
+             n=4, jitter=True)
     def test_sums_match_the_six_row_oracle(self, seed, modulus, phase, delta, g, t0,
                                            span, n, jitter):
         # the weighted trig products reorder the arithmetic of the six entry
