@@ -222,8 +222,8 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     sin = s_q c_j + c_q s_j.  On a uniform grid (``_grid_step``) a chunk's
     time k0 + j takes the base Omega t_{k0} / 2 and the offset Omega j dt / 2
     from one R-row table, so trig runs on about len(ts) / R + R rows instead
-    of len(ts); on any other grid, and for a single time, each time takes
-    cos and sin of its own phase.
+    of len(ts); on any other grid, and for a single time, each time is its
+    own base with the zero offset (cos 1, sin 0, exact).
 
     Each thread that calls ``sums`` gets one workspace on its first chunk:
     cos, sin and the trig temporary, each of shape (n, M + 1) with
@@ -266,19 +266,14 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
         if not hasattr(local, "trig"):
             local.trig = np.empty((3, n, len(om)))
         cos, sin, tmp = local.trig[:, :len(t)]
-        if dt is None:
-            half = np.multiply(om, t[:, None], out=tmp)
-            half /= 2.0
-            np.cos(half, out=cos)
-            np.sin(half, out=sin)
-        else:
-            half = om * t[0] / 2.0
-            c_q, s_q = np.cos(half), np.sin(half)
-            c_j, s_j = c_r[:len(t)], s_r[:len(t)]
-            np.multiply(c_q, c_j, out=cos)
-            cos -= np.multiply(s_q, s_j, out=tmp)
-            np.multiply(s_q, c_j, out=sin)
-            sin += np.multiply(c_q, s_j, out=tmp)
+        base, c_j, s_j = ((t[:, None], 1.0, 0.0) if dt is None
+                          else (t[:1, None], c_r[:len(t)], s_r[:len(t)]))
+        half = om * base / 2.0
+        c_q, s_q = np.cos(half), np.sin(half)
+        np.multiply(c_q, c_j, out=cos)
+        cos -= np.multiply(s_q, s_j, out=tmp)
+        np.multiply(s_q, c_j, out=sin)
+        sin += np.multiply(c_q, s_j, out=tmp)
         trig, s = {"cos": cos, "sin": sin}, {}
         for x, y, at_m, at_next in same:
             np.multiply(trig[x], trig[y], out=tmp)
