@@ -20,7 +20,6 @@ import cmath
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,13 +321,14 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
 
     Times go in chunks of the kernel's rows (``_kraus_kernel``: as many as
     fit about 4 MiB of Kraus terms, so memory stays bounded as alpha grows).
-    Each of min(CPUs, chunks, _KRAUS_WORKERS) workers, inline when that is
-    one and else pool threads (the kernel's ufuncs and vecdot release the
-    GIL), takes the next chunk in time order and writes its states, real
-    combinations of the chunk's sums (sum_m chi~ q chi~^dag, q = D^dag rho0 D)
-    over its own times only, so the states are bitwise the same for any
-    thread count.  A failing chunk stops the workers from taking more, and
-    the earliest failing chunk's error is raised after the join, as a serial
+    Each of min(CPUs, chunks, _KRAUS_WORKERS) workers takes the next chunk
+    in time order and writes its states, real combinations of the chunk's
+    sums (sum_m chi~ q chi~^dag, q = D^dag rho0 D) over its own times only,
+    so the states are bitwise the same for any thread count.  The calling
+    thread is one worker and starts a helper thread for each other one (the
+    kernel's ufuncs and vecdot release the GIL), so one worker starts no
+    thread.  A failing chunk stops the workers from taking more, and the
+    earliest failing chunk's error is raised after the join, as a serial
     run raises it.  P D acts once on the whole stack after the chunks.
     """
     lo, hi = _kraus_window(p, window)
@@ -370,13 +370,13 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
                 with lock:
                     failed[k0] = exc
 
-    workers = min(_usable_cpus(), len(starts), _KRAUS_WORKERS)
-    if workers < 2:
-        work()
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(work) for _ in range(workers)]:
-                done.result()
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_usable_cpus(), len(starts), _KRAUS_WORKERS) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
     if failed:
         raise failed[min(failed)]
     rhos[:, 0, 1] *= np.exp(1j * (p.omega_c * ts - phi))
@@ -387,11 +387,13 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
 
 def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
                              window=None) -> list:
-    """Reduced qubit states at each time in ``ts`` (Kraus sums).
+    """Reduced qubit states at each time in ``ts`` (Kraus sums), as a list
+    of ``DensityMatrix``.
 
-    The states come from ``_autonomous_states``, which sums real Kraus
-    entries laid out (time, Fock index) in chunks of times and validates
-    and normalizes the result; they are wrapped here as they are.
+    This is the list-returning API edge of ``_autonomous_states``, which
+    sums real Kraus entries laid out (time, Fock index) in chunks of times
+    and validates and normalizes the result as one read-only stack; each
+    state here wraps its row of that stack without a copy.
     """
     if rho_s0.data.shape[0] != 2:
         raise ContractError("the autonomous reduction acts on a qubit state")
@@ -529,9 +531,13 @@ def fit_gaussian_envelope(times, signal) -> float:
         raise ContractError("too few oscillation peaks to fit an envelope")
     tp = t[idx]
     lp = np.log(y[idx])
-    # polyfit divides t^2 by its norm sqrt(sum t^4), which must not underflow
-    if not (np.isfinite(tp ** 2).all() and np.ptp(tp) > 0 and np.sum(tp ** 4) > 0):
+    # polyfit divides t^2 by its norm sqrt(sum t^4), which must neither
+    # overflow nor underflow; the bound on |t| is checked first, so that no
+    # power of t is taken that could overflow
+    t_max = (np.finfo(float).max / len(tp)) ** 0.25
+    if not (np.max(np.abs(tp)) < t_max and np.ptp(tp) > 0 and np.sum(tp ** 4) > 0):
         raise ContractError(f"envelope fit needs peaks at distinct finite times with "
-                            f"t^4 above underflow, got t in [{tp[0]:g}, {tp[-1]:g}]")
+                            f"t^4 above underflow and its sum below overflow, "
+                            f"got t in [{tp[0]:g}, {tp[-1]:g}]")
     coeffs = np.polyfit(tp ** 2, lp, 1)
     return float(-coeffs[0])

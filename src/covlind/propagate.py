@@ -50,20 +50,32 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
+    """The states rho(t_k) at ``times``, kept as ``rhos``: one read-only
+    (T, d, d) stack that is never copied, row 0 holding rho0's bytes.
+    ``states`` wraps its rows as ``DensityMatrix`` views on request, for the
+    API edge; library code reads ``rhos``."""
+
     times: np.ndarray
-    states: list
+    rhos: np.ndarray
+    dims: tuple[int, ...]
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def states(self) -> list:
+        return [DensityMatrix._wrap(rho, self.dims) for rho in self.rhos]
+
     def __len__(self):
-        return len(self.states)
+        return len(self.rhos)
 
 
-def _checked_states(ys: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> list:
-    """rho0, then the states vec(rho) = ys[k] at times[k] checked as one stack:
-    the first trace drift or eigenvalue breach raises IntegrationError or
-    PositivityError naming its t, then one ``validate_states`` call, whose
-    read-only stack the states are views of."""
-    rhos = ys.reshape((len(ys),) + rho0.data.shape).swapaxes(-1, -2)
+def _checked_states(ys: list, rho0: DensityMatrix, times: np.ndarray) -> np.ndarray:
+    """The read-only (T, d, d) stack of the states vec(rho) = ys[k] at
+    times[k], with ys[0] = vec(rho0): row 0 is rho0's own bytes, unchecked,
+    and the later rows are checked as one stack.  The first trace drift or
+    eigenvalue breach raises IntegrationError or PositivityError naming its
+    t, then one ``validate_states`` call tidies the rows."""
+    rhos = np.array(ys[1:]).reshape(-1, *rho0.data.shape).swapaxes(-1, -2)
+    times = times[1:]
     tr = np.trace(rhos, axis1=1, axis2=2).real
     drift = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
     n = int(np.argmax(drift)) if drift.any() else len(rhos)  # drifted states skip the check
@@ -75,7 +87,9 @@ def _checked_states(ys: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> l
     if n < len(rhos):
         raise IntegrationError(f"trace drifted to {tr[n]} at t={times[n]}")
     checked = validate_states(rhos, TRACE_DRIFT_TOL, 1e-9, POSITIVITY_BREACH)
-    return [rho0] + [DensityMatrix._wrap(a, rho0.dims) for a in checked]
+    stack = np.concatenate([rho0.data[None], checked])
+    stack.setflags(write=False)
+    return stack
 
 
 def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -> Trajectory:
@@ -92,8 +106,8 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     ys = [vec(rho0.data)]
     for _ in range(grid.steps):
         ys.append(step @ ys[-1])
-    states = _checked_states(np.array(ys[1:]), rho0, times[1:])
-    return Trajectory(times, states, {"mode": "static-expm", "dt": grid.dt})
+    return Trajectory(times, _checked_states(ys, rho0, times), rho0.dims,
+                      {"mode": "static-expm", "dt": grid.dt})
 
 
 def _rk4_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt) -> np.ndarray:
@@ -177,8 +191,7 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     last = ys[2 * (grid.steps // 2)]
     err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
 
-    states = _checked_states(np.array(ys[1:]), rho0, times[1:])
-    return Trajectory(times, states,
+    return Trajectory(times, _checked_states(ys, rho0, times), rho0.dims,
                       {"mode": mode, "dt": grid.dt, "step_halving_error": err})
 
 
@@ -190,12 +203,11 @@ def expectation_series(traj: Trajectory, ops) -> list:
     """
     single = not isinstance(ops, (list, tuple))
     op_list = [ops] if single else list(ops)
-    rhos = np.array([st.data for st in traj.states])
     out = []
     for op in op_list:
         om = _as_matrix(op)
-        _check_dim(om.shape[0], rhos.shape[-1], "observable", "the trajectory")
-        vals = np.trace(om @ rhos, axis1=1, axis2=2)
+        _check_dim(om.shape[0], traj.rhos.shape[-1], "observable", "the trajectory")
+        vals = np.trace(om @ traj.rhos, axis1=1, axis2=2)
         if np.max(np.abs(om - om.conj().T)) <= 1e-12:
             if np.max(np.abs(vals.imag)) > 1e-10:
                 raise IntegrationError("Hermitian expectation developed an imaginary part")
@@ -208,5 +220,4 @@ def fidelity_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     """Pointwise Uhlmann fidelity between two aligned trajectories."""
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise DimensionError("trajectories are not on the same grid")
-    return uhlmann_fidelity(np.array([st.data for st in a.states]),
-                            np.array([st.data for st in b.states]))
+    return uhlmann_fidelity(a.rhos, b.rhos)

@@ -290,6 +290,20 @@ class TestOutputs:
                              parse_constant=_reject_constant)
         assert summary["envelope_decay_rate"] is None
 
+    @pytest.mark.parametrize("args, summary_name", [
+        (["jc-sim", "--tmax", "1e100", "--steps", "50"], "jc_sim_summary.json"),
+        (["jc-sim", "--tmax", "1e160", "--steps", "50"], "jc_sim_summary.json"),
+        (["fig2", "--tmax", "1e300", "--steps", "10"], "fig2_summary.json"),
+    ])
+    def test_envelope_fit_at_huge_times_is_null(self, tmp_path, args, summary_name):
+        # t^2 or the sum of t^4 overflows: the fit is refused before any
+        # power of t is taken, so no overflow warning escapes
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        summary = json.loads((out / summary_name).read_text(), parse_constant=_reject_constant)
+        rows = summary.get("alphas", [summary])
+        assert rows and all(row["envelope_decay_rate"] is None for row in rows)
+
     def test_non_finite_json_is_a_contract_error(self, tmp_path):
         path = tmp_path / "x.json"
         with pytest.raises(ContractError, match="x.json"):

@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -424,28 +423,32 @@ class TestPhaseTables:
             assert np.max(np.abs(states[k] - oracle)) < 1e-12, k
 
 
-def _no_pool():
-    return mock.patch.object(jaynes_cummings, "ThreadPoolExecutor",
-                             side_effect=AssertionError("a thread pool was started"))
+def _counting_threads():
+    return mock.patch.object(threading, "Thread", wraps=threading.Thread)
 
 
 class TestKrausThreads:
-    """The Kraus chunks on a thread pool against the same chunks inline."""
+    """The Kraus chunks on the calling thread and helper threads against the
+    same chunks on the calling thread alone."""
 
     def test_single_chunk_starts_no_thread(self):
         p = JCParams.with_rabi(1.0, 0.2, 2.0, 25.0 * np.exp(0.5j))
         rho0 = DensityMatrix.from_ket([1, 1])
-        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4), _no_pool():
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 4), \
+                _counting_threads() as thread:
             jc_kraus_reduce(rho0, p, 3.0)
             jc_kraus_completeness(p, 3.0)
             jc_autonomous_trajectory(rho0, p, np.linspace(0.0, 5.0, 11))
+        assert thread.call_count == 0
 
     def test_one_cpu_runs_inline(self):
         p = JCParams.with_rabi(1.0, 0.2, 2.0, 100.0)
         times = np.linspace(0.0, 20.0, 100)  # 4 chunks of up to 32 rows
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
-        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 1), _no_pool():
+        with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: 1), \
+                _counting_threads() as thread:
             _autonomous_states(rho0, p, times)
+        assert thread.call_count == 0
 
     @pytest.mark.parametrize("alpha, n, jitter", [
         (5.0, 2501, False), (5.0, 2501, True),        # 682 rows: 4 chunks
@@ -469,10 +472,9 @@ class TestKrausThreads:
         try:
             for workers in (2, 3, 4):
                 with mock.patch.object(jaynes_cummings, "_usable_cpus", lambda: workers), \
-                        mock.patch.object(jaynes_cummings, "ThreadPoolExecutor",
-                                          wraps=ThreadPoolExecutor) as pool:
+                        _counting_threads() as thread:
                     threaded = _autonomous_states(rho0, p, times)
-                pool.assert_called_once_with(workers)
+                assert thread.call_count == workers - 1
                 assert np.array_equal(threaded, serial), workers
         finally:
             sys.setswitchinterval(switch)

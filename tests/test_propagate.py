@@ -39,6 +39,13 @@ from oracles import three_call_sweep_oracle
 Q = qubit_ops()
 EXCITED = DensityMatrix.from_ket([0, 1])
 GROUND = DensityMatrix.from_ket([1, 0])
+# rho0 with a trace 1e-13 off one: validating it again would renormalise its bits
+RAW_RHO0 = DensityMatrix(np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, 0.7 + 1e-13]]))
+EVOLVERS = pytest.mark.parametrize("evolve", [
+    lambda l, rho0, grid: evolve_static(l, rho0, grid),
+    lambda l, rho0, grid: evolve_timedep(lambda t: l, rho0, grid),
+    lambda l, rho0, grid: evolve_timedep(lambda t: l, rho0, grid, mode="expm"),
+], ids=["static", "rk4", "expm"])
 
 
 def damping_liouvillian(gamma=1.0, omega=0.0):
@@ -319,11 +326,7 @@ class TestPositivityMonitor:
 
 
 class TestStateChecks:
-    @pytest.mark.parametrize("evolve", [
-        lambda l, grid: evolve_static(l, EXCITED, grid),
-        lambda l, grid: evolve_timedep(lambda t: l, EXCITED, grid),
-        lambda l, grid: evolve_timedep(lambda t: l, EXCITED, grid, mode="expm"),
-    ], ids=["static", "rk4", "expm"])
+    @EVOLVERS
     def test_eigvalsh_calls_do_not_grow_with_steps(self, monkeypatch, evolve):
         # the integrated states are checked as one stack, not one by one;
         # a qubit stack's smallest eigenvalues take a closed form, so the
@@ -344,7 +347,7 @@ class TestStateChecks:
         counts = []
         for steps in (10, 200):
             calls.clear()
-            traj = evolve(l_super, TimeGrid(0, 2, steps))
+            traj = evolve(l_super, EXCITED, TimeGrid(0, 2, steps))
             assert len(traj.states) == steps + 1
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -384,3 +387,50 @@ class TestStateChecks:
         copied = evolve_timedep(lambda t: l_super, EXCITED, grid, mode=mode)
         assert np.array([s.data for s in states]).tobytes() == \
             np.array([s.data for s in copied.states[1:]]).tobytes()
+
+
+class TestTrajectoryStack:
+    @EVOLVERS
+    def test_rhos_is_one_read_only_stack_led_by_rho0(self, evolve):
+        grid = TimeGrid(0, 2, 25)
+        traj = evolve(damping_liouvillian(0.7, omega=1.3), RAW_RHO0, grid)
+        assert type(traj.rhos) is np.ndarray and traj.rhos.shape == (26, 2, 2)
+        assert len(traj) == 26 and traj.dims == (2,)
+        assert not traj.rhos.flags.writeable
+        assert traj.rhos[0].tobytes() == RAW_RHO0.data.tobytes()
+        assert all(np.shares_memory(s.data, traj.rhos) for s in traj.states)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.rhos[-1, 0, 0] = 1.0
+
+    @EVOLVERS
+    def test_no_wrapper_built_in_propagation_or_series(self, monkeypatch, evolve):
+        l_super = damping_liouvillian(0.7, omega=1.3)
+        calls = []
+        monkeypatch.setattr(Operator, "__post_init__", lambda self: calls.append(self))
+        monkeypatch.setattr(DensityMatrix, "_wrap",
+                            classmethod(lambda cls, data, dims=(): calls.append(data)))
+        a = evolve(l_super, EXCITED, TimeGrid(0, 2, 30))
+        b = evolve(l_super, GROUND, TimeGrid(0, 2, 30))
+        expectation_series(a, [Q["sx"], Q["sz"]])
+        fidelity_series(a, b)
+        assert calls == []
+
+    @EVOLVERS
+    def test_rhos_bytes_are_rho0_then_the_validated_stack(self, monkeypatch, evolve):
+        # replay of the list of states the stack replaces: rho0 as given,
+        # then one validate_states call on the integrated rows
+        checked = propagate._checked_states
+        seen = []
+
+        def recording(ys, rho0, times):
+            seen.append(list(ys))
+            return checked(ys, rho0, times)
+
+        monkeypatch.setattr(propagate, "_checked_states", recording)
+        traj = evolve(damping_liouvillian(0.7, omega=1.3), RAW_RHO0, TimeGrid(0, 2, 40))
+        rows = np.array(seen[0][1:]).reshape(-1, 2, 2).swapaxes(-1, -2)
+        tidied = operators.validate_states(rows, propagate.TRACE_DRIFT_TOL, 1e-9,
+                                           propagate.POSITIVITY_BREACH)
+        states = [RAW_RHO0] + [DensityMatrix._wrap(a, (2,)) for a in tidied]
+        assert traj.rhos.tobytes() == np.array([s.data for s in states]).tobytes()
+        assert len(traj) == len(states) == len(traj.times)
