@@ -196,11 +196,12 @@ def run_eigenops(cfg: ExperimentConfig, out: Path) -> dict:
     p = cfg.jc_params(alpha=alpha)
     f_plus, f_minus, _w = jc_eigenoperators(p)
     gen = DrivenGenerator(lambda t: jc_semiclassical_hamiltonian(t, p),
-                          period=2 * np.pi / p.omega_c)
+                          period=2 * np.pi / p.omega_c, stacked=True)
     eset = monodromy_eigenoperators(gen)
     grid = TimeGrid(0.0, 10 * 2 * np.pi / p.rabi, 400)
+    times = grid.times()
     residuals = dict(zip(("F_plus", "F_minus"), _heisenberg_residuals(
-        [(f_plus, +p.rabi), (f_minus, -p.rabi)], gen, grid)))
+        [(f_plus(times), +p.rabi), (f_minus(times), -p.rabi)], gen, grid)))
     if eset.invariant_flags.all():
         raise ContractError(f"every monodromy eigenoperator is invariant: the Rabi "
                             f"frequency {p.rabi:g} folds onto the invariants at the "

@@ -23,13 +23,17 @@ more than d invariants or a run of phases within 1e-7 on the circle.
 One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
 takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
 exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.  It
-works in blocks of 100 steps, the re-unitarisation cadence: a block stacks
-its H(t) calls, checks their Hermiticity at once, forms all its RK4 step
-maps with one batched ``propagate._rk4_maps`` call and chains U through
-them, one product per step, so its temporaries are O(200 d^2).  On a
-periodic drive whose period is a whole number of steps, the sweep
-integrates one period and tiles the rest as U(t + n T) = U(t) U(t0 + T)^n,
-so its H(t) calls scale with the period, not the grid.
+works in blocks of 100 steps, the re-unitarisation cadence: a block fills
+one stack with H at its 200 times, checks their Hermiticity at once, forms
+all its RK4 step maps with one batched ``propagate._rk4_maps`` call and
+chains U through them, one product per step, so its temporaries are
+O(200 d^2).  A DrivenGenerator marked ``stacked`` fills the block's stack
+with one call of H on the array of its times (``jc_semiclassical_hamiltonian``
+and the F_pm, W callables of ``jc_eigenoperators`` take arrays of times);
+any other H is called once per time.  On a periodic drive whose period is
+a whole number of steps, the sweep integrates one period and tiles the
+rest as U(t + n T) = U(t) U(t0 + T)^n, so its H(t) evaluations scale with
+the period, not the grid.
 """
 
 from __future__ import annotations
@@ -39,9 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ContractError, IntegrationError
+from .errors import ContractError, DimensionError, IntegrationError
 from .operators import (
     Operator,
     Superoperator,
@@ -95,15 +98,43 @@ class EigenoperatorSet:
 
 @dataclass
 class DrivenGenerator:
-    """Time-dependent Hermitian Hamiltonian t -> H(t), optionally periodic."""
+    """Time-dependent Hermitian Hamiltonian t -> H(t), optionally periodic.
+
+    ``stacked`` says that ``h_of_t`` also takes a 1-D ndarray of n times
+    and returns the (n, d, d) stack of H at them, as
+    ``jc_semiclassical_hamiltonian`` does; the unitary sweep then asks for
+    each block's times in one call.
+    """
 
     h_of_t: Callable[[float], object]
     period: float | None = None
+    stacked: bool = False
 
     def matrix(self, t: float) -> np.ndarray:
         h = _as_matrix(self.h_of_t(t))
         _check_hermitian(h, f"H(t={t})")
         return h
+
+    def fill(self, ts: np.ndarray, out: np.ndarray, ref: str):
+        """Write H(ts[i]) into out[i] for the n times ``ts``, out being
+        (n, d, d): one call of a stacked ``h_of_t``, else one call per time.
+        An H of another dimension raises DimensionError naming its t (for a
+        stack of another shape, the first and last t) and ``ref``, the
+        matrix that set d; Hermiticity is left to the caller."""
+        d = out.shape[-1]
+        if self.stacked:
+            hs = self.h_of_t(ts)
+            if np.shape(hs) != out.shape:
+                raise DimensionError(f"H(t) stacked over t = {ts[0]} ... {ts[-1]} has shape "
+                                     f"{np.shape(hs)}, not {out.shape}: {ref} has "
+                                     f"dimension {d}")
+            out[...] = hs
+            return
+        for i, t in enumerate(ts.tolist()):
+            h = _as_matrix(self.h_of_t(t))
+            if h.shape[0] != d:  # naming t costs more than the check
+                _check_dim(h.shape[0], d, f"H(t={t})", ref)
+            out[i] = h
 
     @property
     def dim(self) -> int:
@@ -197,36 +228,40 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
     Classical RK4 on -i H at t, t + dt/2 and t + dt, in blocks of
-    ``_RK4_BLOCK`` steps.  A block calls H at its midpoints and endpoints in
-    time order, reusing the previous block's last H(t + dt) as its first
-    H(t); each H(t) must have H(t0)'s dimension, and one Hermiticity check
-    covers the block's stack, naming the first failing t.  The block's RK4
-    maps come from one batched ``_rk4_maps`` call, and U is chained through
-    them one product per step, then re-unitarised at the block's end, so the
-    temporaries are O(200 d^2) whatever the step count.  When ``gen.period``
-    is a whole number m < steps of steps that ``every`` divides, RK4 covers
-    the first period only and Floquet's theorem U(t + n T) = U(t) U(t0 + T)^n
-    tiles the rest, one batched product per period; otherwise m = steps.  A
-    sweep calls H 2 m + 1 times, or 2 m when the caller passes H(t0) as
-    ``h0``.  A step too long for the drive makes U overflow, silently, until
-    the next re-unitarisation or the finiteness check of the whole path
-    raises an IntegrationError.
+    ``_RK4_BLOCK`` steps.  A block fills one (201, d, d) stack: the previous
+    block's last H(t + dt) as its first H(t), then H at its midpoints and
+    endpoints in time order from ``gen.fill``, one call of a stacked H or
+    one call per time.  Each H(t) must have H(t0)'s dimension, and one
+    Hermiticity check covers the block's stack, naming the first failing
+    t.  The block's RK4 maps come from one batched ``_rk4_maps`` call, and
+    U is chained through them one product per step, then re-unitarised at
+    the block's end, so the temporaries are O(200 d^2) whatever the step
+    count.  When ``gen.period`` is a whole number m < steps of steps that
+    ``every`` divides, RK4 covers the first period only and Floquet's
+    theorem U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one batched
+    product per period; otherwise m = steps.  A sweep evaluates H at
+    2 m + 1 times, or 2 m when the caller passes H(t0) as ``h0``.  A step
+    too long for the drive makes U overflow, silently, until the next
+    re-unitarisation or the finiteness check of the whole path raises an
+    IntegrationError.
     """
     dt = (t1 - t0) / steps
     m = _period_steps(gen.period, dt, steps, every)
-    h_end = gen.matrix(t0) if h0 is None else h0
-    d = h_end.shape[0]
+    h_start = gen.matrix(t0) if h0 is None else h0
+    d = h_start.shape[0]
     u = np.eye(d, dtype=complex)
     path = np.empty((steps // every, d, d), dtype=complex)
+    stack = np.empty((2 * min(m, _RK4_BLOCK) + 1, d, d), dtype=complex)
+    stack[-1] = h_start
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, _RK4_BLOCK):
             ks = range(start, min(start + _RK4_BLOCK, m))
-            ts = [s for k in ks for s in (t0 + k * dt + dt / 2, t0 + (k + 1) * dt)]
-            hs = [h_end] + [_as_matrix(gen.h_of_t(t)) for t in ts]
-            for t, h in zip(ts, hs[1:]):
-                if h.shape[0] != d:  # naming t costs more than the check
-                    _check_dim(h.shape[0], d, f"H(t={t})", f"H(t={t0})")
-            hs = np.array(hs)
+            n = np.arange(start, ks.stop)
+            # midpoint and endpoint of each step, in time order
+            ts = np.column_stack([t0 + n * dt + dt / 2, t0 + (n + 1) * dt]).ravel()
+            hs = stack[:len(ts) + 1]
+            hs[0] = stack[-1]  # H(t0), or the last H of the previous (full) block
+            gen.fill(ts, hs[1:], f"H(t={t0})")
             _check_hermitian(hs[1:], lambda i: f"H(t={ts[i]})")
             a = -1j * hs
             for k, step in zip(ks, _rk4_maps(a[:-1:2], a[1::2], a[2::2], dt)):
@@ -239,7 +274,6 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
                     u = w @ vh
                 if (k + 1) % every == 0:
                     path[k // every] = u
-            h_end = hs[-1]
         block = m // every
         power = u
         for start in range(block, len(path), block):
@@ -283,6 +317,8 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> Eigenop
                                f"(residual {unit_resid:.2e}); increase steps")
     # U is normal, so its complex Schur form is diagonal and the Schur
     # vectors are orthonormal Floquet states even for degenerate u_i
+    import scipy.linalg  # here, so importing covlind does not load scipy
+
     tri, z = scipy.linalg.schur(u, output="complex")
     top = z[np.argmax(np.abs(z), axis=0), np.arange(d)]
     v = z * (np.abs(top) / top)  # largest entry of each Floquet state real positive
@@ -364,15 +400,18 @@ def verify_eigenoperator(p, lam: float, gen: DrivenGenerator, grid,
 
 def _heisenberg_residuals(pairs, gen: DrivenGenerator, grid, substeps: int = 40) -> list[float]:
     """``verify_eigenoperator`` of each (p, lam) in ``pairs``, all from one
-    sweep; each operator's dimension is checked against H(t0)'s first."""
+    sweep.  p may also be the (T, d, d) ndarray of P at the T times of
+    ``grid.times()``, as a stacked callable gives it in one call; each
+    operator's dimension is checked against H(t0)'s first."""
     _check_count(substeps, 1, "substeps")
     times = grid.times()
     h0 = gen.matrix(grid.t0)
     stacks = []
     for p, lam in pairs:
-        ps = np.array([_as_matrix(p(t) if callable(p) else p) for t in times])
-        _check_dim(ps.shape[-1], h0.shape[0], "eigenoperator", "H(t)")
-        stacks.append((ps, lam))
+        if not (isinstance(p, np.ndarray) and p.ndim == 3):
+            p = np.array([_as_matrix(p(t) if callable(p) else p) for t in times])
+        _check_dim(p.shape[-1], h0.shape[0], "eigenoperator", "H(t)")
+        stacks.append((p, lam))
     us = _unitary_path(gen, grid.t0, grid.t1, grid.steps * substeps, substeps, h0)
     u_dag = us.conj().transpose(0, 2, 1)
     residuals = []

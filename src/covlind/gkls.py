@@ -153,48 +153,87 @@ class DissipatorSpec:
 
 
 # Lindblad pairs per assembly block: 1 MiB of (d^2, d^2) complex terms,
-# 16 B per entry, so assembly holds two such buffers however many pairs
-# a spec has; a block of about half a core's L2 stays in it while the next
-# broadcast reads it (on an Intel Xeon with 2 MiB of L2 per core, a d = 14
-# build took 0.092-0.101 s with 4 MiB blocks and 0.067-0.079 s with 1 MiB,
-# one pair each; the fastest of 8-12 calls in each of three runs)
+# 16 B per entry, so assembly holds one such buffer (two below _SLAB_DIM)
+# however many pairs a spec has; a block of about half a core's L2 stays
+# in it while the next pass reads it (on an Intel Xeon with 2 MiB of L2
+# per core, a d = 14 build with dense assembly took 0.092-0.101 s with
+# 4 MiB blocks and 0.067-0.079 s with 1 MiB, one pair each; the fastest
+# of 8-12 calls in each of three runs)
 _BLOCK_BYTES = 2**20
+
+
+# Smallest d whose Lindblad pairs take the three-pass slab assembly; below
+# it the slab passes' extra numpy calls cost more than the dense entries
+# they skip (build_dissipator on a thermal spec of every downward
+# transition, fastest of 7 runs of 0.15 s, 2 cores: a one-channel qubit
+# 30-33 us dense and 37-44 us with slabs, d = 3 69-83 against 76-101 us,
+# d = 4 114-130 against 106-121 us, d = 6 915-985 against 357-382 us)
+_SLAB_DIM = 4
 
 
 def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray):
     """Yield the matrix of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) for each
     pair of the (n, d, d) stacks in order; B = A^dag gives a channel.
 
-    Blocks of at most max(1, _BLOCK_BYTES // (16 d^4)) pairs form
-    kron(B^T, A), kron(I, BA) and kron((BA)^T, I) as broadcasts over the
-    block, with the products and elementwise arithmetic of the term-by-term
-    formula, so each term is bitwise that formula's.  Every block reuses
-    the same two buffers, so a yielded term is overwritten by the next
-    block: add it up before asking for the next one.
+    The term is (K - (L + R)/2) c with K = kron(B^T, A), L = kron(I, BA)
+    and R = kron((BA)^T, I).  In the (i, j), (k, l) indices of a d^2 x d^2
+    term, L is nonzero only on the slab i = k and R only on the slab
+    j = l, 2 d^3 - d^2 of the d^4 entries together.  Blocks of at most
+    max(1, _BLOCK_BYTES // (16 d^4)) pairs are formed as broadcasts over
+    the block.  From d = _SLAB_DIM on, each block takes three passes: K;
+    then BA/2 subtracted on the slab i = k, (BA)^T/2 on the slab j = l
+    and (BA_jj + BA_ii)/2 from K on their intersection, in the L + R
+    order; then the scaling by c.  Below it, each block forms L, R and K
+    densely with that formula's arithmetic.  The two agree bitwise except
+    in the sign of a zero: off the slabs the dense formula computes
+    (K - (+-0)) c, so a term's entries differ at most by that sign, which
+    a sum started at +0 never shows.  Every block reuses the same
+    buffers, so a yielded term is overwritten by the next block: add it up
+    before asking for the next one.
     """
     n, d = a.shape[:2]
     dd = d * d
     step = max(1, min(n, _BLOCK_BYTES // (16 * dd * dd)))
-    eye = _identity(d)
     # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block
-    half, terms = np.empty((2, step, d, d, d, d), dtype=complex)
+    terms = np.empty((step, d, d, d, d), dtype=complex)
+    if d >= _SLAB_DIM:
+        # writable strided views of terms[:, i, j, i, l], terms[:, i, j, k, j]
+        # and terms[:, i, j, i, j]
+        sp, si, sj, sk, sl = terms.strides
+        slab_ik = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si + sk, sj, sl))
+        slab_jl = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si, sj + sl, sk))
+        both = np.ndarray((step, d, d), complex, terms, 0, (sp, si + sk, sj + sl))
+    else:
+        eye = _identity(d)
+        half = np.empty_like(terms)
     for start in range(0, n, step):
         ab, bb = a[start:start + step], b[start:start + step]
         m = len(ab)
         ba = bb @ ab
-        h, t = half[:m], terms[:m]
-        np.multiply(eye[:, None, :, None], ba[:, None, :, None, :], h)
-        np.multiply(ba.transpose(0, 2, 1)[:, :, None, :, None], eye[:, None, :], t)
-        h += t
-        h *= 0.5
-        np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
-        t -= h
+        t = terms[:m]
+        if d >= _SLAB_DIM:
+            np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
+            diag = ba.diagonal(axis1=1, axis2=2)
+            corner = both[:m] - (diag[:, None, :] + diag[:, :, None]) * 0.5
+            ba *= 0.5
+            slab_ik[:m] -= ba[:, None]
+            slab_jl[:m] -= ba.transpose(0, 2, 1)[:, :, None]
+            both[:m] = corner
+        else:
+            h = half[:m]
+            np.multiply(eye[:, None, :, None], ba[:, None, :, None, :], h)
+            np.multiply(ba.transpose(0, 2, 1)[:, :, None, :, None], eye[:, None, :], t)
+            h += t
+            h *= 0.5
+            np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
+            t -= h
         t *= coeff[start:start + m, None, None, None, None]
         yield from t.reshape(m, dd, dd)
 
 
 def lindblad_term(f, rate: float = 1.0) -> Superoperator:
-    """GKLS channel rate * (F . F^dag - 1/2 {F^dag F, .})."""
+    """GKLS channel rate * (F . F^dag - 1/2 {F^dag F, .}), entry by entry
+    the term-by-term formula's up to the sign of a zero (``_pair_terms``)."""
     fm = _as_matrix(f)[None]
     term = next(_pair_terms(fm, fm.conj().transpose(0, 2, 1), np.array([rate], dtype=complex)))
     return Superoperator._adopt(term, fm.shape[1])
@@ -209,8 +248,14 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     nonzero chi entry; the Hermitian terms -lambda [V, [V, .]] come between
     the two groups.  The pairs are formed in blocks of at most 1 MiB of
     terms (``_pair_terms``) and each term is added as soon as its block is
-    formed, so memory stays two block buffers whatever the number of pairs
-    and the result is bitwise the term-by-term sum.
+    formed, so memory stays one block buffer (two below d = 4) whatever
+    the number of pairs.  From d = 4 on a block takes three passes over
+    its terms: the Kronecker product kron(B^T, A); the anticommutator
+    subtracted on the slabs i = k and j = l of the (i, j), (k, l) entries,
+    the only ones where it is nonzero (2 d^3 - d^2 of d^4); the scaling by
+    c.  Smaller blocks take the dense formula, whose fewer numpy calls
+    cost less there.  Either way the result is bitwise the term-by-term
+    sum, since a sum started at +0 does not keep the sign of a zero term.
 
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
     An empty spec with an explicit dimension gives the zero superoperator;
@@ -422,9 +467,11 @@ def _gibbs_of(h_bar: np.ndarray, dims=()) -> DensityMatrix:
 def _deltas_from_rates(rates, rates_rev):
     deltas = []
     zero_t = False
-    for g, grev in zip(rates, rates_rev):
+    for k, (g, grev) in enumerate(zip(rates, rates_rev)):
         if g <= 0:
-            raise ContractError("forward rates must be positive for a fixed point")
+            raise ContractError(f"forward rates must be positive for a fixed point: "
+                                f"channel {k} has forward rate {g:g} and reverse "
+                                f"rate {grev:g}")
         if grev <= 0:
             zero_t = True
             deltas.append(DELTA_CAP)

@@ -119,11 +119,19 @@ def _rabi_block(omega: float, kappa: float, delta: float, t) -> np.ndarray:
     return np.cos(half)[..., None, None] * np.eye(2) + s[..., None, None] * minus_2i_h
 
 
-def _co_rotating(x0: np.ndarray, t: float, omega_c: float) -> np.ndarray:
+def _co_rotating(x0: np.ndarray, t, omega_c: float) -> np.ndarray:
     """X(t) = V(t) X(0) V(t)^dag, V(t) = exp(-i omega_c sigma_z t / 2), for a
-    2x2 X(0) and one time t: X_01 gains e^{i omega_c t}, X_10 its conjugate."""
-    phase = cmath.exp(1j * omega_c * t)
-    return x0 * np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+    2x2 X(0): X_01 gains e^{i omega_c t}, X_10 its conjugate.  A float t
+    gives the 2x2 X(t); an ndarray of times gives shape t.shape + (2, 2),
+    each matrix bitwise the one its time gives alone."""
+    if not isinstance(t, np.ndarray):
+        phase = cmath.exp(1j * omega_c * t)
+        return x0 * np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+    phase = np.exp(1j * omega_c * t.astype(float, copy=False))
+    frame = np.ones(phase.shape + (2, 2), dtype=complex)
+    frame[..., 0, 1] = phase
+    frame[..., 1, 0] = phase.conj()
+    return x0 * frame
 
 
 def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
@@ -401,9 +409,11 @@ def jc_autonomous_trajectory(rho_s0: DensityMatrix, p: JCParams, ts,
             for rho in _autonomous_states(rho_s0.data, p, ts, window)]
 
 
-def jc_semiclassical_hamiltonian(t: float, p: JCParams) -> np.ndarray:
+def jc_semiclassical_hamiltonian(t, p: JCParams) -> np.ndarray:
     """Rabi Hamiltonian (omega_eg/2) sz + g (sm alpha* e^{i wc t} + h.c.),
-    which is V(t) H_sc(0) V(t)^dag (``_co_rotating``)."""
+    which is V(t) H_sc(0) V(t)^dag (``_co_rotating``).  A float t gives the
+    2x2 matrix; an ndarray of n times gives the (n, 2, 2) stack in one
+    call, bitwise the single-time matrices."""
     drive = p.g * np.conj(p.alpha)
     h0 = np.array([[-0.5 * p.omega_eg, drive], [np.conj(drive), 0.5 * p.omega_eg]], dtype=complex)
     return _co_rotating(h0, t, p.omega_c)
@@ -434,7 +444,9 @@ def jc_eigenoperators(p: JCParams):
     +-rabi; W is the invariant (a time-dependent constant of motion),
     returned with unit Hilbert-Schmidt norm.  The unnormalized invariant
     g(alpha* sm e^{i wc t} + alpha sp e^{-i wc t}) + (delta/2) sz is the
-    returned W times rabi/sqrt(2).
+    returned W times rabi/sqrt(2).  Each callable gives an Operator at a
+    float t, and the (n, 2, 2) array of its matrices at an ndarray of n
+    times, bitwise the single-time ones.
     """
     om, dl, g, alpha = p.rabi, p.delta, p.g, p.alpha
     # Omega > |delta| exactly when g |alpha| > 0, unless the drive term is
@@ -451,7 +463,10 @@ def jc_eigenoperators(p: JCParams):
         return norm * (u1 * _Q["sm"] + u2 * _Q["sp"] + _Q["sz"] / math.sqrt(2.0))
 
     def co_rotated(x0: np.ndarray):
-        return lambda t: Operator._adopt(_co_rotating(x0, t, p.omega_c), (2,))
+        def at(t):
+            x = _co_rotating(x0, t, p.omega_c)
+            return Operator._adopt(x, (2,)) if x.ndim == 2 else x
+        return at
 
     w0 = g * (np.conj(alpha) * _Q["sm"] + alpha * _Q["sp"]) + 0.5 * dl * _Q["sz"]
     return co_rotated(f_at_zero(+1.0)), co_rotated(f_at_zero(-1.0)), co_rotated(w0 * math.sqrt(2.0) / om)

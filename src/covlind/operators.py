@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
-from scipy.special import gammaln, pdtrc
+
+# scipy is imported inside the functions that call it, so the subcommands
+# that never do (attractor, coefficients, touchard) start without loading it
 
 from .errors import ContractError, DimensionError, TruncationError
 
@@ -344,7 +345,9 @@ def hermitian_eig(h):
 
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade via scipy)."""
-    return _scipy_expm(_as_matrix(a))
+    from scipy.linalg import expm
+
+    return expm(_as_matrix(a))
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +548,8 @@ def _poisson_window(alpha: complex) -> tuple[int, int]:
 def _coherent_amplitudes(alpha: complex, n: np.ndarray) -> np.ndarray:
     """<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!) on Fock numbers n >= 0,
     in log-space so large |alpha| does not overflow (the vacuum as a case)."""
+    from scipy.special import gammaln
+
     a = abs(alpha)
     if a == 0.0:
         return (n == 0).astype(complex)
@@ -569,6 +574,8 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     truncated vector is renormalized.  An explicit n_max that loses more
     than 1e-12 of the weight raises TruncationError.
     """
+    from scipy.special import pdtrc
+
     if not math.isfinite(abs(alpha)):
         raise ContractError(f"alpha must be finite, got {alpha}")
     if n_max is None:

@@ -2,6 +2,9 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -152,6 +155,9 @@ class TestExitCodes:
         ("coefficients", "sweep: {values: [0.0, -2.5]}", 2,
          "sweep value delta = -2.5 from sweep.values makes omega_eg"),
         ("attractor", "bath: {model: band, omega_lo: 2, omega_hi: 1}", 3, "omega_hi"),
+        # the one channel's kinetic rates both come out zero
+        ("attractor", "jc: {omega_c: 1.0e+300}", 3,
+         "channel 0 has forward rate 0 and reverse rate 0"),
         ("jc-sim", "jc: {alpha: 1.0e+4}", 3, "Kraus window"),
         ("jc-sim", "jc: {alpha: 1.0e+20}", 3, "past 2^53"),
         ("jc-sim", "jc: {rabi: 1.0e+200}", 3, "overflow"),
@@ -338,16 +344,18 @@ class TestOutputs:
     def test_eigenops_hamiltonian_calls(self, tmp_path, monkeypatch):
         # one 4096-step monodromy sweep and the first drive period (640 of
         # 400 x 40 steps) of the sweep shared by F_plus and F_minus, each
-        # sweep calling H(t) 2 * steps + 1 times
+        # sweep evaluating H(t) at 2 * steps + 1 times: H(t0) alone, then
+        # one stacked call per block of 100 steps
         calls = []
 
         def counted(t, p, h=cli.jc_semiclassical_hamiltonian):
-            calls.append(t)
+            calls.append(np.size(t))
             return h(t, p)
 
         monkeypatch.setattr(cli, "jc_semiclassical_hamiltonian", counted)
         assert run_cli(["eigenops", "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == (2 * 4096 + 1) + (2 * 640 + 1) == 9_474
+        assert sum(calls) == (2 * 4096 + 1) + (2 * 640 + 1) == 9_474
+        assert len(calls) == (1 + 41) + (1 + 7)
 
     def test_eigenops_static_fallback(self, tmp_path):
         out = tmp_path / "o"
@@ -541,3 +549,25 @@ def test_config_fuzz_exits_with_documented_code(doc):
 @given(doc=_DOCS)
 def test_eigenops_config_fuzz_exits_with_documented_code(doc):
     _assert_documented_exit_codes(doc, (["eigenops"],))
+
+
+def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
+    """scipy is imported only inside the functions that call it, so importing
+    the CLI and running a subcommand that never does loads none of it."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import covlind.cli\n"
+        "assert not scipy_modules(), ('import covlind.cli', scipy_modules())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = covlind.cli.main(['attractor', '--out', {str(tmp_path / 'o')!r}])\n"
+        "assert code == 0, code\n"
+        "assert not scipy_modules(), ('covlind attractor', scipy_modules())\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -568,6 +568,40 @@ class TestBlockedSweep:
         assert got_h.times == ref_h.times
         assert len(got_h.times) == 2 * (m if tiled else periods * m) + (not pass_h0)
 
+    @pytest.mark.parametrize("t1, steps, every, period", [
+        (7.3, 1030, 1, None),                   # ten full blocks and a partial one
+        (25 * 2 * np.pi, 25 * 640, 40, 2 * np.pi),  # the eigenops sweep, tiled
+    ])
+    def test_stacked_drive_gives_the_scalar_drive_bytes(self, t1, steps, every, period):
+        p = rabi_params()
+        sizes = []
+
+        def h(t):
+            sizes.append(np.size(t))
+            return jc_semiclassical_hamiltonian(t, p)
+
+        scalar = eigenoperators._unitary_path(DrivenGenerator(h, period), 0.0, t1, steps, every)
+        m = len(sizes) // 2  # steps integrated, 2 m + 1 times
+        assert sizes == [1] * (2 * m + 1)
+        sizes.clear()
+        stacked = eigenoperators._unitary_path(DrivenGenerator(h, period, stacked=True),
+                                               0.0, t1, steps, every)
+        assert stacked.tobytes() == scalar.tobytes()
+        # H(t0), then one call per block of 100 steps
+        assert sum(sizes) == 2 * m + 1 and len(sizes) == 1 + -(-m // 100)
+
+    @pytest.mark.parametrize("shape", [lambda n: (n, 3, 3), lambda n: (n - 1, 2, 2),
+                                       lambda n: (2, 2)])
+    def test_stacked_h_of_the_wrong_shape_is_named(self, shape):
+        def h(t):
+            return np.zeros(shape(len(t))) if isinstance(t, np.ndarray) else 0.5 * Q["sz"]
+
+        gen = DrivenGenerator(h, stacked=True)
+        # dt = 0.01: the block's first time is a midpoint, its last an endpoint
+        with pytest.raises(DimensionError, match=re.escape(
+                "H(t) stacked over t = 0.005 ... 1.0 has shape")):
+            integrate_unitary(gen, 0.0, 1.0, 100)
+
     def test_huge_hamiltonian_on_a_short_step_does_not_overflow(self):
         # |H| = 1e200 with |H dt| = 5e-3: a product of two unscaled
         # generators would be 1e400

@@ -35,6 +35,7 @@ from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
 from covlind.gkls import (
     _BLOCK_BYTES,
+    _SLAB_DIM,
     ZeroTemperatureWarning,
     _deltas_from_rates,
     _apply_dissipator,
@@ -589,6 +590,42 @@ class TestBlockAssembly:
         # pairs, and the last 2 chi pairs fill the sixth
         assert _BLOCK_BYTES // (16 * d**4) == 16
         assert n_channel == 66
+        got = build_dissipator(spec).data
+        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), sparse=st.booleans())
+    def test_slab_and_dense_assembly_match_the_oracle_bitwise(self, seed, d, sparse):
+        # d = 2..8 takes both formulas: dense blocks below _SLAB_DIM, slab
+        # passes from it on
+        assert 2 < _SLAB_DIM <= 8
+        rng = np.random.default_rng(seed)
+
+        def masked(m):
+            # about half the entries an exact zero, of either sign (0 times a
+            # negative entry is -0), where only the signs of zeros differ
+            return m * (rng.uniform(size=m.shape) < 0.5) if sparse else m
+
+        def op():
+            return masked(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
+
+        def hermitian():
+            m = op()
+            return 0.5 * (m + m.conj().T)
+
+        def rate():
+            return 0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.1, 1.5))
+
+        # a zero forward and a zero reverse rate, then random (sometimes zero)
+        # ones; a dense chi; the Hermitian term comes between the two groups
+        channels = [Channel(op(), 0.0, 0.7), Channel(op(), 0.9, 0.0)]
+        channels += [Channel(op(), rate(), rate()) for _ in range(rng.integers(0, 4))]
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        chi = 0.5 * b @ b.conj().T
+        assert np.count_nonzero(chi) == 9
+        spec = DissipatorSpec(channels=channels,
+                              dephasing_hermitian=[(hermitian(), float(rng.uniform(0.0, 1.0)))],
+                              dephasing_invariant=([hermitian() for _ in range(3)], chi))
         got = build_dissipator(spec).data
         assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
 

@@ -706,6 +706,21 @@ class TestCoRotatingFrame:
         for at_t, at_zero in pairs:
             assert np.max(np.abs(at_t - v @ at_zero @ v.conj().T)) < 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e3, 1e6]),
+           phase=st.floats(-math.pi, math.pi), delta=st.floats(-0.5, 0.5))
+    def test_stacked_times_match_single_times_bitwise(self, seed, scale, phase, delta):
+        # H, F_plus, F_minus and W at an array of times are one (n, 2, 2)
+        # array whose matrices are the single-time calls' bytes
+        p = JCParams(1.0, 1.0 + delta, 0.2, 2.0 * np.exp(1j * phase))
+        ts = np.random.default_rng(seed).uniform(-scale, scale, size=40)
+        for fn in [lambda t: jc_semiclassical_hamiltonian(t, p), *jc_eigenoperators(p)]:
+            stack = fn(ts)
+            assert isinstance(stack, np.ndarray) and stack.shape == (40, 2, 2)
+            for t, x in zip(ts.tolist(), stack):
+                single = fn(t)
+                assert getattr(single, "data", single).tobytes() == x.tobytes()
+
 
 class TestZeroRabiFrequency:
     """Omega = 0, where sin(Omega t / 2) / Omega is t / 2; hypothesis rarely
