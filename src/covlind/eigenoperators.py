@@ -20,20 +20,13 @@ reported frequencies live in (-pi/T, pi/T]; drives whose eigenfrequencies
 exceed half the drive frequency fold back, and a DegeneracyWarning flags
 more than d invariants or a run of phases within 1e-7 on the circle.
 
-One RK4 integrator returns U(t) on a whole grid as one array: the monodromy
-takes its last entry, and the Heisenberg check U^dag(t) P(t) U(t) =
-exp(i lambda t) P(0) of any number of pairs is stacked on one sweep.  It
-works in blocks of 100 steps, the re-unitarisation cadence: a block fills
-one stack with H at its 200 times, checks their Hermiticity at once, forms
-all its RK4 step maps with one batched ``propagate._rk4_maps`` call and
-chains U through them, one product per step, so its temporaries are
-O(200 d^2).  A DrivenGenerator marked ``stacked`` fills the block's stack
-with one call of H on the array of its times (``jc_semiclassical_hamiltonian``
-and the F_pm, W callables of ``jc_eigenoperators`` take arrays of times);
-any other H is called once per time.  On a periodic drive whose period is
-a whole number of steps, the sweep integrates one period and tiles the
-rest as U(t + n T) = U(t) U(t0 + T)^n, so its H(t) evaluations scale with
-the period, not the grid.
+One RK4 integrator, on ``propagate._rk4_blocks``, returns U(t) on a whole
+grid as one array: the monodromy takes its last entry, and the Heisenberg
+check U^dag(t) P(t) U(t) = exp(i lambda t) P(0) of any number of pairs is
+stacked on one sweep.  On a periodic drive whose period is a whole number
+of steps, the sweep integrates one period and tiles the rest as
+U(t + n T) = U(t) U(t0 + T)^n, so its H(t) evaluations scale with the
+period, not the grid.
 """
 
 from __future__ import annotations
@@ -56,11 +49,7 @@ from .operators import (
     _check_dim,
     _check_hermitian,
 )
-from .propagate import _rk4_maps
-
-# RK4 steps per block of the unitary sweep: the steps whose maps are formed
-# together, and the cadence of the polar re-unitarisation
-_RK4_BLOCK = 100
+from .propagate import _RK4_BLOCK, _rk4_blocks
 
 
 class DegeneracyWarning(UserWarning):
@@ -227,19 +216,14 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     """U(t0 + k dt), k = every, 2 every, ..., steps, as a (steps // every, d, d)
     array, where dU/dt = -i H(t) U, U(t0) = I and dt = (t1 - t0) / steps.
 
-    Classical RK4 on -i H at t, t + dt/2 and t + dt, in blocks of
-    ``_RK4_BLOCK`` steps.  A block fills one (201, d, d) stack: the previous
-    block's last H(t + dt) as its first H(t), then H at its midpoints and
-    endpoints in time order from ``gen.fill``, one call of a stacked H or
-    one call per time.  Each H(t) must have H(t0)'s dimension, and one
-    Hermiticity check covers the block's stack, naming the first failing
-    t.  The block's RK4 maps come from one batched ``_rk4_maps`` call, and
-    U is chained through them one product per step, then re-unitarised at
-    the block's end, so the temporaries are O(200 d^2) whatever the step
-    count.  When ``gen.period`` is a whole number m < steps of steps that
-    ``every`` divides, RK4 covers the first period only and Floquet's
-    theorem U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one batched
-    product per period; otherwise m = steps.  A sweep evaluates H at
+    Classical RK4 on -i H, on ``_rk4_blocks``.  Each H(t) of a block, from
+    ``gen.fill``, must have H(t0)'s dimension, and one Hermiticity check
+    covers them, naming the first failing t.  U is chained through the
+    block's maps one product per step and re-unitarised every
+    ``_RK4_BLOCK`` steps.  When ``gen.period`` is a whole number m < steps
+    of steps that ``every`` divides, RK4 covers the first period only and
+    Floquet's theorem U(t + n T) = U(t) U(t0 + T)^n tiles the rest, one
+    batched product per period; otherwise m = steps.  A sweep evaluates H at
     2 m + 1 times, or 2 m when the caller passes H(t0) as ``h0``.  A step
     too long for the drive makes U overflow, silently, until the next
     re-unitarisation or the finiteness check of the whole path raises an
@@ -247,24 +231,18 @@ def _unitary_path(gen: DrivenGenerator, t0: float, t1: float, steps: int,
     """
     dt = (t1 - t0) / steps
     m = _period_steps(gen.period, dt, steps, every)
-    h_start = gen.matrix(t0) if h0 is None else h0
-    d = h_start.shape[0]
-    u = np.eye(d, dtype=complex)
-    path = np.empty((steps // every, d, d), dtype=complex)
-    stack = np.empty((2 * min(m, _RK4_BLOCK) + 1, d, d), dtype=complex)
-    stack[-1] = h_start
+    a_start = -1j * (gen.matrix(t0) if h0 is None else h0)
+
+    def fill(ts, out):
+        gen.fill(ts, out, f"H(t={t0})")
+        _check_hermitian(out, lambda i: f"H(t={ts[i]})")
+        np.multiply(-1j, out, out=out)
+
+    u = np.eye(len(a_start), dtype=complex)
+    path = np.empty((steps // every,) + u.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, _RK4_BLOCK):
-            ks = range(start, min(start + _RK4_BLOCK, m))
-            n = np.arange(start, ks.stop)
-            # midpoint and endpoint of each step, in time order
-            ts = np.column_stack([t0 + n * dt + dt / 2, t0 + (n + 1) * dt]).ravel()
-            hs = stack[:len(ts) + 1]
-            hs[0] = stack[-1]  # H(t0), or the last H of the previous (full) block
-            gen.fill(ts, hs[1:], f"H(t={t0})")
-            _check_hermitian(hs[1:], lambda i: f"H(t={ts[i]})")
-            a = -1j * hs
-            for k, step in zip(ks, _rk4_maps(a[:-1:2], a[1::2], a[2::2], dt)):
+        for k0, _, maps in _rk4_blocks(fill, a_start, t0 + np.arange(m + 1) * dt, np.full(m, dt)):
+            for k, step in enumerate(maps, k0):
                 u = step @ u
                 if (k + 1) % _RK4_BLOCK == 0:
                     if not np.isfinite(u).all():

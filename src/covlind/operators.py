@@ -287,20 +287,24 @@ def _check_count(value, least: int, what: str):
 
 
 def _check_hermitian(m: np.ndarray, stage):
-    """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10;
-    a non-finite M fails too.  A (n, d, d) stack is checked in one pass, and
-    its first failing matrix, say the i-th, is reported as ``stage(i)``."""
+    """Raise ContractError naming ``stage`` unless max |M - M^dag| <= 1e-10,
+    or < 1e-10 max |M| as a change of time unit scales it (the scale taken
+    only where 1e-10 fails); a non-finite M fails too.  A (n, d, d) stack is
+    checked in one pass; its first failing matrix, the i-th, is ``stage(i)``."""
     if m.ndim == 3:
         diff = np.conjugate(m.swapaxes(1, 2))
         np.subtract(m, diff, out=diff)  # in place: the stack may outgrow the cache
-        i = int(np.argmin(np.abs(diff).max(axis=(1, 2)) <= 1e-10))
+        worst = np.abs(diff).max(axis=(1, 2))
+        over = ~(worst <= 1e-10)
+        over[over] = ~(worst[over] < 1e-10 * np.abs(m[over]).max(axis=(1, 2)))
+        i = int(np.argmax(over))
         m, stage = m[i], stage(i)
     if m.shape == (1, 1):  # a scalar, as a one-term chi is, without numpy's per-call cost
         c = complex(m[0, 0])
         worst = abs(c - c.conjugate())
     else:
         worst = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
-    if not worst <= 1e-10:
+    if not worst <= 1e-10 and not worst < 1e-10 * float(np.abs(m).max()):
         raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")
 
 

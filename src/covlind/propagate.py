@@ -25,6 +25,9 @@ from .operators import (
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_BREACH = 1e-6
 _HALVING_DIVISOR = {"rk4": 15.0, "expm": 3.0}
+# the most steps and bytes of an ``_rk4_blocks`` block, 7 complex D x D a step
+_RK4_BLOCK = 100
+_RK4_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -132,18 +135,37 @@ def _rk4_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt) -> np.ndarray:
     x2 += a0
     x2 += x4
     x2 *= dt / 6
-    x2.reshape(x2.shape[:-2] + (-1,))[..., ::a0.shape[-1] + 1] += 1
+    x2.reshape(x2.shape[:-2] + (a0.shape[-1] ** 2,))[..., ::a0.shape[-1] + 1] += 1
     return x2
+
+
+def _rk4_blocks(fill, a_start: np.ndarray, times: np.ndarray, widths: np.ndarray):
+    """Classical RK4 for dy/dt = A(t) y, step k from times[k] over widths[k],
+    in blocks of n steps from k0: yields (k0, a, maps), a the (2n + 1, D, D)
+    stack of A at times[k0] and each step's midpoint and endpoint, maps the
+    n maps of one ``_rk4_maps`` call.  ``fill(ts, out)`` writes A(ts) into
+    out; row 0, ``a_start`` or the previous block's last row, is not asked
+    again.  n: the largest even number <= _RK4_BLOCK within _RK4_BLOCK_BYTES,
+    at least 2; the last block may be shorter.  A block lasts until the next."""
+    n = max(2, min(_RK4_BLOCK, _RK4_BLOCK_BYTES // (7 * 16 * a_start.size)) // 2 * 2)
+    stack = np.empty((2 * min(len(widths), n) + 1,) + a_start.shape, dtype=complex)
+    for k0 in range(0, len(widths), n):
+        tk, dt = times[k0:k0 + n + 1], widths[k0:k0 + n]
+        a = stack[:2 * len(dt) + 1]
+        a[0] = stack[-1] if k0 else a_start  # the last A of the previous (full) block
+        fill(np.column_stack([tk[:-1] + dt / 2, tk[1:]]).ravel(), a[1:])
+        yield k0, a, _rk4_maps(a[:-1:2], a[1::2], a[2::2], dt[:, None, None])
 
 
 def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
                    mode: str = "rk4") -> Trajectory:
     """Propagate under a time-dependent generator.
 
-    ``mode='rk4'`` integrates vec(rho) with a fixed-step classical RK4 using
-    midpoint evaluations; ``mode='expm'`` uses a piecewise-constant
-    exponential at each midpoint.  Each needed L(t) is evaluated once: RK4
-    calls ``l_of_t`` 2N + 1 times for N steps, expm 1 + N + N // 2 times.
+    ``mode='rk4'`` integrates vec(rho) by classical RK4 on ``_rk4_blocks``,
+    ``mode='expm'`` by a piecewise-constant exponential at each midpoint.
+    Each L(t) needed is evaluated once, in time order (a step's midpoint
+    before its end): for N steps RK4 calls ``l_of_t`` 2N + 1 times, expm
+    1 + N + N // 2 times.
 
     A coarse companion run at twice the step, driven by the same generator
     matrices, gives a step-halving (Richardson-style) error estimate, scaled
@@ -165,27 +187,33 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
                                  f"expected {(d * d, d * d)} for a state of dim {d}")
         return lm
 
-    l_prev = generator(times[0])
-    _check_trace_annihilating(l_prev, d, f"generator at t={grid.t0}")
+    def fill(ts, out):
+        for i, t in enumerate(ts):
+            out[i] = generator(t)
+
+    l_start = generator(times[0])
+    _check_trace_annihilating(l_start, d, f"generator at t={grid.t0}")
     y = vec(rho0.data)
     ys = [y]
     coarse = y  # companion state at the even grid points, t_0, t_2, ...
-    for i in range(grid.steps):
-        t, dt = times[i], times[i + 1] - times[i]
-        if mode == "expm":
+    if mode == "expm":
+        for i in range(grid.steps):
+            t, dt = times[i], times[i + 1] - times[i]
             y = matrix_exp(generator(t + dt / 2) * dt) @ y
             if i % 2:
                 # the coarse step t_{i-1} -> t_{i+1} has its midpoint at t_i
                 coarse = matrix_exp(generator(t) * (times[i + 1] - times[i - 1])) @ coarse
-        else:
-            l_next = generator(times[i + 1])
-            y = _rk4_maps(l_prev, generator(t + dt / 2), l_next, dt) @ y
-            if i % 2:
-                coarse = _rk4_maps(l_even, l_prev, l_next, times[i + 1] - times[i - 1]) @ coarse
-            else:
-                l_even = l_prev
-            l_prev = l_next
-        ys.append(y)
+            ys.append(y)
+    else:
+        pair_dt = (times[2::2] - times[:-2:2])[:, None, None]
+        for k0, a, maps in _rk4_blocks(fill, l_start, times, np.diff(times)):
+            for step in maps:
+                y = step @ y
+                ys.append(y)
+            j = len(maps) // 2  # coarse steps t_k -> t_{k+2}: A at rows 4p, 4p + 2, 4p + 4
+            for step in _rk4_maps(a[:4 * j:4], a[2:4 * j:4], a[4:4 * j + 1:4],
+                                  pair_dt[k0 // 2:k0 // 2 + j]):
+                coarse = step @ coarse
     # for a scheme of order p the fine run's error is about
     # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
     last = ys[2 * (grid.steps // 2)]

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
-from covlind import eigenoperators, jaynes_cummings
+from covlind import eigenoperators, jaynes_cummings, propagate
 from covlind.eigenoperators import (
     DegeneracyWarning,
     EigenoperatorSet,
@@ -207,6 +207,31 @@ def three_call_sweep_oracle(l_of_t, y0, times, mode="rk4"):
             y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(y.copy())
     return np.array(out)
+
+
+def per_step_rk4_oracle(l_of_t, rho0, grid):
+    """RK4 ``evolve_timedep`` as one ``_rk4_maps`` call per step: L at each
+    endpoint, then the midpoint, and the step-halving companion from L at
+    t_{k-1}, t_k and t_{k+1} after every odd step k.  Returns the checked
+    stack of states and the error estimate."""
+    times = grid.times()
+    l_prev = np.asarray(l_of_t(times[0]), dtype=complex)
+    y = vec(rho0.data)
+    ys, coarse = [y], y
+    for i in range(grid.steps):
+        t, dt = times[i], times[i + 1] - times[i]
+        l_next = np.asarray(l_of_t(times[i + 1]), dtype=complex)
+        y = propagate._rk4_maps(l_prev, np.asarray(l_of_t(t + dt / 2), dtype=complex),
+                                l_next, dt) @ y
+        if i % 2:
+            coarse = propagate._rk4_maps(l_even, l_prev, l_next,
+                                         times[i + 1] - times[i - 1]) @ coarse
+        else:
+            l_even = l_prev
+        l_prev = l_next
+        ys.append(y)
+    err = float(np.max(np.abs(ys[2 * (grid.steps // 2)] - coarse))) / 15.0
+    return propagate._checked_states(ys, rho0, times), err
 
 
 def unitary_path_oracle(gen, t0, t1, steps, every, h0=None):

@@ -55,6 +55,14 @@ def rabi_generator(p):
                            period=2 * np.pi / p.omega_c)
 
 
+def unit_scaled_levels(c):
+    """Q diag(c [0, 0.9, 1.7, 3.1]) Q^dag for a fixed random unitary Q: at
+    c = 1e6 |H - H^dag| is 1.16e-10, 7e-17 of max |H|."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q @ np.diag(c * np.array([0.0, 0.9, 1.7, 3.1])) @ q.conj().T
+
+
 class TestStatic:
     def test_qubit_transitions(self):
         omega_eg = 1.3
@@ -91,6 +99,14 @@ class TestStatic:
         # NaN used to pass the Hermiticity check and give NaN Bohr frequencies
         with pytest.raises(ContractError, match="not Hermitian"):
             static_eigenoperators(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("c", [1e6, 1e8])
+    def test_hermiticity_does_not_depend_on_the_unit_of_time(self, c):
+        # rejected with "hermitian_eig input is not Hermitian (1.16e-10)" at
+        # c = 1e6 and (1.49e-08) at c = 1e8 while the bound was absolute
+        eset = static_eigenoperators(unit_scaled_levels(c))
+        ref = static_eigenoperators(unit_scaled_levels(1.0))
+        assert np.max(np.abs(eset.freqs / c - ref.freqs)) < 1e-12
 
     def test_completeness_and_orthonormality(self):
         h = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
@@ -461,6 +477,21 @@ class TestIntegrateUnitary:
                 pytest.raises(IntegrationError) as exc:
             integrate_unitary(gen, 0.0, t1, steps)
         assert f"RK4 unitary sweep diverged by {where}" in str(exc.value)
+
+
+    def test_drive_in_other_units_passes_the_hermiticity_check(self):
+        # H x 1e6 over a time 1e-6 as long is the same sweep in other units;
+        # each H(t) is off Hermitian by 1.16e-10, which the absolute bound
+        # rejected at H(t=0.0)
+        x = np.kron(Q["sx"], np.eye(2))
+
+        def drive(c):
+            hc = unit_scaled_levels(c)
+            return DrivenGenerator(lambda t: hc + c * math.cos(c * t) * x)
+
+        ref = eigenoperators._unitary_path(drive(1.0), 0.0, 2.0, 400, 4)
+        got = eigenoperators._unitary_path(drive(1e6), 0.0, 2e-6, 400, 4)
+        assert np.max(np.abs(got - ref)) < 1e-9
 
 
 class TestFloquetTiling:

@@ -32,8 +32,8 @@ from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, jc_block_propagator,
                                      jc_dressed_states, jc_hamiltonian, touchard,
                                      touchard_asymptotic)
-from covlind.operators import (POSITIVITY_TOL, _eigen_fidelity, _min_eigenvalues,
-                               liouville_unitary, validate_states)
+from covlind.operators import (POSITIVITY_TOL, _check_hermitian, _eigen_fidelity,
+                               _min_eigenvalues, liouville_unitary, validate_states)
 from covlind.propagate import TimeGrid
 from oracles import hermitian_eig_loop_oracle
 
@@ -176,6 +176,34 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckHermitian:
+    """|M - M^dag| <= 1e-10 max(1, max |M|): relative above scale 1, absolute
+    below it."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1e-6])
+    def test_no_looser_below_scale_one(self, scale):
+        m = np.array([[scale, 2e-10], [0.0, scale]], dtype=complex)
+        with pytest.raises(ContractError, match=re.escape("M is not Hermitian (2.00e-10)")):
+            _check_hermitian(m, "M")
+        with pytest.raises(ContractError, match=re.escape("M0 is not Hermitian (2.00e-10)")):
+            _check_hermitian(m[None], lambda i: f"M{i}")
+
+    def test_stack_names_the_first_failure_after_a_scaled_pass(self):
+        # row 0 is 1.5e-10 off, 1.5e-16 of its size; row 2 fails at scale 1
+        ok = np.array([[1e6, 1.5e-10], [0.0, 1e6]], dtype=complex)
+        bad = np.array([[1.0, 2e-10], [0.0, 1.0]], dtype=complex)
+        _check_hermitian(ok, "M")
+        with pytest.raises(ContractError, match=re.escape("M2 is not Hermitian (2.00e-10)")):
+            _check_hermitian(np.array([ok, np.eye(2), bad, ok]), lambda i: f"M{i}")
+
+    def test_non_finite_fails_at_any_scale(self):
+        m = np.array([[1.0, np.inf], [5.0, 1.0]], dtype=complex)
+        with pytest.raises(ContractError, match=re.escape("M is not Hermitian (inf)")):
+            _check_hermitian(m, "M")
+        with pytest.raises(ContractError, match=re.escape("M0 is not Hermitian (inf)")):
+            _check_hermitian(m[None], lambda i: f"M{i}")
 
 
 class TestMatrixExp:

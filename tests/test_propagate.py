@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from covlind import (
 from covlind import operators, propagate
 from covlind.bath import BathSpec
 from covlind.errors import ContractError, DimensionError, IntegrationError
-from oracles import three_call_sweep_oracle
+from oracles import per_step_rk4_oracle, three_call_sweep_oracle
 
 Q = qubit_ops()
 EXCITED = DensityMatrix.from_ket([0, 1])
@@ -185,7 +186,7 @@ class TestEvolveTimedep:
         assert 0.5 < ratio < 2.0
 
     @pytest.mark.parametrize("mode", ["rk4", "expm"])
-    @pytest.mark.parametrize("steps", [41, 161])
+    @pytest.mark.parametrize("steps", [41, 161, 201])
     def test_odd_step_estimate_is_honest(self, mode, steps):
         # for odd N the coarse run ends at t_{N-1}; the estimate is of the
         # fine run's error there
@@ -197,7 +198,7 @@ class TestEvolveTimedep:
         assert 0.5 < ratio < 2.0
 
     @pytest.mark.parametrize("mode", ["rk4", "expm"])
-    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 40, 99, 100, 101, 199, 200, 201, 401])
     def test_one_generator_call_per_time(self, mode, steps):
         l_of_t, _ = driven_damped_qubit()
         calls = []
@@ -210,9 +211,48 @@ class TestEvolveTimedep:
         traj = evolve_timedep(counting, GROUND, grid, mode=mode)
         expected = 2 * steps + 1 if mode == "rk4" else 1 + steps + steps // 2
         assert len(calls) == expected
-        oracle = three_call_sweep_oracle(counting, vec(GROUND.data), grid.times(), mode)
-        states = np.array([vec(st.data) for st in traj.states])
-        assert np.max(np.abs(states - oracle)) < 1e-14
+        # tidied as the library tidies its states: the raw oracle's trace
+        # drifts by 1.4e-14 over 401 expm steps
+        oracle = propagate._checked_states(
+            list(three_call_sweep_oracle(counting, vec(GROUND.data), grid.times(), mode)),
+            GROUND, grid.times())
+        assert np.max(np.abs(traj.rhos - oracle)) < 1e-14
+        if mode == "rk4":  # 100-step blocks here, which keep the per-step loop's bits
+            rhos, err = per_step_rk4_oracle(counting, GROUND, grid)
+            assert traj.rhos.tobytes() == rhos.tobytes()
+            assert traj.metadata["step_halving_error"] == err
+
+    def test_rk4_block_memory_at_d10(self):
+        # L is 100 x 100: 100-step blocks would hold over 100 MB, so the
+        # block length follows D, here 74 steps, and the shorter blocks keep
+        # the per-step bits
+        d = 10
+        rng = np.random.default_rng(10)
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        jump = np.triu(rng.normal(size=(d, d)), 1).astype(complex)
+        dissipator = build_dissipator(DissipatorSpec(channels=[Channel(jump, 0.3)]))
+        l0 = liouvillian(0.5 * (h + h.conj().T), dissipator).data
+        l1 = -1j * commutator_super(np.diag(np.arange(d, dtype=float))).data
+        rho0 = DensityMatrix(np.eye(d) / d)
+        grid = TimeGrid(0.0, 0.2, 200)
+
+        def generator(t):
+            return l0 + math.cos(t) * l1
+
+        tracemalloc.start()
+        try:
+            traj = evolve_timedep(generator, rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= propagate._RK4_BLOCK_BYTES + 2 * 2**20
+        rhos, err = per_step_rk4_oracle(generator, rho0, grid)
+        assert traj.rhos.tobytes() == rhos.tobytes()
+        assert traj.metadata["step_halving_error"] == err
+
+    def test_rk4_maps_of_an_empty_stack(self):
+        empty = np.empty((0, 4, 4), dtype=complex)
+        assert propagate._rk4_maps(empty, empty, empty, 0.1).shape == (0, 4, 4)
 
     def test_rejects_badly_shaped_generator(self):
         good = damping_liouvillian(0.5)
