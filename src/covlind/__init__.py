@@ -15,7 +15,6 @@ from .operators import (  # noqa: F401
     Operator,
     DensityMatrix,
     Superoperator,
-    kron,
     vec,
     unvec,
     commutator_super,
@@ -27,16 +26,12 @@ from .operators import (  # noqa: F401
     uhlmann_fidelity,
     coherence_rel_entropy,
     von_neumann_entropy,
-    coherent_state,
     qubit_ops,
-    destroy,
 )
 from .eigenoperators import (  # noqa: F401
     EigenoperatorSet,
     DrivenGenerator,
     static_eigenoperators,
-    bohr_nondegenerate,
-    heisenberg_generator,
     monodromy_eigenoperators,
     frequency_eigenoperators,
     verify_eigenoperator,
@@ -63,13 +58,10 @@ from .bath import (  # noqa: F401
 )
 from .jaynes_cummings import (  # noqa: F401
     JCParams,
-    jc_hamiltonian,
-    jc_block_propagator,
     jc_kraus_reduce,
     jc_semiclassical_hamiltonian,
     jc_semiclassical_propagator,
     jc_eigenoperators,
-    jc_dressed_states,
     collapse_envelope,
     touchard,
     touchard_asymptotic,

@@ -40,10 +40,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, IntegrationError
 from .operators import (
     Operator,
-    Superoperator,
-    commutator_super,
     hermitian_eig,
-    vec,
     _as_matrix,
     _check_count,
     _check_dim,
@@ -72,17 +69,6 @@ class EigenoperatorSet:
 
     def non_invariant(self):
         return [op for op, inv in zip(self.ops, self.invariant_flags) if not inv]
-
-    def invariant(self):
-        return [op for op, inv in zip(self.ops, self.invariant_flags) if inv]
-
-    def gram(self) -> np.ndarray:
-        vs = np.array([vec(op) for op in self.ops])
-        return vs.conj() @ vs.T
-
-    def completeness_rank(self) -> int:
-        vs = np.array([vec(op) for op in self.ops])
-        return int(np.linalg.matrix_rank(vs, tol=1e-8))
 
 
 @dataclass
@@ -125,19 +111,6 @@ class DrivenGenerator:
                 _check_dim(h.shape[0], d, f"H(t={t})", ref)
             out[i] = h
 
-    @property
-    def dim(self) -> int:
-        return self.matrix(0.0).shape[0]
-
-
-def _bohr_table(hm: np.ndarray):
-    """Eigenpairs (w, v) of H, the ordered pairs n != m row by row as arrays
-    n and m, their Bohr frequencies w_m - w_n, and the tolerance 1e-9
-    max(1, |w|) under which a frequency is zero and two are equal."""
-    w, v = hermitian_eig(hm)
-    n, m = np.nonzero(~np.eye(len(w), dtype=bool))
-    return w, v, n, m, w[m] - w[n], 1e-9 * float(np.abs(w).max(initial=1.0))
-
 
 def static_eigenoperators(h_d) -> EigenoperatorSet:
     """Transition operators and projectors of a static Hamiltonian.
@@ -147,8 +120,11 @@ def static_eigenoperators(h_d) -> EigenoperatorSet:
     one sample time before returning.
     """
     hm = _as_matrix(h_d)
-    w, v, n, m, bohr, tol = _bohr_table(hm)
+    w, v = hermitian_eig(hm)
     d = len(w)
+    n, m = np.nonzero(~np.eye(d, dtype=bool))
+    bohr = w[m] - w[n]
+    tol = 1e-9 * float(np.abs(w).max(initial=1.0))  # under it a Bohr frequency is zero
     t_check = 7e-10 / tol  # 0.7 / max(1, |w|)
     u = hermitian_unitary(hm, t_check)
     # |U psi - psi e^{-iwt}| <= e entrywise bounds every |psi_n><psi_m| by 2e + e^2
@@ -170,28 +146,6 @@ def hermitian_unitary(h, t: float) -> np.ndarray:
     """exp(-i H t) through the eigendecomposition (H Hermitian)."""
     w, v = np.linalg.eigh(_as_matrix(h))
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def bohr_nondegenerate(h_d):
-    """Check that all Bohr frequencies of a Hamiltonian are distinct.
-
-    Returns (ok, offending) where offending lists colliding ordered pairs
-    ((n, m), (k, l)).  A vanishing Bohr frequency (degenerate levels) counts
-    as a collision with the invariant sector.  Scans one vectorised row of
-    pairs at a time, so memory stays O(d^2).
-    """
-    _, _, n, m, bohr, tol = _bohr_table(_as_matrix(h_d))
-    pairs = list(zip(n.tolist(), m.tolist()))
-    offending = [(pairs[k], None) for k in np.flatnonzero(np.abs(bohr) < tol)]
-    for k, f in enumerate(bohr):
-        offending += [(pairs[k], pairs[j])
-                      for j in k + 1 + np.flatnonzero(np.abs(bohr[k + 1:] - f) < tol)]
-    return not offending, offending
-
-
-def heisenberg_generator(gen: DrivenGenerator, t: float) -> Superoperator:
-    """Liouville matrix of X -> i [H(t), X] (Schroedinger-frame kernel)."""
-    return 1j * commutator_super(gen.matrix(t))
 
 
 def _diverged(t: float, dt: float) -> IntegrationError:

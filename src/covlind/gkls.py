@@ -231,14 +231,6 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray):
         yield from t.reshape(m, dd, dd)
 
 
-def lindblad_term(f, rate: float = 1.0) -> Superoperator:
-    """GKLS channel rate * (F . F^dag - 1/2 {F^dag F, .}), entry by entry
-    the term-by-term formula's up to the sign of a zero (``_pair_terms``)."""
-    fm = _as_matrix(f)[None]
-    term = next(_pair_terms(fm, fm.conj().transpose(0, 2, 1), np.array([rate], dtype=complex)))
-    return Superoperator._adopt(term, fm.shape[1])
-
-
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
     """Assemble the dissipator superoperator from a DissipatorSpec.
 
@@ -301,8 +293,10 @@ def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
     O(K d^3), without the d^2 x d^2 matrix of ``build_dissipator``.
 
     Raises ContractError unless D[rho] is finite and |tr D[rho]| is at most
-    1e-10 times max(1, its largest |entry|), the check the assembled
-    dissipator runs on itself.
+    1e-10 times max(1, its largest |entry|, the largest |entry| of the
+    anticommutator sum): at a fixed point D[rho] is about 0, while the
+    terms whose traces cancel scale with the rates, so a change of time
+    unit changes no decision.
     """
     f = spec._jumps.reshape(-1, *rho.shape)  # (0, d, d) without channels
     fdag = f.conj().transpose(0, 2, 1)
@@ -317,7 +311,8 @@ def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
         anti = anti + c * (wj @ wi)
     out = out - 0.5 * (anti @ rho + rho @ anti)
     trace = abs(np.trace(out))
-    if not (np.isfinite(out).all() and trace <= 1e-10 * max(1.0, float(np.abs(out).max()))):
+    scale = max(1.0, float(np.abs(out).max()), float(np.abs(anti).max()))
+    if not (np.isfinite(out).all() and trace <= 1e-10 * scale):
         raise ContractError(f"attractor residual D[rho] is not finite and trace-free "
                             f"(|tr D[rho]| = {trace:.2e})")
     return out

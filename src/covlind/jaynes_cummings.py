@@ -1,7 +1,8 @@
-"""Jaynes-Cummings analytics: autonomous block dynamics, exact Kraus
-reduction of the qubit, the semi-classical (Rabi) propagator, analytic
-driven eigenoperators, dressed states, the collapse envelope and Touchard
-asymptotics.
+"""Jaynes-Cummings analytics: exact Kraus reduction of the qubit under the
+autonomous block dynamics, the semi-classical (Rabi) propagator, analytic
+driven eigenoperators, the collapse envelope and Touchard asymptotics.
+Everything is in closed form; no truncated-Fock Hamiltonian is built (the
+tests keep one as the reference the closed forms are checked against).
 
 Basis conventions: qubit basis (|g>, |e>) with sigma_z = diag(-1, +1);
 the coupled space is ordered |qubit> (x) |n>.  The n'th excitation block
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, TruncationError
-from .operators import (DensityMatrix, Operator, _check_count, _coherent_amplitudes,
-                        _poisson_window, destroy, qubit_ops, validate_states)
+from .operators import (DensityMatrix, Operator, _coherent_amplitudes, _poisson_window,
+                        qubit_ops, validate_states)
 
 _Q = qubit_ops()
 
@@ -95,18 +96,6 @@ def default_kraus_window(p: JCParams) -> tuple[int, int]:
     return _poisson_window(p.alpha)
 
 
-def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:
-    """H = omega_c (a^dag a + 1/2) + (omega_eg/2) sigma_z + g (sm a^dag + sp a)."""
-    _check_count(n_max, 1, "n_max")
-    a = destroy(n_max + 1)
-    num = a.conj().T @ a
-    eye_m = np.eye(n_max + 1, dtype=complex)
-    h = (p.omega_c * (np.kron(np.eye(2), num + 0.5 * eye_m))
-         + 0.5 * p.omega_eg * np.kron(_Q["sz"], eye_m)
-         + p.g * (np.kron(_Q["sm"], a.conj().T) + np.kron(_Q["sp"], a)))
-    return Operator(h, (2, n_max + 1))
-
-
 def _rabi_block(omega: float, kappa: float, delta: float, t) -> np.ndarray:
     """exp(-i t H) = c I - 2i s H for H = kappa X - (delta/2) Z, Z = diag(1, -1),
     omega = sqrt(delta^2 + 4 kappa^2): [[c + i delta s, -2i kappa s],
@@ -132,15 +121,6 @@ def _co_rotating(x0: np.ndarray, t, omega_c: float) -> np.ndarray:
     frame[..., 0, 1] = phase
     frame[..., 1, 0] = phase.conj()
     return x0 * frame
-
-
-def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
-    """Closed-form propagator of the n'th block in basis {|g,n>, |e,n-1>}:
-    the Rabi block with coupling g sqrt(n) and the global phase
-    exp(-i n omega_c t)."""
-    _check_count(n, 1, "block index n")
-    block = _rabi_block(float(p.omega_n(n)), p.g * math.sqrt(n), p.delta, t)
-    return np.exp(-1j * n * p.omega_c * t) * block
 
 
 # Kraus terms per chunk of times: as many as 4 MiB of Kraus operators hold,
@@ -470,24 +450,6 @@ def jc_eigenoperators(p: JCParams):
 
     w0 = g * (np.conj(alpha) * _Q["sm"] + alpha * _Q["sp"]) + 0.5 * dl * _Q["sz"]
     return co_rotated(f_at_zero(+1.0)), co_rotated(f_at_zero(-1.0)), co_rotated(w0 * math.sqrt(2.0) / om)
-
-
-def jc_dressed_states(n: int, p: JCParams):
-    """Dressed kets and energies of the n'th block.
-
-    Returns (psi_plus, psi_minus, e_plus, e_minus) with the kets as
-    2-vectors in the {|g,n>, |e,n-1>} coordinates:
-    psi_plus = sin(theta/2)|g,n> + cos(theta/2)|e,n-1> with the mixing
-    angle theta = atan2(2 g sqrt(n), delta), and energies
-    n omega_c +- Omega_n / 2.
-    """
-    _check_count(n, 1, "block index n")
-    om = float(p.omega_n(n))
-    theta = math.atan2(2.0 * p.g * math.sqrt(n), p.delta)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    psi_plus = np.array([s, c], dtype=complex)
-    psi_minus = np.array([-c, s], dtype=complex)
-    return psi_plus, psi_minus, n * p.omega_c + om / 2.0, n * p.omega_c - om / 2.0
 
 
 def collapse_envelope(t: float, p: JCParams) -> float:

@@ -1,6 +1,8 @@
-"""Dense complex operator algebra and Liouville-space machinery.
+"""Dense complex operators, states and Liouville-space machinery.
 
-Operators are dense complex square matrices with a declared subsystem
+``Operator``, ``DensityMatrix`` and ``Superoperator`` wrap read-only dense
+complex square matrices at the API edge and define no arithmetic: library
+code works on their ``data`` arrays.  An Operator declares its subsystem
 dimension structure.  Superoperators act on column-stacked ("vec'd")
 operators: the (a, b) entry of a d x d matrix maps to entry b*d + a of a
 d^2 vector, so the map X -> A X B has matrix kron(B.T, A).
@@ -21,7 +23,7 @@ import numpy as np
 # scipy is imported inside the functions that call it, so the subcommands
 # that never do (attractor, coefficients, touchard) start without loading it
 
-from .errors import ContractError, DimensionError, TruncationError
+from .errors import ContractError, DimensionError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -88,37 +90,6 @@ class Operator:
         object.__setattr__(op, "data", data)
         object.__setattr__(op, "dims", dims)
         return op
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.data.conj().T, self.dims)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-    def hs_norm(self) -> float:
-        """Hilbert-Schmidt norm sqrt(tr(A^dag A))."""
-        return float(np.linalg.norm(self.data))
-
-    def __matmul__(self, other):
-        return Operator(self.data @ _as_matrix(other), self.dims)
-
-    def __add__(self, other):
-        return Operator(self.data + _as_matrix(other), self.dims)
-
-    def __sub__(self, other):
-        return Operator(self.data - _as_matrix(other), self.dims)
-
-    def __mul__(self, scalar):
-        return Operator(self.data * scalar, self.dims)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(-self.data, self.dims)
 
 
 @dataclass(frozen=True)
@@ -191,26 +162,6 @@ class Superoperator:
         out = unvec(self.data @ vec(a), self.source_dim)
         return Operator(out, _dims_of(x))
 
-    def __matmul__(self, other):
-        if isinstance(other, Superoperator):
-            return Superoperator(self.data @ other.data, self.source_dim)
-        return self.apply(other)
-
-    def __add__(self, other):
-        return Superoperator(self.data + other.data, self.source_dim)
-
-    def __sub__(self, other):
-        return Superoperator(self.data - other.data, self.source_dim)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.data * scalar, self.source_dim)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def zero(cls, d: int) -> "Superoperator":
-        return cls(np.zeros((d * d, d * d), dtype=complex), d)
-
 
 # ---------------------------------------------------------------------------
 # vec-ing and superoperator assembly
@@ -235,13 +186,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     per-call overhead, so the result is bitwise equal."""
     nm = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(nm, nm)
-
-
-def kron(a, b) -> Operator:
-    """Kronecker product; subsystem dims concatenate."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    dims = tuple(_dims_of(a)) + tuple(_dims_of(b))
-    return Operator(_kron(am, bm), dims)
 
 
 @functools.lru_cache(maxsize=16)
@@ -537,11 +481,6 @@ def qubit_ops():
             "id": np.eye(2, dtype=complex)}
 
 
-def destroy(n_levels: int) -> np.ndarray:
-    """Bosonic annihilation operator truncated to n_levels Fock states."""
-    return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1).astype(complex)
-
-
 def _poisson_window(alpha: complex) -> tuple[int, int]:
     """Fock window [nbar - 10|alpha|, nbar + 10|alpha| + 20] of |alpha>:
     10 sigma of its Poisson weights plus a margin, losing below ~1e-12."""
@@ -569,31 +508,3 @@ def _coherent_amplitudes(alpha: complex, n: np.ndarray) -> np.ndarray:
     amps *= np.angle(alpha)
     np.exp(amps, out=amps)
     return np.multiply(mod, amps, out=amps)
-
-
-def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
-    """Normalized coherent-state amplitudes on Fock states 0..n_max.
-
-    ``n_max`` defaults to the top of the 10-sigma Poisson window; the
-    truncated vector is renormalized.  An explicit n_max that loses more
-    than 1e-12 of the weight raises TruncationError.
-    """
-    from scipy.special import pdtrc
-
-    if not math.isfinite(abs(alpha)):
-        raise ContractError(f"alpha must be finite, got {alpha}")
-    if n_max is None:
-        n_max = _poisson_window(alpha)[1]
-    _check_count(n_max, 0, "n_max")
-    # the lost weight is the exact Poisson tail beyond n_max: 1 - sum |amp|^2
-    # would measure the amplitudes' rounding (5e-10 at |alpha| = 1000) instead
-    deficit = float(pdtrc(n_max, abs(alpha) ** 2))
-    if deficit > 1e-12:
-        raise TruncationError(
-            f"n_max={n_max} keeps only {1.0 - deficit:.15f} of the coherent weight",
-            deficit=deficit)
-    amps = _coherent_amplitudes(alpha, np.arange(n_max + 1))
-    weights = np.abs(amps)
-    weights **= 2
-    amps /= math.sqrt(float(np.sum(weights)))
-    return amps

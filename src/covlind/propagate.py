@@ -71,13 +71,14 @@ class Trajectory:
         return len(self.rhos)
 
 
-def _checked_states(ys: list, rho0: DensityMatrix, times: np.ndarray) -> np.ndarray:
+def _checked_states(ys: np.ndarray, rho0: DensityMatrix, times: np.ndarray) -> np.ndarray:
     """The read-only (T, d, d) stack of the states vec(rho) = ys[k] at
-    times[k], with ys[0] = vec(rho0): row 0 is rho0's own bytes, unchecked,
-    and the later rows are checked as one stack.  The first trace drift or
-    eigenvalue breach raises IntegrationError or PositivityError naming its
-    t, then one ``validate_states`` call tidies the rows."""
-    rhos = np.array(ys[1:]).reshape(-1, *rho0.data.shape).swapaxes(-1, -2)
+    times[k], ys being (T, d^2) with ys[0] = vec(rho0): row 0 is rho0's own
+    bytes, unchecked, and the later rows are checked as one stack, read in
+    place.  The first trace drift or eigenvalue breach raises
+    IntegrationError or PositivityError naming its t, then one
+    ``validate_states`` call tidies the rows."""
+    rhos = np.asarray(ys)[1:].reshape(-1, *rho0.data.shape).swapaxes(-1, -2)
     times = times[1:]
     tr = np.trace(rhos, axis1=1, axis2=2).real
     drift = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
@@ -106,9 +107,10 @@ def evolve_static(l_super: Superoperator, rho0: DensityMatrix, grid: TimeGrid) -
     _check_trace_annihilating(l_super.data, d, "generator at t=const")
     step = matrix_exp(l_super.data * grid.dt)
     times = grid.times()
-    ys = [vec(rho0.data)]
-    for _ in range(grid.steps):
-        ys.append(step @ ys[-1])
+    ys = np.empty((len(times), d * d), dtype=complex)  # row k: vec(rho(t_k))
+    ys[0] = vec(rho0.data)
+    for k in range(grid.steps):
+        np.matmul(step, ys[k], out=ys[k + 1])
     return Trajectory(times, _checked_states(ys, rho0, times), rho0.dims,
                       {"mode": "static-expm", "dt": grid.dt})
 
@@ -193,23 +195,21 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
 
     l_start = generator(times[0])
     _check_trace_annihilating(l_start, d, f"generator at t={grid.t0}")
-    y = vec(rho0.data)
-    ys = [y]
-    coarse = y  # companion state at the even grid points, t_0, t_2, ...
+    ys = np.empty((len(times), d * d), dtype=complex)  # row k: vec(rho(t_k))
+    ys[0] = vec(rho0.data)
+    coarse = ys[0]  # companion state at the even grid points, t_0, t_2, ...
     if mode == "expm":
         for i in range(grid.steps):
             t, dt = times[i], times[i + 1] - times[i]
-            y = matrix_exp(generator(t + dt / 2) * dt) @ y
+            np.matmul(matrix_exp(generator(t + dt / 2) * dt), ys[i], out=ys[i + 1])
             if i % 2:
                 # the coarse step t_{i-1} -> t_{i+1} has its midpoint at t_i
                 coarse = matrix_exp(generator(t) * (times[i + 1] - times[i - 1])) @ coarse
-            ys.append(y)
     else:
         pair_dt = (times[2::2] - times[:-2:2])[:, None, None]
         for k0, a, maps in _rk4_blocks(fill, l_start, times, np.diff(times)):
-            for step in maps:
-                y = step @ y
-                ys.append(y)
+            for k, step in enumerate(maps, k0):
+                np.matmul(step, ys[k], out=ys[k + 1])
             j = len(maps) // 2  # coarse steps t_k -> t_{k+2}: A at rows 4p, 4p + 2, 4p + 4
             for step in _rk4_maps(a[:4 * j:4], a[2:4 * j:4], a[4:4 * j + 1:4],
                                   pair_dt[k0 // 2:k0 // 2 + j]):

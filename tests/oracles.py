@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.special import pdtrc
 
 from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
 from covlind import eigenoperators, jaynes_cummings, propagate
@@ -15,14 +16,10 @@ from covlind.eigenoperators import (
     hermitian_unitary,
     integrate_unitary,
 )
-from covlind.errors import ContractError, IntegrationError
-from covlind.jaynes_cummings import (
-    jc_block_propagator,
-    jc_eigenoperators,
-    jc_semiclassical_propagator,
-)
-from covlind.operators import (_as_matrix, _check_hermitian, _coherent_amplitudes,
-                               hermitian_eig)
+from covlind.errors import ContractError, IntegrationError, TruncationError
+from covlind.jaynes_cummings import _rabi_block, jc_eigenoperators, jc_semiclassical_propagator
+from covlind.operators import (_as_matrix, _check_count, _check_hermitian,
+                               _coherent_amplitudes, _poisson_window, hermitian_eig)
 
 Q = qubit_ops()
 
@@ -59,6 +56,59 @@ def decompose_sigma_x_amplitudes(p: JCParams, n_samples=3001, t_max=250.0):
 def random_hermitian(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def destroy(n_levels: int) -> np.ndarray:
+    """Bosonic annihilation operator truncated to n_levels Fock states."""
+    return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1).astype(complex)
+
+
+def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
+    """Normalized coherent-state amplitudes on Fock states 0..n_max.
+
+    ``n_max`` defaults to the top of the 10-sigma Poisson window; the
+    truncated vector is renormalized.  An explicit n_max that loses more
+    than 1e-12 of the weight raises TruncationError.
+    """
+    if not math.isfinite(abs(alpha)):
+        raise ContractError(f"alpha must be finite, got {alpha}")
+    if n_max is None:
+        n_max = _poisson_window(alpha)[1]
+    _check_count(n_max, 0, "n_max")
+    # the lost weight is the exact Poisson tail beyond n_max: 1 - sum |amp|^2
+    # would measure the amplitudes' rounding (5e-10 at |alpha| = 1000) instead
+    deficit = float(pdtrc(n_max, abs(alpha) ** 2))
+    if deficit > 1e-12:
+        raise TruncationError(
+            f"n_max={n_max} keeps only {1.0 - deficit:.15f} of the coherent weight",
+            deficit=deficit)
+    amps = _coherent_amplitudes(alpha, np.arange(n_max + 1))
+    weights = np.abs(amps)
+    weights **= 2
+    amps /= math.sqrt(float(np.sum(weights)))
+    return amps
+
+
+def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:
+    """The truncated-Fock Jaynes-Cummings Hamiltonian on qubit (x) mode,
+    H = omega_c (a^dag a + 1/2) + (omega_eg/2) sigma_z + g (sm a^dag + sp a)."""
+    _check_count(n_max, 1, "n_max")
+    a = destroy(n_max + 1)
+    num = a.conj().T @ a
+    eye_m = np.eye(n_max + 1, dtype=complex)
+    h = (p.omega_c * (np.kron(np.eye(2), num + 0.5 * eye_m))
+         + 0.5 * p.omega_eg * np.kron(Q["sz"], eye_m)
+         + p.g * (np.kron(Q["sm"], a.conj().T) + np.kron(Q["sp"], a)))
+    return Operator(h, (2, n_max + 1))
+
+
+def jc_block_propagator(n: int, t: float, p: JCParams) -> np.ndarray:
+    """Closed-form propagator of the n'th block in basis {|g,n>, |e,n-1>}:
+    the Rabi block with coupling g sqrt(n) and the global phase
+    exp(-i n omega_c t)."""
+    _check_count(n, 1, "block index n")
+    block = _rabi_block(float(p.omega_n(n)), p.g * math.sqrt(n), p.delta, t)
+    return np.exp(-1j * n * p.omega_c * t) * block
 
 
 def kraus_operators_oracle(p: JCParams, t: float, window):
@@ -291,7 +341,7 @@ def monodromy_kron_oracle(gen, steps: int = 4096,
     """
     if gen.period is None:
         raise ContractError("monodromy requires gen.period")
-    d = gen.dim
+    d = gen.matrix(0.0).shape[0]
     if d > 32:
         raise ContractError("dense monodromy limited to dimension <= 32")
     T = float(gen.period)
@@ -359,7 +409,7 @@ def monodromy_kron_oracle(gen, steps: int = 4096,
                 freqs.append(thetas[i] / T)
                 flags.append(False)
     # normalize to unit Hilbert-Schmidt norm (eigenvectors already near-unit)
-    ops = [Operator(op.data / op.hs_norm()) for op in ops]
+    ops = [Operator(op.data / np.linalg.norm(op.data)) for op in ops]
     return EigenoperatorSet(ops, np.array(freqs), np.array(flags))
 
 
@@ -395,29 +445,6 @@ def static_eigenoperators_oracle(h_d) -> EigenoperatorSet:
         if resid > 1e-8:
             raise ContractError(f"transition operator failed the eigenrelation ({resid:.2e})")
     return EigenoperatorSet(ops, np.array(freqs), np.array(flags), projectors, pairs)
-
-
-def bohr_nondegenerate_oracle(h_d):
-    """bohr_nondegenerate as a nested loop over all pairs of ordered pairs."""
-    hm = _as_matrix(h_d)
-    w, _ = hermitian_eig(hm)
-    d = hm.shape[0]
-    entries = []
-    for n in range(d):
-        for m in range(d):
-            if n != m:
-                entries.append(((n, m), w[m] - w[n]))
-    scale = max(1.0, float(np.max(np.abs(w))) if d else 1.0)
-    tol = 1e-9 * scale
-    offending = []
-    for i in range(len(entries)):
-        if abs(entries[i][1]) < tol:
-            offending.append((entries[i][0], None))
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if abs(entries[i][1] - entries[j][1]) < tol:
-                offending.append((entries[i][0], entries[j][0]))
-    return len(offending) == 0, offending
 
 
 def _hermitian_basis(d: int):

@@ -375,6 +375,20 @@ class TestOutputs:
         gm, gp = rep["coefficients"]["gammaMinus"], rep["coefficients"]["gammaPlus"]
         assert rep["delta_minus"] == pytest.approx(math.log(gm / gp))
 
+    @pytest.mark.parametrize("eta", ["1.0e+8", "1.0e+10"])
+    def test_attractor_does_not_depend_on_the_unit_of_time(self, tmp_path, eta):
+        # eta scales every kinetic coefficient and leaves the attractor as it
+        # is; at eta = 1e8 the trace check of D[rho] exited 3 with
+        # |tr D[rho]| = 3.73e-9 while its bound was absolute at a fixed point
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"bath: {{eta: {eta}}}\n")
+        assert run_cli(["attractor", "--config", str(cfg), "--out", str(tmp_path / "scaled")]) == 0
+        assert run_cli(["attractor", "--out", str(tmp_path / "default")]) == 0
+        scaled, default = (json.loads((tmp_path / out / "attractor_report.json").read_text())
+                           for out in ("scaled", "default"))
+        for key in ("attractor", "effective_hamiltonian", "delta_minus"):
+            assert scaled[key] == default[key]
+
     def test_coefficients_sweep(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["coefficients", "--out", str(out)]) == 0

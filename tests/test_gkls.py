@@ -13,7 +13,6 @@ from covlind import (
     DrivenGenerator,
     DrivenQubitMasterEquation,
     JCParams,
-    Operator,
     TimeGrid,
     build_dissipator,
     check_time_translation,
@@ -41,7 +40,6 @@ from covlind.gkls import (
     _apply_dissipator,
     _solve_effective_hamiltonian,
     _unit_normal_matrix,
-    lindblad_term,
 )
 from covlind.operators import hermitian_eig
 from oracles import (dissipator_kron_oracle, effective_hamiltonian_oracle,
@@ -173,6 +171,22 @@ class TestFixedPoint:
         rho = v[:, k].reshape((3, 3), order="F")
         rho = rho / np.trace(rho)
         assert np.max(np.abs(rho - res.state.data)) < 1e-9
+
+    def test_rates_in_another_unit_of_time_give_the_same_state(self):
+        # the README's three levels with every downward channel: at base rates
+        # x 1e8 the trace check of D[rho] rejected |tr D[rho]| = 1.86e-9 while
+        # its bound was absolute at a fixed point, where D[rho] is about 0
+        h = np.diag([0.0, 0.9, 1.7]).astype(complex)
+        eset = static_eigenoperators(h)
+        states = []
+        for scale in (1.0, 1e8):
+            channels = []
+            for op, f, inv in zip(eset.ops, eset.freqs, eset.invariant_flags):
+                if not inv and f > 0:
+                    (gd, gu), = detailed_balance_rates([f], 1.0, [0.4 * scale])
+                    channels.append(Channel(op, gd, gu))
+            states.append(fixed_point(DissipatorSpec(channels=channels), eset).state.data)
+        assert np.max(np.abs(states[1] - states[0])) <= 1e-12
 
     def test_zero_reverse_rate_projector_limit(self):
         eset = static_eigenoperators(0.5 * Q["sz"])
@@ -422,7 +436,7 @@ class TestGibbsProperty:
     def test_lindblad_term_matches_rhs(self):
         f = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
         rho = random_hermitian(3)
-        out = lindblad_term(f, 0.9).apply(rho).data
+        out = build_dissipator(DissipatorSpec(channels=[Channel(f, 0.9)])).apply(rho).data
         fd = f.conj().T
         expected = 0.9 * (f @ rho @ fd - 0.5 * (fd @ f @ rho + rho @ fd @ f))
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -633,8 +647,9 @@ class TestBlockAssembly:
     def test_lindblad_term_is_the_oracle_pair(self, d):
         rng = np.random.default_rng(d)
         f = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
-        got = lindblad_term(f, 0.7).data
-        assert got.tobytes() == lindblad_pair_oracle(f, f.conj().T, 0.7).tobytes()
+        got = build_dissipator(DissipatorSpec(channels=[Channel(f, 0.7)])).data
+        want = np.zeros((d * d, d * d), dtype=complex) + lindblad_pair_oracle(f, f.conj().T, 0.7)
+        assert got.tobytes() == want.tobytes()
 
     def test_memory_stays_a_few_blocks(self):
         spec = thermal_two_way_spec(14, np.random.default_rng(14))
@@ -661,14 +676,13 @@ class TestBlockAssembly:
         d_super = build_dissipator(DissipatorSpec(channels=[Channel(op, 0.4, 0.1)],
                                                   dephasing_invariant=([wm], chi)))
         l_super = liouvillian(h, d_super)
-        term = lindblad_term(op, 0.4)
-        before = [m.data.copy() for m in (d_super, l_super, term)]
-        for m in (d_super, l_super, term):
+        before = [m.data.copy() for m in (d_super, l_super)]
+        for m in (d_super, l_super):
             assert not m.data.flags.writeable
         assert not np.shares_memory(l_super.data, d_super.data)
         for m in (op, wm, chi, h):
             m[...] = 7.0
-        for m, want in zip((d_super, l_super, term), before):
+        for m, want in zip((d_super, l_super), before):
             assert np.array_equal(m.data, want)
         with pytest.raises(ValueError, match="read-only"):
             d_super.data[0, 0] = 1.0

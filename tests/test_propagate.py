@@ -80,6 +80,19 @@ def driven_damped_qubit():
     return l_of_t, exact
 
 
+def generators_at_d10():
+    """Two 100 x 100 generators at d = 10: L0 of a random H with one
+    triangular jump, and the commutator part L1 of a diagonal drive."""
+    d = 10
+    rng = np.random.default_rng(10)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jump = np.triu(rng.normal(size=(d, d)), 1).astype(complex)
+    dissipator = build_dissipator(DissipatorSpec(channels=[Channel(jump, 0.3)]))
+    l0 = liouvillian(0.5 * (h + h.conj().T), dissipator).data
+    l1 = -1j * commutator_super(np.diag(np.arange(d, dtype=float))).data
+    return l0, l1
+
+
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -95,7 +108,7 @@ class TestTimeGrid:
 
 class TestEvolveStatic:
     def test_zero_generator_constant(self):
-        traj = evolve_static(Superoperator.zero(2), EXCITED, TimeGrid(0, 1, 10))
+        traj = evolve_static(Superoperator(np.zeros((4, 4))), EXCITED, TimeGrid(0, 1, 10))
         for st in traj.states:
             assert np.max(np.abs(st.data - EXCITED.data)) < 1e-14
 
@@ -124,6 +137,21 @@ class TestEvolveStatic:
             assert abs(np.trace(st.data) - 1) < 1e-8
             assert np.max(np.abs(st.data - st.data.conj().T)) < 1e-9
 
+    def test_state_rows_memory_at_d10(self):
+        # the steps write vec(rho) into one (T, d^2) array that the checks
+        # read in place, peaking at 4.2x the stack; a list of rows copied
+        # into an array peaked at 5.3x
+        l_super = Superoperator(generators_at_d10()[0])
+        rho0 = DensityMatrix(np.eye(10) / 10)
+        matrix_exp(np.eye(2))  # scipy.linalg loads on first use, outside the peak
+        tracemalloc.start()
+        try:
+            traj = evolve_static(l_super, rho0, TimeGrid(0.0, 10.0, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * traj.rhos.nbytes, f"peak {peak / traj.rhos.nbytes:.2f}x the stack"
+
     def test_semigroup_composition(self):
         l_super = damping_liouvillian(0.5, omega=0.8)
         full = evolve_static(l_super, EXCITED, TimeGrid(0, 2.0, 8)).states[-1]
@@ -142,7 +170,7 @@ class TestEvolveTimedep:
 
     def test_rabi_matches_closed_form(self):
         p = JCParams(1.0, 1.2, 0.2, 1.5 * np.exp(0.4j))
-        zero = Superoperator.zero(2)
+        zero = Superoperator(np.zeros((4, 4)))
 
         def l_of_t(t):
             return liouvillian(jc_semiclassical_hamiltonian(t, p), zero)
@@ -226,14 +254,8 @@ class TestEvolveTimedep:
         # L is 100 x 100: 100-step blocks would hold over 100 MB, so the
         # block length follows D, here 74 steps, and the shorter blocks keep
         # the per-step bits
-        d = 10
-        rng = np.random.default_rng(10)
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        jump = np.triu(rng.normal(size=(d, d)), 1).astype(complex)
-        dissipator = build_dissipator(DissipatorSpec(channels=[Channel(jump, 0.3)]))
-        l0 = liouvillian(0.5 * (h + h.conj().T), dissipator).data
-        l1 = -1j * commutator_super(np.diag(np.arange(d, dtype=float))).data
-        rho0 = DensityMatrix(np.eye(d) / d)
+        l0, l1 = generators_at_d10()
+        rho0 = DensityMatrix(np.eye(10) / 10)
         grid = TimeGrid(0.0, 0.2, 200)
 
         def generator(t):
@@ -305,7 +327,7 @@ class TestSeries:
 
     def test_resonant_rabi_sigma_z(self):
         p = JCParams.with_rabi(1.0, 0.0, 2.0, 4.0)
-        zero = Superoperator.zero(2)
+        zero = Superoperator(np.zeros((4, 4)))
 
         def l_of_t(t):
             return liouvillian(jc_semiclassical_hamiltonian(t, p), zero)
@@ -332,13 +354,13 @@ class TestSeries:
 
     def test_fidelity_series_orthogonal(self):
         grid = TimeGrid(0, 1, 5)
-        a = evolve_static(Superoperator.zero(2), EXCITED, grid)
-        b = evolve_static(Superoperator.zero(2), GROUND, grid)
+        a = evolve_static(Superoperator(np.zeros((4, 4))), EXCITED, grid)
+        b = evolve_static(Superoperator(np.zeros((4, 4))), GROUND, grid)
         assert np.max(fidelity_series(a, b)) < 1e-10
 
     def test_fidelity_series_grid_mismatch(self):
-        a = evolve_static(Superoperator.zero(2), EXCITED, TimeGrid(0, 1, 5))
-        b = evolve_static(Superoperator.zero(2), EXCITED, TimeGrid(0, 1, 6))
+        a = evolve_static(Superoperator(np.zeros((4, 4))), EXCITED, TimeGrid(0, 1, 5))
+        b = evolve_static(Superoperator(np.zeros((4, 4))), EXCITED, TimeGrid(0, 1, 6))
         with pytest.raises(DimensionError):
             fidelity_series(a, b)
 
@@ -357,9 +379,8 @@ class TestSeries:
 
 class TestPositivityMonitor:
     def test_invalid_generator_breaches_positivity(self):
-        from covlind.gkls import lindblad_term
         # a negative-rate channel is not CPTP; the monitor must flag it
-        bad = -1.0 * lindblad_term(Q["sm"], 1.0)
+        bad = -build_dissipator(DissipatorSpec(channels=[Channel(Q["sm"], 1.0)])).data
         from covlind.errors import PositivityError
         with pytest.raises(PositivityError):
             evolve_timedep(lambda t: bad, EXCITED, TimeGrid(0, 4.0, 200))
