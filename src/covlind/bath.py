@@ -18,6 +18,7 @@ from .gkls import (
     AttractorResult,
     Channel,
     DissipatorSpec,
+    _apply_dissipator,
     build_dissipator,
     instantaneous_attractor,
     liouvillian,
@@ -207,10 +208,12 @@ class DrivenQubitMasterEquation:
         """Instantaneous attractor of the jump channel at t = 0.
 
         Its ``residual`` is ||D(0)[rho]||_max for the full dissipator,
-        invariant dephasing included, not for the jump channel alone.
+        invariant dephasing included, not for the jump channel alone, and
+        ``residual_scale`` is that dissipator's scale.
         """
         _, gm, gp = self.coefficients
         res = instantaneous_attractor([(self.jump(0.0), gm, gp)])
-        d_full = build_dissipator(self.spec(0.0))
-        resid = float(np.max(np.abs(d_full.apply(res.state.data).data)))
-        return replace(res, residual=resid)
+        spec = self.spec(0.0)
+        resid = float(np.max(np.abs(build_dissipator(spec).apply(res.state.data).data)))
+        _, scale = _apply_dissipator(spec, res.state.data)
+        return replace(res, residual=resid, residual_scale=scale)

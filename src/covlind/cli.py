@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .bath import BathSpec, DrivenQubitMasterEquation, jc_kinetic_coefficients
@@ -241,6 +240,7 @@ def run_attractor(cfg: ExperimentConfig, out: Path) -> dict:
               "effective_hamiltonian": [[x.real, x.imag]
                                         for x in res.effective_hamiltonian.data.reshape(-1)],
               "residual": res.residual,
+              "residual_scale": res.residual_scale,
               "bath": {"temperature": bath.temperature, "model": bath.model,
                        "eta": bath.eta, "omega_cut": bath.omega_cut},
               "params": _echo_params(p)}
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
         if cfg.grid and cfg.experiment in _NO_GRID:
             raise ConfigError(f"{cfg.experiment} takes no grid (got grid = {cfg.grid}, from "
                               f"the config, --steps or --tmax): {_NO_GRID[cfg.experiment]}")
-    except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

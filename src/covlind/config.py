@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, ContractError
 from .jaynes_cummings import JCParams
@@ -188,12 +187,19 @@ def load_config(path: str | None, experiment: str | None = None,
     """Load, validate, and merge a config file with CLI overrides.
 
     Unknown keys abort with the offending key named; missing sections fall
-    back to experiment defaults.
+    back to experiment defaults.  yaml is imported only to read a file, so
+    a run without one does not load it; a file it cannot parse raises
+    ConfigError with the parser's message.
     """
     raw: dict = {}
     if path is not None:
+        import yaml
+
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping at top level")
     for key, val in raw.items():

@@ -130,9 +130,11 @@ class DissipatorSpec:
             if chi.shape != (len(ws), len(ws)):
                 raise DimensionError("chi must be square over the invariant list")
             _check_hermitian(chi, "chi")
-            # a Hermitian 1x1 chi is its own (real) eigenvalue
-            lowest = chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0]
-            if float(lowest) < -1e-10:
+            # a Hermitian 1x1 chi is its own (real) eigenvalue; the bound is
+            # -1e-10 max(1, max |chi|), as a change of time unit scales chi
+            # (the scale taken only where -1e-10 fails)
+            lowest = float(chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0])
+            if lowest < -1e-10 and lowest < -1e-10 * float(np.abs(chi).max()):
                 raise ContractError("chi must be positive semi-definite")
             self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi.tolist())
                                for wj, c in zip(wms, row) if c != 0]
@@ -288,13 +290,14 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     return Superoperator._adopt(total, d)
 
 
-def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
+def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """D[rho] for the d x d matrix rho, from the spec's GKLS formula at
-    O(K d^3), without the d^2 x d^2 matrix of ``build_dissipator``.
+    O(K d^3), without the d^2 x d^2 matrix of ``build_dissipator``, and its
+    scale max(1, the largest |entry| of D[rho], the largest |entry| of the
+    anticommutator sum).
 
     Raises ContractError unless D[rho] is finite and |tr D[rho]| is at most
-    1e-10 times max(1, its largest |entry|, the largest |entry| of the
-    anticommutator sum): at a fixed point D[rho] is about 0, while the
+    1e-10 times the scale: at a fixed point D[rho] is about 0, while the
     terms whose traces cancel scale with the rates, so a change of time
     unit changes no decision.
     """
@@ -315,7 +318,7 @@ def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
     if not (np.isfinite(out).all() and trace <= 1e-10 * scale):
         raise ContractError(f"attractor residual D[rho] is not finite and trace-free "
                             f"(|tr D[rho]| = {trace:.2e})")
-    return out
+    return out, scale
 
 
 def liouvillian(h_eff, d_super: Superoperator) -> Superoperator:
@@ -392,13 +395,17 @@ class AttractorResult:
     """Stationary state of a channel set with its generating Hamiltonian.
 
     ``residual`` is ||D[state]||_max, the spec's dissipator applied to the
-    state, reported honestly (<= 1e-9 for consistent inputs).
+    state, reported honestly (<= 1e-9 for consistent inputs at O(1) rates).
+    ``residual_scale`` is the scale of ``_apply_dissipator`` for the same
+    dissipator and state; a change of time unit scales both alike, so
+    residual / residual_scale does not depend on it.
     """
 
     state: DensityMatrix
     effective_hamiltonian: Operator
     deltas: np.ndarray
     residual: float
+    residual_scale: float
     zero_temperature: bool = False
 
 
@@ -490,8 +497,9 @@ def _gibbs_attractor(spec: DissipatorSpec, tol: float, failure: str) -> Attracto
     if not zero_t and comm_resid > tol * max(1.0, float(np.max(np.abs(deltas)))):
         raise ContractError(failure.format(comm_resid))
     state = _gibbs_of(h_bar)
-    resid = float(np.max(np.abs(_apply_dissipator(spec, state.data))))
-    return AttractorResult(state, Operator(h_bar), deltas, resid, zero_t)
+    d_rho, scale = _apply_dissipator(spec, state.data)
+    return AttractorResult(state, Operator(h_bar), deltas, float(np.max(np.abs(d_rho))),
+                           scale, zero_t)
 
 
 def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:

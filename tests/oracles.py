@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
 from covlind import eigenoperators, jaynes_cummings, propagate
@@ -87,6 +87,14 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     weights **= 2
     amps /= math.sqrt(float(np.sum(weights)))
     return amps
+
+
+def coherent_amplitudes_oracle(alpha: complex, n: np.ndarray) -> np.ndarray:
+    """<n|alpha> for Fock numbers n >= 0 with |alpha| > 0, each in one
+    log-space expression around scipy's gammaln for ln n!."""
+    a = abs(alpha)
+    return np.exp(n * math.log(a) - 0.5 * a * a - 0.5 * gammaln(n + 1.0)
+                  + 1j * n * np.angle(alpha))
 
 
 def jc_hamiltonian(p: JCParams, n_max: int) -> Operator:

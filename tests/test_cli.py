@@ -109,6 +109,7 @@ class TestExitCodes:
         ("coefficients", "sweep:\n  values: [.inf, 1.0]\n"),
         ("fig2", "grid:\n  steps: -5\n"),
         ("fig2", "grid:\n  steps: 2.5\n"),
+        ("fig2", "jc: {alphas: [1.0\n"),  # not YAML: the parser's error
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, experiment, body):
         cfg = tmp_path / "c.yaml"
@@ -389,6 +390,19 @@ class TestOutputs:
         for key in ("attractor", "effective_hamiltonian", "delta_minus"):
             assert scaled[key] == default[key]
 
+    @pytest.mark.parametrize("eta", [None, "1.0e+6", "1.0e+8", "1.0e+10"])
+    def test_attractor_residual_is_small_against_its_scale(self, tmp_path, eta):
+        # the absolute residual grows with eta (1.9e-6 at 1e10) while the
+        # attractor does not move; its scale grows alike
+        args = ["attractor", "--out", str(tmp_path / "o")]
+        if eta is not None:
+            (tmp_path / "c.yaml").write_text(f"bath: {{eta: {eta}}}\n")
+            args += ["--config", str(tmp_path / "c.yaml")]
+        assert run_cli(args) == 0
+        rep = json.loads((tmp_path / "o" / "attractor_report.json").read_text())
+        assert rep["residual_scale"] >= 1.0
+        assert rep["residual"] <= 1e-12 * rep["residual_scale"]
+
     def test_coefficients_sweep(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["coefficients", "--out", str(out)]) == 0
@@ -567,21 +581,24 @@ def test_eigenops_config_fuzz_exits_with_documented_code(doc):
 
 def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
     """scipy is imported only inside the functions that call it, so importing
-    the CLI and running a subcommand that never does loads none of it."""
+    the CLI and running a subcommand that never does (attractor, and fig2
+    and jc-sim, whose ln n! needs no scipy) loads none of it; yaml is
+    imported only to read a --config file, so none of these loads it."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
     script = (
         "import contextlib, io, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))\n"
         "import covlind.cli\n"
-        "assert not scipy_modules(), ('import covlind.cli', scipy_modules())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = covlind.cli.main(['attractor', '--out', {str(tmp_path / 'o')!r}])\n"
-        "assert code == 0, code\n"
-        "assert not scipy_modules(), ('covlind attractor', scipy_modules())\n")
+        "assert not loaded(), ('import covlind.cli', loaded())\n"
+        "for name in ('attractor', 'fig2', 'jc-sim'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = covlind.cli.main([name, '--out', {str(tmp_path)!r} + '/' + name])\n"
+        "    assert code == 0, (name, code)\n"
+        "    assert not loaded(), ('covlind ' + name, loaded())\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

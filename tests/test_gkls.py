@@ -121,6 +121,38 @@ class TestBuildDissipator:
         with pytest.raises(ContractError):
             DissipatorSpec(dephasing_invariant=([w], [[-0.1]]))
 
+    @pytest.mark.parametrize("c", [1e6, 1e8])
+    def test_scaled_rank_one_chi_accepted(self, c):
+        # eigvalsh puts the zero eigenvalues of c v v^dag near -1e-10 at
+        # c = 1e6 and -1e-8 at 1e8: rounding that grows with chi
+        v = np.array([1, 0.3 + 0.7j, -0.2j])
+        DissipatorSpec(dephasing_invariant=([Q["sx"], Q["sy"], Q["sz"]],
+                                            c * np.outer(v, v.conj())))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lowest=st.sampled_from([0.0, -1e-3, -0.5]),
+           log_c=st.floats(-6, 8))
+    def test_chi_decision_independent_of_time_unit(self, seed, lowest, log_c):
+        # chi = U diag(1, 0.5, lowest) U^dag, a change of time unit scaling
+        # it by c: rank-deficient PSD is accepted and a negative eigenvalue
+        # rejected at every c, as at c = 1
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        chi = (u * [1.0, 0.5, lowest]) @ u.conj().T
+        chi = 0.5 * (chi + chi.conj().T)
+        ws = [Q["sx"], Q["sy"], Q["sz"]]
+
+        def accepted(m):
+            try:
+                DissipatorSpec(dephasing_invariant=(ws, m))
+            except ContractError as exc:
+                assert "positive semi-definite" in str(exc)
+                return False
+            return True
+
+        assert accepted(chi) == (lowest == 0.0)
+        assert accepted(10.0 ** log_c * chi) == accepted(chi)
+
     def test_trace_annihilation_random(self):
         spec, _ = thermal_spec_for(random_hermitian(4), beta=0.7)
         d_super = build_dissipator(spec)
@@ -707,7 +739,7 @@ class TestOperatorSpaceDissipator:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T)
         want = build_dissipator(spec, d=d).apply(rho).data
-        assert np.max(np.abs(_apply_dissipator(spec, rho) - want)) <= 1e-12
+        assert np.max(np.abs(_apply_dissipator(spec, rho)[0] - want)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), k=st.integers(1, 6))

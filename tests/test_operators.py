@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from covlind import (
     DensityMatrix,
@@ -28,12 +29,13 @@ from covlind.errors import ContractError, DimensionError, TruncationError
 from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, touchard,
                                      touchard_asymptotic)
-from covlind.operators import (POSITIVITY_TOL, _check_hermitian, _coherent_amplitudes,
-                               _eigen_fidelity, _min_eigenvalues, _poisson_window,
-                               liouville_unitary, validate_states)
+from covlind.operators import (_LOG_FACT_CUT, POSITIVITY_TOL, _add_log_factorial,
+                               _check_hermitian, _coherent_amplitudes, _eigen_fidelity,
+                               _min_eigenvalues, _poisson_window, liouville_unitary,
+                               validate_states)
 from covlind.propagate import TimeGrid
-from oracles import (coherent_state, destroy, hermitian_eig_loop_oracle, jc_block_propagator,
-                     jc_hamiltonian)
+from oracles import (coherent_amplitudes_oracle, coherent_state, destroy,
+                     hermitian_eig_loop_oracle, jc_block_propagator, jc_hamiltonian)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(20240811)
@@ -390,10 +392,52 @@ class TestCoherentState:
             tracemalloc.stop()
         assert peak <= 2.25 * amps.nbytes, f"peak {peak / amps.nbytes:.2f}x the result"
 
+    @settings(max_examples=60, deadline=None)
+    @given(log_a=st.floats(-3.0, 3.5), phase=st.floats(-math.pi, math.pi))
+    def test_amplitudes_match_gammaln_oracle(self, log_a, phase):
+        # two log-space evaluations whose roundings differ agree to a few ulp
+        # of the largest log-space term (a^2, 2 n |ln a|, ln n!, or n for the
+        # phase n arg alpha), not of the amplitude: 1.3 ulp at worst over 400
+        # random alpha in this range
+        alpha = 10.0 ** log_a * np.exp(1j * phase)
+        lo, hi = _poisson_window(alpha)
+        n = np.arange(lo, hi + 1)
+        want = coherent_amplitudes_oracle(alpha, n)
+        a = abs(alpha)
+        scale = np.maximum.reduce([np.full(len(n), max(1.0, a * a)),
+                                   2.0 * n * abs(math.log(a)), gammaln(n + 1.0), n * 1.0])
+        rel = np.abs(_coherent_amplitudes(alpha, n) - want) / np.abs(want)
+        assert np.all(rel <= 4 * np.finfo(float).eps * scale)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 37.5 * np.exp(0.7j), 100.0])
     def test_default_truncation_is_the_kraus_window_top(self, alpha):
         p = JCParams(1.0, 1.0, 0.1, alpha)
         assert len(coherent_state(alpha)) == default_kraus_window(p)[1] + 1
+
+
+class TestLogFactorial:
+    """ln n! without scipy: a stdlib table below n = 32, Stirling's series above."""
+
+    def test_table_is_lgamma(self):
+        n = np.arange(_LOG_FACT_CUT)
+        got = _add_log_factorial(np.zeros(len(n)), n)
+        assert got.tolist() == [math.lgamma(k + 1.0) for k in range(_LOG_FACT_CUT)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.lists(st.one_of(st.integers(0, 200), st.integers(0, 10**7)),
+                      min_size=1, max_size=50),
+           offset=st.floats(-1e3, 1e3))
+    def test_matches_gammaln(self, n, offset):
+        # gammaln is itself up to 3 ulp from ln n!, the series 2 ulp
+        n = np.array(n)
+        want = gammaln(n + 1.0)
+        got = _add_log_factorial(np.zeros(len(n)), n)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        # the terms go into acc in place
+        acc = np.full(len(n), offset)
+        assert _add_log_factorial(acc, n) is acc
+        small = n < _LOG_FACT_CUT
+        assert np.array_equal(acc[small], offset + got[small])
 
 
 class TestMinEigenvalues:
