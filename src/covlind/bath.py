@@ -8,19 +8,16 @@ rad/time.  The spectral density is only ever evaluated at |omega|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import ContractError
 from .gkls import (
     AttractorResult,
     Channel,
     DissipatorSpec,
-    _apply_dissipator,
+    _instantaneous,
     build_dissipator,
-    instantaneous_attractor,
     liouvillian,
 )
 from .jaynes_cummings import JCParams, jc_eigenoperators, jc_semiclassical_hamiltonian
@@ -211,9 +208,4 @@ class DrivenQubitMasterEquation:
         invariant dephasing included, not for the jump channel alone, and
         ``residual_scale`` is that dissipator's scale.
         """
-        _, gm, gp = self.coefficients
-        res = instantaneous_attractor([(self.jump(0.0), gm, gp)])
-        spec = self.spec(0.0)
-        resid = float(np.max(np.abs(build_dissipator(spec).apply(res.state.data).data)))
-        _, scale = _apply_dissipator(spec, res.state.data)
-        return replace(res, residual=resid, residual_scale=scale)
+        return _instantaneous(self.spec(0.0))

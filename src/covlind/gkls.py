@@ -17,7 +17,10 @@ assembles a dissipator term by term.
 
 A DissipatorSpec converts, checks and dimensions its operators once, and
 every function here reads that normal form; a Hamiltonian, Lamb shift or
-eigenset of another dimension raises DimensionError naming both.
+eigenset of another dimension raises DimensionError naming both.  Every
+dissipator term is one Lindblad pair c (A . B - 1/2 {B A, .}), the
+Hermitian dephasing -lambda [V, [V, .]] too, as (V, V, 2 lambda); the
+assembly and the residual D[rho] both sum the spec's one list of pairs.
 
 hbar = 1 throughout; all frequencies in rad/time.
 """
@@ -96,9 +99,12 @@ class DissipatorSpec:
     All terms, the Lamb shift included, share one dimension.
 
     Construction converts and checks every operator once and keeps the
-    normal form all readers use: the (K, d, d) jump stack, its (2, K)
-    rates, the dephasing matrices, the nonzero (W_i, W_j, chi_ij) terms in
-    row order, the Lamb shift and the dimension (None for an empty spec).
+    normal form all readers use: the (K, d, d) jump stack and its (2, K)
+    rates, the Lamb shift, the dimension (None for an empty spec) and the
+    Lindblad pairs (A, B, c) as one (2, n, d, d) stack of A and B and an
+    (n,) stack of c, in order: (F, F^dag, rate) and (F^dag, F, rate_rev)
+    per channel, skipping zero rates; then (V, V, 2 lambda) per Hermitian
+    term; then (W_i, W_j, chi_ij) per nonzero chi entry, in row order.
     A spec is never modified after construction.
     """
 
@@ -111,13 +117,20 @@ class DissipatorSpec:
         jumps = [_as_matrix(ch.op) for ch in self.channels]
         self._rates = np.array([[ch.rate for ch in self.channels],
                                 [ch.rate_rev for ch in self.channels]])
-        self._hermitian = [(_as_matrix(v), lam) for v, lam in self.dephasing_hermitian]
-        for vm, lam in self._hermitian:
+        pairs = []  # the terms as Lindblad pairs (A, B, c), in order
+        for fm, ch in zip(jumps, self.channels):
+            fdag = fm.conj().T
+            pairs += [p for p in ((fm, fdag, ch.rate), (fdag, fm, ch.rate_rev)) if p[2]]
+        vms = []
+        for v, lam in self.dephasing_hermitian:
             _check_real(lam, "dephasing weight")
             if not 0 <= lam < math.inf:
                 raise ContractError(f"dephasing weight {lam} must be finite and >= 0")
+            vm = _as_matrix(v)
             _check_hermitian(vm, "dephasing operator")
-        wms, self._invariant = [], []
+            vms.append(vm)
+            pairs.append((vm, vm, 2 * lam))
+        wms = []
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
             if len(ws) == 0:
@@ -136,16 +149,18 @@ class DissipatorSpec:
             lowest = float(chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0])
             if lowest < -1e-10 and lowest < -1e-10 * float(np.abs(chi).max()):
                 raise ContractError("chi must be positive semi-definite")
-            self._invariant = [(wi, wj, c) for wi, row in zip(wms, chi.tolist())
-                               for wj, c in zip(wms, row) if c != 0]
+            pairs += [(wi, wj, c) for wi, row in zip(wms, chi.tolist())
+                      for wj, c in zip(wms, row) if c != 0]
         self._lamb = None if self.lamb_shift is None else _as_matrix(self.lamb_shift)
-        ops = jumps + [vm for vm, _ in self._hermitian] + wms + [self._lamb]
+        ops = jumps + vms + wms + [self._lamb]
         dims = {m.shape[0] for m in ops if m is not None}
         if len(dims) > 1:
             raise DimensionError(f"DissipatorSpec terms have different dimensions "
                                  f"{sorted(dims)}")
         self._dim = dims.pop() if dims else None
         self._jumps = np.array(jumps, dtype=complex)
+        self._ab = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=complex)
+        self._coeff = np.array([p[2] for p in pairs], dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -173,28 +188,28 @@ _BLOCK_BYTES = 2**20
 _SLAB_DIM = 4
 
 
-def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray):
-    """Yield the matrix of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) for each
-    pair of the (n, d, d) stacks in order; B = A^dag gives a channel.
+def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Sum of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) over the pairs of the
+    (n, d, d) stacks, a fresh d^2 x d^2 matrix with the terms added in order.
 
     The term is (K - (L + R)/2) c with K = kron(B^T, A), L = kron(I, BA)
     and R = kron((BA)^T, I).  In the (i, j), (k, l) indices of a d^2 x d^2
     term, L is nonzero only on the slab i = k and R only on the slab
     j = l, 2 d^3 - d^2 of the d^4 entries together.  Blocks of at most
     max(1, _BLOCK_BYTES // (16 d^4)) pairs are formed as broadcasts over
-    the block.  From d = _SLAB_DIM on, each block takes three passes: K;
-    then BA/2 subtracted on the slab i = k, (BA)^T/2 on the slab j = l
-    and (BA_jj + BA_ii)/2 from K on their intersection, in the L + R
-    order; then the scaling by c.  Below it, each block forms L, R and K
-    densely with that formula's arithmetic.  The two agree bitwise except
-    in the sign of a zero: off the slabs the dense formula computes
-    (K - (+-0)) c, so a term's entries differ at most by that sign, which
-    a sum started at +0 never shows.  Every block reuses the same
-    buffers, so a yielded term is overwritten by the next block: add it up
-    before asking for the next one.
+    the block in one reused buffer, and each term is added to the sum
+    before the next block is formed.  From d = _SLAB_DIM on, each block
+    takes three passes: K; then BA/2 subtracted on the slab i = k,
+    (BA)^T/2 on the slab j = l and (BA_jj + BA_ii)/2 from K on their
+    intersection, in the L + R order; then the scaling by c.  Below it,
+    each block forms L, R and K densely with that formula's arithmetic.
+    The two agree bitwise except in the sign of a zero: off the slabs the
+    dense formula computes (K - (+-0)) c, so a term's entries differ at
+    most by that sign, which the sum, started at +0, never shows.
     """
     n, d = a.shape[:2]
     dd = d * d
+    total = np.zeros((dd, dd), dtype=complex)
     step = max(1, min(n, _BLOCK_BYTES // (16 * dd * dd)))
     # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block
     terms = np.empty((step, d, d, d, d), dtype=complex)
@@ -230,26 +245,25 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray):
             np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
             t -= h
         t *= coeff[start:start + m, None, None, None, None]
-        yield from t.reshape(m, dd, dd)
+        for term in t.reshape(m, dd, dd):
+            total += term
+    return total
 
 
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
     """Assemble the dissipator superoperator from a DissipatorSpec.
 
-    The spec's normal form gives (A, B, c) pairs in order, each the term
-    c (A . B - 1/2 {B A, .}): (F, F^dag, rate) and (F^dag, F, rate_rev) for
-    each channel, skipping zero rates, then (W_i, W_j, chi_ij) for each
-    nonzero chi entry; the Hermitian terms -lambda [V, [V, .]] come between
-    the two groups.  The pairs are formed in blocks of at most 1 MiB of
-    terms (``_pair_terms``) and each term is added as soon as its block is
-    formed, so memory stays one block buffer (two below d = 4) whatever
-    the number of pairs.  From d = 4 on a block takes three passes over
-    its terms: the Kronecker product kron(B^T, A); the anticommutator
-    subtracted on the slabs i = k and j = l of the (i, j), (k, l) entries,
-    the only ones where it is nonzero (2 d^3 - d^2 of d^4); the scaling by
-    c.  Smaller blocks take the dense formula, whose fewer numpy calls
-    cost less there.  Either way the result is bitwise the term-by-term
-    sum, since a sum started at +0 does not keep the sign of a zero term.
+    The sum of the spec's Lindblad pairs (A, B, c), each the term
+    c (A . B - 1/2 {B A, .}), in the spec's order (``_pair_terms``).  The
+    pairs are formed in blocks of at most 1 MiB of terms, so memory stays
+    one block buffer (two below d = 4) whatever the number of pairs.  From
+    d = 4 on a block takes three passes over its terms: the Kronecker
+    product kron(B^T, A); the anticommutator subtracted on the slabs i = k
+    and j = l of the (i, j), (k, l) entries, the only ones where it is
+    nonzero (2 d^3 - d^2 of d^4); the scaling by c.  Smaller blocks take
+    the dense formula, whose fewer numpy calls cost less there.  Either
+    way the result is bitwise the term-by-term sum, since a sum started at
+    +0 does not keep the sign of a zero term.
 
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
     An empty spec with an explicit dimension gives the zero superoperator;
@@ -260,59 +274,27 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
         d = spec.dim
     elif spec._dim is not None:
         _check_dim(d, spec._dim, "dissipator", "the spec's terms")
-    f = spec._jumps.reshape(-1, d, d)
-    a, b, coeff = [], [], []
-    for fm, fdag, rate, rate_rev in zip(f, f.conj().transpose(0, 2, 1), *spec._rates.tolist()):
-        if rate:
-            a.append(fm)
-            b.append(fdag)
-            coeff.append(rate)
-        if rate_rev:
-            a.append(fdag)
-            b.append(fm)
-            coeff.append(rate_rev)
-    n_channel = len(coeff)
-    for wi, wj, c in spec._invariant:
-        a.append(wi)
-        b.append(wj)
-        coeff.append(c)
-    ab = np.array(a + b, dtype=complex).reshape(2, -1, d, d)
-    terms = _pair_terms(ab[0], ab[1], np.array(coeff, dtype=complex))
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for _ in range(n_channel):
-        total += next(terms)
-    for vm, lam in spec._hermitian:
-        cv = _commutator(vm)
-        total -= (cv @ cv) * lam
-    for term in terms:
-        total += term
+    a, b = spec._ab.reshape(2, -1, d, d)
+    total = _pair_terms(a, b, spec._coeff)
     _check_trace_annihilating(total, d, "assembled dissipator")
     return Superoperator._adopt(total, d)
 
 
 def _apply_dissipator(spec: DissipatorSpec, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """D[rho] for the d x d matrix rho, from the spec's GKLS formula at
-    O(K d^3), without the d^2 x d^2 matrix of ``build_dissipator``, and its
-    scale max(1, the largest |entry| of D[rho], the largest |entry| of the
-    anticommutator sum).
+    """D[rho] = sum c A rho B - 1/2 {sum c B A, rho} over the spec's
+    Lindblad pairs (A, B, c), for the d x d matrix rho at O(n d^3), without
+    the d^2 x d^2 matrix of ``build_dissipator``, and its scale max(1, the
+    largest |entry| of D[rho], the largest |entry| of sum c B A).
 
     Raises ContractError unless D[rho] is finite and |tr D[rho]| is at most
     1e-10 times the scale: at a fixed point D[rho] is about 0, while the
     terms whose traces cancel scale with the rates, so a change of time
     unit changes no decision.
     """
-    f = spec._jumps.reshape(-1, *rho.shape)  # (0, d, d) without channels
-    fdag = f.conj().transpose(0, 2, 1)
-    g, grev = spec._rates[:, :, None, None]
-    out = (g * (f @ rho @ fdag) + grev * (fdag @ rho @ f)).sum(axis=0)
-    anti = (g * (fdag @ f) + grev * (f @ fdag)).sum(axis=0)
-    for vm, lam in spec._hermitian:
-        c = vm @ rho - rho @ vm
-        out = out - lam * (vm @ c - c @ vm)
-    for wi, wj, c in spec._invariant:
-        out = out + c * (wi @ rho @ wj)
-        anti = anti + c * (wj @ wi)
-    out = out - 0.5 * (anti @ rho + rho @ anti)
+    a, b = spec._ab.reshape(2, -1, *rho.shape)  # (0, d, d) stacks without terms
+    c = spec._coeff[:, None, None]
+    anti = (c * (b @ a)).sum(axis=0)
+    out = (c * (a @ rho @ b)).sum(axis=0) - 0.5 * (anti @ rho + rho @ anti)
     trace = abs(np.trace(out))
     scale = max(1.0, float(np.abs(out).max()), float(np.abs(anti).max()))
     if not (np.isfinite(out).all() and trace <= 1e-10 * scale):
@@ -527,6 +509,23 @@ def fixed_point(spec: DissipatorSpec, eigenset=None) -> AttractorResult:
                                         "fixed point (commutation residual {:.2e})")
 
 
+def _instantaneous(spec: DissipatorSpec) -> AttractorResult:
+    """Instantaneous attractor of the spec's channels, whose jumps must be
+    orthonormal and nilpotent; its residual and scale are those of the
+    whole spec, dephasing included."""
+    if not spec.channels:
+        raise ContractError("instantaneous_attractor needs at least one channel")
+    # the unit norm the orthonormality check asks for makes this bound free
+    # of the unit of time, which scales only the rates
+    if np.max(np.abs(spec._jumps @ spec._jumps)) > 1e-10:
+        raise ContractError("jump operator violates F^2 = 0")
+    flat = spec._jumps.reshape(len(spec.channels), -1)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(spec.channels)))) > 1e-8:
+        raise ContractError("jump operators must be orthonormal")
+    return _gibbs_attractor(spec, 1e-10, "[H_bar, F_k] = -delta_k F_k violated "
+                                         "(residual {:.2e})")
+
+
 def instantaneous_attractor(channels) -> AttractorResult:
     """Instantaneous attractor exp(-H_bar)/Z of paired transition channels.
 
@@ -536,16 +535,8 @@ def instantaneous_attractor(channels) -> AttractorResult:
     all k at once: sum_k (delta_k/2)(F^dag F - F F^dag) only when no two
     channels share a level.  A residual above 1e-10 max(1, |delta|) raises.
     """
-    if not channels:
-        raise ContractError("instantaneous_attractor needs at least one channel")
-    spec = DissipatorSpec(channels=[Channel(f, g, grev) for f, g, grev in channels])
-    if np.max(np.abs(spec._jumps @ spec._jumps)) > 1e-10:
-        raise ContractError("jump operator violates F^2 = 0")
-    flat = spec._jumps.reshape(len(channels), -1)
-    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(channels)))) > 1e-8:
-        raise ContractError("jump operators must be orthonormal")
-    return _gibbs_attractor(spec, 1e-10, "[H_bar, F_k] = -delta_k F_k violated "
-                                         "(residual {:.2e})")
+    return _instantaneous(DissipatorSpec(channels=[Channel(f, g, grev)
+                                                   for f, g, grev in channels or ()]))
 
 
 def check_time_translation(l_super: Superoperator, h_d, t: float, s: float) -> float:

@@ -226,8 +226,9 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
 def expectation_series(traj: Trajectory, ops) -> list:
     """tr(O rho(t)) per grid point for each operator in ``ops``.
 
-    Hermitian observables yield real series; a residual imaginary part
-    above 1e-10 raises.
+    Observables Hermitian within 1e-12 max(1, max|O|) yield real series,
+    and raise if an imaginary part exceeds 1e-10 max(1, max|O|): both
+    bounds scale with O, so a change of its unit changes no decision.
     """
     single = not isinstance(ops, (list, tuple))
     op_list = [ops] if single else list(ops)
@@ -236,8 +237,9 @@ def expectation_series(traj: Trajectory, ops) -> list:
         om = _as_matrix(op)
         _check_dim(om.shape[0], traj.rhos.shape[-1], "observable", "the trajectory")
         vals = np.trace(om @ traj.rhos, axis1=1, axis2=2)
-        if np.max(np.abs(om - om.conj().T)) <= 1e-12:
-            if np.max(np.abs(vals.imag)) > 1e-10:
+        scale = max(1.0, float(np.max(np.abs(om))))
+        if np.max(np.abs(om - om.conj().T)) <= 1e-12 * scale:
+            if np.max(np.abs(vals.imag)) > 1e-10 * scale:
                 raise IntegrationError("Hermitian expectation developed an imaginary part")
             vals = vals.real
         out.append(vals)

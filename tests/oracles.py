@@ -222,7 +222,6 @@ def dissipator_kron_oracle(spec, d):
     added in the library's order with the same arithmetic, so a correct
     assembly matches this bitwise.
     """
-    eye = np.eye(d)
     total = np.zeros((d * d, d * d), dtype=complex)
     for ch in spec.channels:
         f = np.asarray(ch.op, dtype=complex)
@@ -231,9 +230,9 @@ def dissipator_kron_oracle(spec, d):
         if ch.rate_rev:
             total = total + lindblad_pair_oracle(f.conj().T, f, ch.rate_rev)
     for v, lam in spec.dephasing_hermitian:
+        # -lam [V, [V, .]] is the pair (V, V, 2 lam)
         v = np.asarray(v, dtype=complex)
-        cv = np.kron(eye, v) - np.kron(v.T, eye)
-        total = total - (cv @ cv) * lam
+        total = total + lindblad_pair_oracle(v, v, 2 * lam)
     if spec.dephasing_invariant is not None:
         ws, chi = spec.dephasing_invariant
         chi = np.asarray(chi, dtype=complex)

@@ -17,6 +17,7 @@ from covlind import (
     build_dissipator,
     check_time_translation,
     choi_matrix,
+    commutator_super,
     detailed_balance_rates,
     evolve_static,
     fixed_point,
@@ -299,6 +300,44 @@ class TestInstantaneousAttractor:
         with pytest.raises(ContractError):
             instantaneous_attractor([(2.0 * Q["sm"], 1.0, 0.5)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
+           log_eps=st.floats(-13.0, -7.0), log_c=st.floats(-6.0, 8.0))
+    def test_decision_independent_of_time_unit(self, seed, d, log_eps, log_c):
+        # rotated transitions |i><j|, i < j, the first with a small |j><i|
+        # part that makes F^2 about eps, on either side of the 1e-10 bound;
+        # levels the channels share may admit no common H_bar; rates x c
+        # are a change of time unit
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        picks = rng.permutation(len(upper))[:rng.integers(1, min(4, len(upper)) + 1)]
+        eps = 10.0 ** log_eps
+        jumps = []
+        for n, k in enumerate(picks):
+            i, j = upper[k]
+            f = np.zeros((d, d), dtype=complex)
+            f[i, j] = 1.0
+            if n == 0:
+                f[j, i] = eps
+                f /= math.sqrt(1.0 + eps * eps)
+            jumps.append(u @ f @ u.conj().T)
+        rates = rng.uniform(0.1, 2.0, size=(len(jumps), 2))
+
+        def decide(c):
+            try:
+                return instantaneous_attractor([(f, c * g, c * grev)
+                                                for f, (g, grev) in zip(jumps, rates)])
+            except ContractError as exc:
+                return str(exc).split(" (")[0]
+
+        want, got = decide(1.0), decide(10.0 ** log_c)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str)
+            assert np.max(np.abs(got.state.data - want.state.data)) <= 1e-15
+
 
 def _spectrum(kind, d, rng):
     """Random levels, an equally spaced ladder (Bohr frequencies shared by
@@ -544,9 +583,14 @@ class TestJCAttractorNullspaceOracle:
         assert np.array_equal(got.effective_hamiltonian.data, want.effective_hamiltonian.data)
         assert np.array_equal(got.deltas, want.deltas)
         assert got.zero_temperature == want.zero_temperature
-        # the residual is of the full dissipator, dephasing included
-        d_full = build_dissipator(spec(0.0))
-        assert got.residual == float(np.max(np.abs(d_full.apply(want.state.data).data)))
+        # the residual and its scale are of the full dissipator, dephasing
+        # included, from one D[rho], and the residual agrees with the
+        # assembled superoperator's product to rounding
+        d_rho, scale = _apply_dissipator(spec(0.0), want.state.data)
+        assert got.residual == float(np.max(np.abs(d_rho)))
+        assert got.residual_scale == scale
+        product = build_dissipator(spec(0.0)).apply(want.state.data).data
+        assert abs(got.residual - float(np.max(np.abs(product)))) <= 1e-15 * scale
 
 
 def random_spec(rng, d, n_channels, n_hermitian, n_invariant):
@@ -631,11 +675,11 @@ class TestBlockAssembly:
                               dephasing_hermitian=[(random_hermitian(d, rng) / math.sqrt(d), 0.3)],
                               dephasing_invariant=(ws, chi))
         n_channel = sum((ch.rate != 0) + (ch.rate_rev != 0) for ch in channels)
-        # one block holds 16 pairs: the 66 channel pairs cross into the
-        # fifth block, where the Hermitian term comes before its 14 chi
-        # pairs, and the last 2 chi pairs fill the sixth
+        # one block holds 16 pairs, and there are 83: the 66 channel pairs
+        # cross into the fifth block, which holds the last 2 of them, the
+        # Hermitian pair and 13 of the 16 chi pairs; the last 3 fill the sixth
         assert _BLOCK_BYTES // (16 * d**4) == 16
-        assert n_channel == 66
+        assert n_channel == 66 and len(spec._coeff) == 83
         got = build_dissipator(spec).data
         assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
 
@@ -674,6 +718,20 @@ class TestBlockAssembly:
                               dephasing_invariant=([hermitian() for _ in range(3)], chi))
         got = build_dissipator(spec).data
         assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+           log_lam=st.floats(-4.0, 4.0), log_v=st.floats(-2.0, 2.0))
+    def test_hermitian_pair_is_the_double_commutator(self, seed, d, log_lam, log_v):
+        # the pair (V, V, 2 lambda) against -lambda [V, [V, .]] formed from
+        # the commutator superoperator, independently of the pair formula
+        v = random_hermitian(d, np.random.default_rng(seed)) * 10.0 ** log_v / math.sqrt(d)
+        lam = 10.0 ** log_lam
+        got = build_dissipator(DissipatorSpec(dephasing_hermitian=[(v, lam)])).data
+        cv = commutator_super(v).data
+        want = -lam * (cv @ cv)
+        bound = 1e-14 * max(1.0, lam * float(np.max(np.abs(v))) ** 2)
+        assert np.max(np.abs(got - want)) <= bound
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_lindblad_term_is_the_oracle_pair(self, d):

@@ -1,8 +1,10 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covlind import (
     Channel,
@@ -319,7 +321,64 @@ class TestEvolveTimedep:
             evolve_timedep(lambda t: bad, EXCITED, TimeGrid(0, 1, 10))
 
 
+@functools.lru_cache(maxsize=None)
+def thermal_trajectory_d6():
+    """A d = 6 trajectory under every downward transition of a random
+    Hamiltonian H as a detailed-balance channel, from a random pure state,
+    with H and a random unitary U (seed 3)."""
+    d = 6
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = 0.5 * (a + a.conj().T) / math.sqrt(d)
+    eset = static_eigenoperators(h)
+    down = [(op, f) for op, f, inv in zip(eset.ops, eset.freqs, eset.invariant_flags)
+            if not inv and f > 0]
+    rates = detailed_balance_rates([f for _, f in down], 1.0,
+                                   rng.uniform(0.2, 0.8, size=len(down)))
+    spec = DissipatorSpec(channels=[Channel(op, g, grev)
+                                    for (op, _), (g, grev) in zip(down, rates)])
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    traj = evolve_static(liouvillian(h, build_dissipator(spec)),
+                         DensityMatrix.from_ket(psi / np.linalg.norm(psi)), TimeGrid(0.0, 2.0, 40))
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return traj, h, u
+
+
+def rotated_diagonal(u, c):
+    """U c diag(0, 1, ..., d - 1) U^dag, Hermitian up to rounding."""
+    return u @ (c * np.diag(np.arange(float(len(u))))) @ u.conj().T
+
+
 class TestSeries:
+    def test_scaled_hamiltonian_series_is_real(self):
+        # tr(c H rho) has an imaginary part of about 6e-9 at c = 1e8, which
+        # an absolute 1e-10 bound rejected
+        traj, h, _ = thermal_trajectory_d6()
+        vals = expectation_series(traj, 1e8 * h)
+        assert vals.dtype.kind == "f"
+
+    @pytest.mark.parametrize("c", [1.0, 1e4])
+    def test_rotated_diagonal_series_is_real(self, c):
+        # |O - O^dag| is about 2e-12 at c = 1e4, which an absolute 1e-12
+        # bound took for a non-Hermitian observable
+        traj, _, u = thermal_trajectory_d6()
+        assert expectation_series(traj, rotated_diagonal(u, c)).dtype.kind == "f"
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_c=st.floats(-6.0, 8.0), kind=st.sampled_from(["hamiltonian", "rotated",
+                                                            "non-hermitian"]))
+    def test_decision_independent_of_unit(self, log_c, kind):
+        traj, h, u = thermal_trajectory_d6()
+        # a non-Hermitian part of relative size 1e-3 stays far above the
+        # bound at every c
+        skew = 1e-3j * np.triu(np.ones((6, 6)))
+        base = {"hamiltonian": h, "rotated": rotated_diagonal(u, 1.0),
+                "non-hermitian": rotated_diagonal(u, 1.0) + skew}[kind]
+        want = expectation_series(traj, base)
+        got = expectation_series(traj, 10.0 ** log_c * base)
+        assert got.dtype == want.dtype
+        assert want.dtype.kind == ("c" if kind == "non-hermitian" else "f")
+
     def test_identity_expectation(self):
         traj = evolve_static(damping_liouvillian(0.5), EXCITED, TimeGrid(0, 2, 20))
         vals = expectation_series(traj, np.eye(2))
