@@ -27,6 +27,7 @@ hbar = 1 throughout; all frequencies in rad/time.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -99,13 +100,14 @@ class DissipatorSpec:
     All terms, the Lamb shift included, share one dimension.
 
     Construction converts and checks every operator once and keeps the
-    normal form all readers use: the (K, d, d) jump stack and its (2, K)
-    rates, the Lamb shift, the dimension (None for an empty spec) and the
-    Lindblad pairs (A, B, c) as one (2, n, d, d) stack of A and B and an
-    (n,) stack of c, in order: (F, F^dag, rate) and (F^dag, F, rate_rev)
-    per channel, skipping zero rates; then (V, V, 2 lambda) per Hermitian
-    term; then (W_i, W_j, chi_ij) per nonzero chi entry, in row order.
-    A spec is never modified after construction.
+    normal form all readers use: the Lamb shift, the dimension (None for an
+    empty spec) and the Lindblad pairs (A, B, c) as one (2, n, d, d) stack
+    of A and B and an (n,) stack of c, in order: (F, F^dag, rate) and
+    (F^dag, F, rate_rev) per channel, skipping zero rates; then
+    (V, V, 2 lambda) per Hermitian term; then (W_i, W_j, chi_ij) per
+    nonzero chi entry, in row order.  The (K, d, d) jump stack, which only
+    the fixed point and the attractors read, is built on first use.  A
+    spec is never modified after construction.
     """
 
     channels: list = field(default_factory=list)
@@ -115,8 +117,6 @@ class DissipatorSpec:
 
     def __post_init__(self):
         jumps = [_as_matrix(ch.op) for ch in self.channels]
-        self._rates = np.array([[ch.rate for ch in self.channels],
-                                [ch.rate_rev for ch in self.channels]])
         pairs = []  # the terms as Lindblad pairs (A, B, c), in order
         for fm, ch in zip(jumps, self.channels):
             fdag = fm.conj().T
@@ -158,9 +158,12 @@ class DissipatorSpec:
             raise DimensionError(f"DissipatorSpec terms have different dimensions "
                                  f"{sorted(dims)}")
         self._dim = dims.pop() if dims else None
-        self._jumps = np.array(jumps, dtype=complex)
         self._ab = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=complex)
         self._coeff = np.array([p[2] for p in pairs], dtype=complex)
+
+    @functools.cached_property
+    def _jumps(self) -> np.ndarray:
+        return np.array([_as_matrix(ch.op) for ch in self.channels], dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -474,7 +477,8 @@ def _gibbs_attractor(spec: DissipatorSpec, tol: float, failure: str) -> Attracto
     largest |delta| (at positive temperature); otherwise ContractError with
     ``failure`` formatted with the residual.
     """
-    deltas, zero_t = _deltas_from_rates(*spec._rates.tolist())
+    deltas, zero_t = _deltas_from_rates([ch.rate for ch in spec.channels],
+                                        [ch.rate_rev for ch in spec.channels])
     h_bar, comm_resid = _solve_effective_hamiltonian(spec._jumps, deltas)
     if not zero_t and comm_resid > tol * max(1.0, float(np.max(np.abs(deltas)))):
         raise ContractError(failure.format(comm_resid))

@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-# scipy is imported inside the functions that call it (matrix_exp, and the
-# Schur form in eigenoperators), so fig2, jc-sim, attractor, coefficients and
-# touchard start without loading it
+# covlind imports scipy only inside the one function that calls it (the Schur
+# form in eigenoperators), so fig2, jc-sim, attractor, coefficients and
+# touchard start without loading it; matrix_exp runs on numpy's matmul and
+# solve, so every dense product runs on numpy's BLAS and its one thread pool
 
 from .errors import ContractError, DimensionError
 
@@ -292,11 +293,62 @@ def hermitian_eig(h):
     return w, v / (top / np.abs(top))
 
 
-def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade via scipy)."""
-    from scipy.linalg import expm
+# b_k / b_0, k = 0 .. 13, of the [13/13] Pade approximant of exp (b_0 = 1, so
+# a zero matrix gives exactly the identity), and theta_13, the largest 1-norm
+# at which it meets double precision unscaled (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005))
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
 
-    return expm(_as_matrix(a))
+
+def matrix_exp(a) -> np.ndarray:
+    """Matrix exponential of a matrix, or of each matrix of a (..., n, n)
+    stack: scaling and squaring with the [13/13] Pade approximant (Higham
+    2005) on numpy's matmul and solve.  Each matrix A takes its own s, the
+    least s >= 0 with ||A / 2^s||_1 <= theta_13, and its own s squarings,
+    so its result does not depend on the rest of the stack.  A matrix with
+    a non-finite entry gives NaN, and an overflow in the squarings inf or
+    NaN, with no exception or warning, for the caller's checks to report."""
+    a = _state_stack(a)
+    n = a.shape[-1]
+    x = a.reshape(-1, n, n)
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    frac, e = np.frexp(norm / _THETA13)  # e = 0 for inf and nan
+    s = np.maximum(e - (frac == 0.5), 0)
+    bad = ~np.isfinite(norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x * np.ldexp(1.0, -s)[:, None, None]
+        # the solve sees finite matrices only: how LAPACK pivots past a NaN
+        # varies between builds, and an exact zero pivot would raise
+        x[bad] = 0.0
+        b, eye = _PADE13, _identity(n)
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+
+        def even(c6, c4, c2, c0):
+            """c6 x^6 + c4 x^4 + c2 x^2 + c0 I, summed in one buffer."""
+            p = c6 * x6
+            p += c4 * x4
+            p += c2 * x2
+            p += c0 * eye
+            return p
+
+        u = x6 @ even(b[13], b[11], b[9], 0.0)
+        u += even(b[7], b[5], b[3], b[1])
+        u = x @ u
+        v = x6 @ even(b[12], b[10], b[8], 0.0)
+        v += even(b[6], b[4], b[2], b[0])
+        del x, x2, x4, x6  # freed before the solve's copies
+        r = np.linalg.solve(v - u, v + u)
+        for j in range(int(s.max(initial=0))):
+            due = np.flatnonzero(s > j)
+            r[due] = r[due] @ r[due]
+    r[bad] = np.nan
+    return r.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

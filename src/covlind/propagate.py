@@ -25,9 +25,13 @@ from .operators import (
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_BREACH = 1e-6
 _HALVING_DIVISOR = {"rk4": 15.0, "expm": 3.0}
-# the most steps and bytes of an ``_rk4_blocks`` block, 7 complex D x D a step
+# the most steps and bytes of a block of RK4 or exponential steps: 7 complex
+# D x D a step for ``_rk4_blocks``, _EXPM_STEP_MATRICES for ``_expm_blocks``
 _RK4_BLOCK = 100
 _RK4_BLOCK_BYTES = 8 << 20
+# per step: A at 1.5 times, its 1.5 scaled copies, matrix_exp's peak of 8
+# times its input and the previous block's 1.5 maps
+_EXPM_STEP_MATRICES = 13
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,21 @@ def _rk4_maps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt) -> np.ndarray:
     return x2
 
 
+def _block_steps(step_bytes: int) -> int:
+    """Steps per block: the largest even number <= _RK4_BLOCK whose
+    ``step_bytes`` each fit in _RK4_BLOCK_BYTES, at least 2."""
+    return max(2, min(_RK4_BLOCK, _RK4_BLOCK_BYTES // step_bytes) // 2 * 2)
+
+
 def _rk4_blocks(fill, a_start: np.ndarray, times: np.ndarray, widths: np.ndarray):
     """Classical RK4 for dy/dt = A(t) y, step k from times[k] over widths[k],
     in blocks of n steps from k0: yields (k0, a, maps), a the (2n + 1, D, D)
     stack of A at times[k0] and each step's midpoint and endpoint, maps the
     n maps of one ``_rk4_maps`` call.  ``fill(ts, out)`` writes A(ts) into
     out; row 0, ``a_start`` or the previous block's last row, is not asked
-    again.  n: the largest even number <= _RK4_BLOCK within _RK4_BLOCK_BYTES,
-    at least 2; the last block may be shorter.  A block lasts until the next."""
-    n = max(2, min(_RK4_BLOCK, _RK4_BLOCK_BYTES // (7 * 16 * a_start.size)) // 2 * 2)
+    again.  n: ``_block_steps`` at 7 matrices a step; the last block may be
+    shorter.  A block lasts until the next."""
+    n = _block_steps(7 * 16 * a_start.size)
     stack = np.empty((2 * min(len(widths), n) + 1,) + a_start.shape, dtype=complex)
     for k0 in range(0, len(widths), n):
         tk, dt = times[k0:k0 + n + 1], widths[k0:k0 + n]
@@ -159,14 +169,40 @@ def _rk4_blocks(fill, a_start: np.ndarray, times: np.ndarray, widths: np.ndarray
         yield k0, a, _rk4_maps(a[:-1:2], a[1::2], a[2::2], dt[:, None, None])
 
 
+def _expm_blocks(fill, times: np.ndarray, dd: int):
+    """The midpoint exponentials of dy/dt = A(t) y, A being dd x dd, in
+    blocks of n steps from k0: yields (k0, fine, coarse), fine the n maps
+    e^{A(t_k + dt_k/2) dt_k} of the steps t_k -> t_{k+1}, coarse the n/2
+    maps e^{A(t_k) (t_{k+1} - t_{k-1})} of the companion steps t_{k-1} ->
+    t_{k+1} at odd k, each stack from one ``matrix_exp`` call.  One
+    ``fill(ts, out)`` per block writes A at the block's times, strictly
+    increasing: at odd k, t_k before the midpoint of step k.  n:
+    ``_block_steps`` at _EXPM_STEP_MATRICES matrices a step; the last block
+    may be shorter, and odd."""
+    widths = np.diff(times)
+    n = _block_steps(_EXPM_STEP_MATRICES * 16 * dd * dd)
+    m = min(len(widths), n)
+    stack = np.empty((m + m // 2, dd, dd), dtype=complex)
+    for k0 in range(0, len(widths), n):
+        tk, dt = times[k0:k0 + n + 1], widths[k0:k0 + n]
+        # t_k and the midpoint of step k, dropping t_k at even k
+        ts = np.delete(np.column_stack([tk[:-1], tk[:-1] + dt / 2]).ravel(), np.s_[::4])
+        a = stack[:len(ts)]
+        fill(ts, a)
+        fine = a[np.delete(np.arange(len(ts)), np.s_[1::3])]
+        fine *= dt[:, None, None]
+        coarse = a[1::3] * (tk[2::2] - tk[:-2:2])[:, None, None]
+        yield k0, matrix_exp(fine), matrix_exp(coarse)
+
+
 def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
                    mode: str = "rk4") -> Trajectory:
     """Propagate under a time-dependent generator.
 
     ``mode='rk4'`` integrates vec(rho) by classical RK4 on ``_rk4_blocks``,
-    ``mode='expm'`` by a piecewise-constant exponential at each midpoint.
-    Each L(t) needed is evaluated once, in time order (a step's midpoint
-    before its end): for N steps RK4 calls ``l_of_t`` 2N + 1 times, expm
+    ``mode='expm'`` by a piecewise-constant exponential at each midpoint, on
+    ``_expm_blocks``.  Each L(t) needed is evaluated once, in strictly
+    increasing time: for N steps RK4 calls ``l_of_t`` 2N + 1 times, expm
     1 + N + N // 2 times.
 
     A coarse companion run at twice the step, driven by the same generator
@@ -195,25 +231,23 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
 
     l_start = generator(times[0])
     _check_trace_annihilating(l_start, d, f"generator at t={grid.t0}")
+
+    def rk4_blocks():
+        pair_dt = (times[2::2] - times[:-2:2])[:, None, None]
+        for k0, a, maps in _rk4_blocks(fill, l_start, times, np.diff(times)):
+            j = len(maps) // 2  # coarse steps t_k -> t_{k+2}: A at rows 4p, 4p + 2, 4p + 4
+            yield k0, maps, _rk4_maps(a[:4 * j:4], a[2:4 * j:4], a[4:4 * j + 1:4],
+                                      pair_dt[k0 // 2:k0 // 2 + j])
+
     ys = np.empty((len(times), d * d), dtype=complex)  # row k: vec(rho(t_k))
     ys[0] = vec(rho0.data)
     coarse = ys[0]  # companion state at the even grid points, t_0, t_2, ...
-    if mode == "expm":
-        for i in range(grid.steps):
-            t, dt = times[i], times[i + 1] - times[i]
-            np.matmul(matrix_exp(generator(t + dt / 2) * dt), ys[i], out=ys[i + 1])
-            if i % 2:
-                # the coarse step t_{i-1} -> t_{i+1} has its midpoint at t_i
-                coarse = matrix_exp(generator(t) * (times[i + 1] - times[i - 1])) @ coarse
-    else:
-        pair_dt = (times[2::2] - times[:-2:2])[:, None, None]
-        for k0, a, maps in _rk4_blocks(fill, l_start, times, np.diff(times)):
-            for k, step in enumerate(maps, k0):
-                np.matmul(step, ys[k], out=ys[k + 1])
-            j = len(maps) // 2  # coarse steps t_k -> t_{k+2}: A at rows 4p, 4p + 2, 4p + 4
-            for step in _rk4_maps(a[:4 * j:4], a[2:4 * j:4], a[4:4 * j + 1:4],
-                                  pair_dt[k0 // 2:k0 // 2 + j]):
-                coarse = step @ coarse
+    for k0, maps, pair_maps in (_expm_blocks(fill, times, d * d) if mode == "expm"
+                                else rk4_blocks()):
+        for k, step in enumerate(maps, k0):
+            np.matmul(step, ys[k], out=ys[k + 1])
+        for step in pair_maps:
+            coarse = step @ coarse
     # for a scheme of order p the fine run's error is about
     # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
     last = ys[2 * (grid.steps // 2)]
@@ -247,7 +281,12 @@ def expectation_series(traj: Trajectory, ops) -> list:
 
 
 def fidelity_series(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """Pointwise Uhlmann fidelity between two aligned trajectories."""
-    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
+    """Pointwise Uhlmann fidelity between two aligned trajectories.
+
+    Their grids match when no two times differ by more than
+    1e-12 max(1, max|t|), so a change of time unit changes no decision.
+    """
+    scale = max(1.0, float(np.max(np.abs(a.times))), float(np.max(np.abs(b.times))))
+    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12 * scale:
         raise DimensionError("trajectories are not on the same grid")
     return uhlmann_fidelity(a.rhos, b.rhos)

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, pdtrc
 
-from covlind import JCParams, Operator, commutator_super, qubit_ops, unvec, vec
+from covlind import JCParams, Operator, commutator_super, matrix_exp, qubit_ops, unvec, vec
 from covlind import eigenoperators, jaynes_cummings, propagate
 from covlind.eigenoperators import (
     DegeneracyWarning,
@@ -288,6 +288,25 @@ def per_step_rk4_oracle(l_of_t, rho0, grid):
         l_prev = l_next
         ys.append(y)
     err = float(np.max(np.abs(ys[2 * (grid.steps // 2)] - coarse))) / 15.0
+    return propagate._checked_states(ys, rho0, times), err
+
+
+def per_step_expm_oracle(l_of_t, rho0, grid):
+    """Expm ``evolve_timedep`` as one ``matrix_exp`` call per step: L at
+    each midpoint, and the step-halving companion from L at t_k before
+    every odd step k.  Returns the checked stack of states and the error
+    estimate."""
+    times = grid.times()
+    y = vec(rho0.data)
+    ys, coarse = [y], y
+    for i in range(grid.steps):
+        t, dt = times[i], times[i + 1] - times[i]
+        if i % 2:
+            l_mid = np.asarray(l_of_t(t), dtype=complex)
+            coarse = matrix_exp(l_mid * (times[i + 1] - times[i - 1])) @ coarse
+        y = matrix_exp(np.asarray(l_of_t(t + dt / 2), dtype=complex) * dt) @ y
+        ys.append(y)
+    err = float(np.max(np.abs(ys[2 * (grid.steps // 2)] - coarse))) / 3.0
     return propagate._checked_states(ys, rho0, times), err
 
 

@@ -583,7 +583,9 @@ def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
     """scipy is imported only inside the functions that call it, so importing
     the CLI and running a subcommand that never does (attractor, and fig2
     and jc-sim, whose ln n! needs no scipy) loads none of it; yaml is
-    imported only to read a --config file, so none of these loads it."""
+    imported only to read a --config file, so none of these loads it.
+    Matrix exponentials run on numpy alone, so matrix_exp, evolve_static,
+    expm-mode evolve_timedep and check_time_translation load none either."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
@@ -598,7 +600,21 @@ def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        code = covlind.cli.main([name, '--out', {str(tmp_path)!r} + '/' + name])\n"
         "    assert code == 0, (name, code)\n"
-        "    assert not loaded(), ('covlind ' + name, loaded())\n")
+        "    assert not loaded(), ('covlind ' + name, loaded())\n"
+        "import numpy as np\n"
+        "from covlind import (DensityMatrix, Superoperator, TimeGrid, check_time_translation,\n"
+        "                     evolve_static, evolve_timedep, matrix_exp, qubit_ops)\n"
+        "q = qubit_ops()\n"
+        "l = Superoperator(np.zeros((4, 4)), 2)\n"
+        "rho0 = DensityMatrix.from_ket([0, 1])\n"
+        "for name, run in [\n"
+        "        ('matrix_exp', lambda: matrix_exp(-1j * q['sx'])),\n"
+        "        ('evolve_static', lambda: evolve_static(l, rho0, TimeGrid(0, 1, 4))),\n"
+        "        ('evolve_timedep', lambda: evolve_timedep(lambda t: l, rho0, TimeGrid(0, 1, 4),\n"
+        "                                                  mode='expm')),\n"
+        "        ('check_time_translation', lambda: check_time_translation(l, q['sz'], 0.5, 1.7))]:\n"
+        "    run()\n"
+        "    assert not loaded(), (name, loaded())\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -185,6 +185,17 @@ class TestFixedPoint:
         assert np.max(np.abs(res.state.data - expected)) < 1e-12
         assert res.residual < 1e-12
 
+    def test_jump_stack_built_on_first_use(self):
+        # the generator path (build_dissipator, liouvillian) reads only the
+        # Lindblad pairs, so it leaves the jump stack unbuilt
+        h = np.diag([0.0, 0.9, 1.7]).astype(complex)
+        spec, eset = thermal_spec_for(h, beta=0.8)
+        liouvillian(h, build_dissipator(spec))
+        assert "_jumps" not in vars(spec)
+        res = fixed_point(spec, eset)
+        assert res.residual < 1e-10
+        assert np.array_equal(vars(spec)["_jumps"], [ch.op.data for ch in spec.channels])
+
     def test_equal_rates_maximally_mixed(self):
         spec, eset = thermal_qubit_spec(beta=0.0)
         res = fixed_point(spec, eset)

@@ -5,15 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gammaln
 
 from covlind import (
+    Channel,
     DensityMatrix,
+    DissipatorSpec,
     Operator,
+    build_dissipator,
     coherence_rel_entropy,
     commutator_super,
     hermitian_eig,
+    liouvillian,
     matrix_exp,
     partial_trace,
     qubit_ops,
@@ -29,7 +34,7 @@ from covlind.errors import ContractError, DimensionError, TruncationError
 from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, touchard,
                                      touchard_asymptotic)
-from covlind.operators import (_LOG_FACT_CUT, POSITIVITY_TOL, _add_log_factorial,
+from covlind.operators import (_LOG_FACT_CUT, _THETA13, POSITIVITY_TOL, _add_log_factorial,
                                _check_hermitian, _coherent_amplitudes, _eigen_fidelity,
                                _min_eigenvalues, _poisson_window, liouville_unitary,
                                validate_states)
@@ -197,9 +202,79 @@ class TestCheckHermitian:
             _check_hermitian(m[None], lambda i: f"M{i}")
 
 
+def random_generator(kind, n, rng):
+    """An n x n matrix: a complex Gaussian one, -i H for a random Hermitian
+    H, or a GKLS generator (n = d^2) of a random H and two random jumps."""
+    if kind == "random":
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "hermitian":
+        return -1j * random_hermitian(n, rng)
+    d = math.isqrt(n)
+    jumps = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    spec = DissipatorSpec(channels=[Channel(f, rng.uniform(0.1, 1.0)) for f in jumps])
+    return liouvillian(random_hermitian(d, rng), build_dissipator(spec)).data
+
+
 class TestMatrixExp:
+    @pytest.mark.parametrize("squarings", range(9))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "hermitian", "gkls"]),
+           n=st.integers(1, 16), frac=st.floats(0.0, 1.0))
+    def test_matches_scipy(self, squarings, seed, kind, n, frac):
+        # 1-norms from 1e-8 up to theta_13 = 5.37 take no squaring; the
+        # range (theta 2^(s-1), theta 2^s] takes s, up to s = 8 at 1e3
+        rng = np.random.default_rng(seed)
+        if kind == "gkls":
+            n = (2, 3, 4)[n % 3] ** 2
+        a = random_generator(kind, n, rng)
+        theta = _THETA13
+        norm = (10 ** (-8 + frac * math.log10(1e8 * theta)) if squarings == 0
+                else min(1e3, theta * 2 ** (squarings - 1 + frac)))
+        a = a * (norm / np.abs(a).sum(axis=0).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = scipy.linalg.expm(a)
+        assume(np.isfinite(expected).all())  # e^a overflows for some random a near 1e3
+        # each product rounds at about n u, and the relative condition of
+        # e^a grows as ||a||: the s squarings scale the Pade error by 2^s,
+        # about ||a|| / theta (a scalar a with Re a near -700 comes within a
+        # factor 4 of this bound); a result that underflows compares absolutely
+        u = np.finfo(float).eps / 2
+        tol = 256 * n * u * max(1.0, norm) * np.abs(expected).max() + np.finfo(float).tiny
+        assert np.abs(matrix_exp(a) - expected).max() <= tol
+
+    def test_stack_rows_equal_single_calls(self):
+        # 1-norms from 1e-8 to 1e3 give each matrix its own squaring count;
+        # non-finite and zero matrices share the stack
+        n = 9
+        x = np.stack([random_generator(kind, n, RNG) for kind in ("random", "hermitian", "gkls")
+                      for _ in range(4)])
+        x = x * (np.logspace(-8, 3, len(x)) / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+        x[2, 1, 4] = np.nan
+        x[5, 0, 0] = np.inf
+        x[7] = 0.0
+        x = x.reshape(3, 4, n, n)
+        out = matrix_exp(x)
+        assert out.shape == x.shape
+        for idx in np.ndindex(3, 4):
+            assert out[idx].tobytes() == matrix_exp(x[idx]).tobytes(), idx
+        # the same matrices in another order and grouping
+        assert matrix_exp(x.reshape(-1, n, n)[::-1])[::-1].tobytes() == out.tobytes()
+
     def test_zero(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(matrix_exp(np.zeros((2, 5, 3, 3))),
+                              np.broadcast_to(np.eye(3), (2, 5, 3, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_gives_non_finite_quietly(self, entry):
+        # no exception and no RuntimeWarning (the suite makes one an error)
+        a = np.eye(4, dtype=complex)
+        a[2, 1] = entry
+        assert not np.isfinite(matrix_exp(a)).any()
+        out = matrix_exp(np.stack([np.eye(4), a, 1e300 * np.eye(4)]))
+        assert out[0].tobytes() == matrix_exp(np.eye(4)).tobytes()
+        assert not np.isfinite(out[1]).any()
+        assert not np.isfinite(out[2]).all()  # e^1e300 overflows in the squarings
 
     def test_pauli_rotation(self):
         out = matrix_exp(-1j * math.pi / 2 * Q["sx"])

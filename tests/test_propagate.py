@@ -37,7 +37,7 @@ from covlind import (
 from covlind import operators, propagate
 from covlind.bath import BathSpec
 from covlind.errors import ContractError, DimensionError, IntegrationError
-from oracles import per_step_rk4_oracle, three_call_sweep_oracle
+from oracles import per_step_expm_oracle, per_step_rk4_oracle, three_call_sweep_oracle
 
 Q = qubit_ops()
 EXCITED = DensityMatrix.from_ket([0, 1])
@@ -145,7 +145,6 @@ class TestEvolveStatic:
         # into an array peaked at 5.3x
         l_super = Superoperator(generators_at_d10()[0])
         rho0 = DensityMatrix(np.eye(10) / 10)
-        matrix_exp(np.eye(2))  # scipy.linalg loads on first use, outside the peak
         tracemalloc.start()
         try:
             traj = evolve_static(l_super, rho0, TimeGrid(0.0, 10.0, 2000))
@@ -241,20 +240,22 @@ class TestEvolveTimedep:
         traj = evolve_timedep(counting, GROUND, grid, mode=mode)
         expected = 2 * steps + 1 if mode == "rk4" else 1 + steps + steps // 2
         assert len(calls) == expected
+        assert all(a < b for a, b in zip(calls, calls[1:])), calls
         # tidied as the library tidies its states: the raw oracle's trace
         # drifts by 1.4e-14 over 401 expm steps
         oracle = propagate._checked_states(
             list(three_call_sweep_oracle(counting, vec(GROUND.data), grid.times(), mode)),
             GROUND, grid.times())
         assert np.max(np.abs(traj.rhos - oracle)) < 1e-14
-        if mode == "rk4":  # 100-step blocks here, which keep the per-step loop's bits
-            rhos, err = per_step_rk4_oracle(counting, GROUND, grid)
-            assert traj.rhos.tobytes() == rhos.tobytes()
-            assert traj.metadata["step_halving_error"] == err
+        # 100-step blocks here, which keep the per-step loop's bits
+        per_step = per_step_rk4_oracle if mode == "rk4" else per_step_expm_oracle
+        rhos, err = per_step(counting, GROUND, grid)
+        assert traj.rhos.tobytes() == rhos.tobytes()
+        assert traj.metadata["step_halving_error"] == err
 
     def test_rk4_block_memory_at_d10(self):
         # L is 100 x 100: 100-step blocks would hold over 100 MB, so the
-        # block length follows D, here 74 steps, and the shorter blocks keep
+        # block length follows D, here 6 steps, and the shorter blocks keep
         # the per-step bits
         l0, l1 = generators_at_d10()
         rho0 = DensityMatrix(np.eye(10) / 10)
@@ -273,6 +274,45 @@ class TestEvolveTimedep:
         rhos, err = per_step_rk4_oracle(generator, rho0, grid)
         assert traj.rhos.tobytes() == rhos.tobytes()
         assert traj.metadata["step_halving_error"] == err
+
+    def test_expm_block_memory_at_d10(self):
+        # the exponentials of a block hold matrix_exp's Pade temporaries as
+        # well as the generators, so the block length is 4 steps here, and
+        # the blocks keep the per-step bits
+        l0, l1 = generators_at_d10()
+        rho0 = DensityMatrix(np.eye(10) / 10)
+        grid = TimeGrid(0.0, 0.2, 201)
+
+        def generator(t):
+            return l0 + math.cos(t) * l1
+
+        tracemalloc.start()
+        try:
+            traj = evolve_timedep(generator, rho0, grid, mode="expm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= propagate._RK4_BLOCK_BYTES + 2 * 2**20
+        rhos, err = per_step_expm_oracle(generator, rho0, grid)
+        assert traj.rhos.tobytes() == rhos.tobytes()
+        assert traj.metadata["step_halving_error"] == err
+
+    @pytest.mark.parametrize("bad", [
+        lambda t: np.full((4, 4), np.nan, dtype=complex),
+        lambda t: 1e300 * driven_master().generator(t).data,
+        lambda t: 1e300 * np.eye(4, dtype=complex),
+    ], ids=["nan", "scaled-generator", "scaled-identity"])
+    def test_expm_of_non_finite_generator_drifts_trace(self, bad):
+        # from t = 0.5 on the step maps are NaN, or overflow in matrix_exp's
+        # squarings, with no RuntimeWarning (the suite makes one an error);
+        # the trace check names the first state they reach
+        good = driven_master().generator
+
+        def l_of_t(t):
+            return good(t).data if t < 0.5 else bad(t)
+
+        with pytest.raises(IntegrationError, match=r"^trace drifted to nan at t=0\.75$"):
+            evolve_timedep(l_of_t, GROUND, TimeGrid(0, 1, 4), mode="expm")
 
     def test_rk4_maps_of_an_empty_stack(self):
         empty = np.empty((0, 4, 4), dtype=complex)
@@ -422,6 +462,20 @@ class TestSeries:
         b = evolve_static(Superoperator(np.zeros((4, 4))), EXCITED, TimeGrid(0, 1, 6))
         with pytest.raises(DimensionError):
             fidelity_series(a, b)
+
+    def test_fidelity_series_grids_one_ulp_apart_near_1e5(self):
+        # grids that start one ulp apart at t = 1e5 differ by 1.5e-11, which
+        # an absolute 1e-12 bound took for another grid; the bound is
+        # 1e-12 max(1, max|t|), so a change of time unit changes no decision
+        t0 = 1e5
+        zero = Superoperator(np.zeros((4, 4)))
+        a = evolve_static(zero, EXCITED, TimeGrid(t0, t0 + 1.0, 5))
+        b = evolve_static(zero, EXCITED, TimeGrid(np.nextafter(t0, np.inf), t0 + 1.0, 5))
+        assert 1e-12 < np.max(np.abs(a.times - b.times)) <= 1e-12 * t0
+        assert np.array_equal(fidelity_series(a, b), np.ones(6))
+        shifted = evolve_static(zero, EXCITED, TimeGrid(t0 + 2e-7, t0 + 1.0, 5))
+        with pytest.raises(DimensionError, match="not on the same grid"):
+            fidelity_series(a, shifted)
 
     def test_fidelity_series_matches_pairwise(self):
         a = evolve_static(damping_liouvillian(0.5, omega=1.1), EXCITED, TimeGrid(0, 2, 30))
