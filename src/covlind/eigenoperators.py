@@ -224,11 +224,24 @@ def integrate_unitary(gen: DrivenGenerator, t0: float, t1: float, steps: int) ->
     return _unitary_path(gen, t0, t1, steps, steps)[-1]
 
 
+def _floquet_states(u: np.ndarray):
+    """Orthonormal eigenvectors z and eigenvalues of a unitary u, u z_i = u_i z_i,
+    in the order in which np.linalg.eig returns the eigenvalues."""
+    _, z = np.linalg.eig(u)
+    # eig's eigenvectors span u's orthogonal eigenspaces but are orthogonal
+    # only to rounding, within a degenerate one not at all; their polar
+    # factor is orthonormal and spans the same eigenspaces
+    w, _, vh = np.linalg.svd(z)
+    z = w @ vh
+    return z, np.diag(z.conj().T @ u @ z)
+
+
 def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> EigenoperatorSet:
     """Eigenoperators of the one-period Heisenberg propagator.
 
     Builds U(T) by time-ordered integration and decomposes it into Floquet
-    states U(T) v_i = u_i v_i.  X -> U^dag X U sends |v_i><v_j| to
+    states U(T) v_i = u_i v_i, indexed in the order in which np.linalg.eig
+    returns the eigenvalues of U(T).  X -> U^dag X U sends |v_i><v_j| to
     exp(i theta_ij) |v_i><v_j|, theta_ij = angle(conj(u_i) u_j), at average
     eigenfrequency theta_ij / T in (-pi/T, pi/T].  A pair is invariant when
     |exp(i theta_ij) - 1| < 1e-7, as the diagonal is exactly.  The set lists
@@ -247,14 +260,9 @@ def monodromy_eigenoperators(gen: DrivenGenerator, steps: int = 4096) -> Eigenop
     if not unit_resid <= 1e-8:
         raise IntegrationError(f"monodromy is not unitary within 1e-08 "
                                f"(residual {unit_resid:.2e}); increase steps")
-    # U is normal, so its complex Schur form is diagonal and the Schur
-    # vectors are orthonormal Floquet states even for degenerate u_i
-    import scipy.linalg  # here, so importing covlind does not load scipy
-
-    tri, z = scipy.linalg.schur(u, output="complex")
+    z, u_diag = _floquet_states(u)
     top = z[np.argmax(np.abs(z), axis=0), np.arange(d)]
     v = z * (np.abs(top) / top)  # largest entry of each Floquet state real positive
-    u_diag = np.diag(tri)
     outer = np.einsum("ai,bj->ijab", v, v.conj())  # outer[i, j] = |v_i><v_j|
     # pair (i, j) sits at flat index i * d + j, the diagonal at i * (d + 1)
     thetas = np.angle(np.outer(u_diag.conj(), u_diag)).ravel()

@@ -20,11 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-# covlind imports scipy only inside the one function that calls it (the Schur
-# form in eigenoperators), so fig2, jc-sim, attractor, coefficients and
-# touchard start without loading it; matrix_exp runs on numpy's matmul and
-# solve, so every dense product runs on numpy's BLAS and its one thread pool
-
 from .errors import ContractError, DimensionError
 
 HERMITICITY_TOL = 1e-12

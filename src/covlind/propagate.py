@@ -242,16 +242,19 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     ys = np.empty((len(times), d * d), dtype=complex)  # row k: vec(rho(t_k))
     ys[0] = vec(rho0.data)
     coarse = ys[0]  # companion state at the even grid points, t_0, t_2, ...
-    for k0, maps, pair_maps in (_expm_blocks(fill, times, d * d) if mode == "expm"
-                                else rk4_blocks()):
-        for k, step in enumerate(maps, k0):
-            np.matmul(step, ys[k], out=ys[k + 1])
-        for step in pair_maps:
-            coarse = step @ coarse
-    # for a scheme of order p the fine run's error is about
-    # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
-    last = ys[2 * (grid.steps // 2)]
-    err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
+    # a non-finite or huge generator makes the states inf or NaN quietly, for
+    # the trace check to name the first time they reach
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, maps, pair_maps in (_expm_blocks(fill, times, d * d) if mode == "expm"
+                                    else rk4_blocks()):
+            for k, step in enumerate(maps, k0):
+                np.matmul(step, ys[k], out=ys[k + 1])
+            for step in pair_maps:
+                coarse = step @ coarse
+        # for a scheme of order p the fine run's error is about
+        # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
+        last = ys[2 * (grid.steps // 2)]
+        err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
 
     return Trajectory(times, _checked_states(ys, rho0, times), rho0.dims,
                       {"mode": mode, "dt": grid.dt, "step_halving_error": err})

@@ -579,13 +579,14 @@ def test_eigenops_config_fuzz_exits_with_documented_code(doc):
     _assert_documented_exit_codes(doc, (["eigenops"],))
 
 
-def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
-    """scipy is imported only inside the functions that call it, so importing
-    the CLI and running a subcommand that never does (attractor, and fig2
-    and jc-sim, whose ln n! needs no scipy) loads none of it; yaml is
-    imported only to read a --config file, so none of these loads it.
-    Matrix exponentials run on numpy alone, so matrix_exp, evolve_static,
-    expm-mode evolve_timedep and check_time_translation load none either."""
+def test_default_subcommands_run_without_scipy(tmp_path):
+    """covlind needs no scipy at run time: importing the CLI and running
+    every subcommand at its defaults (eigenops takes its Floquet states from
+    numpy's eig, fig2 and jc-sim their ln n! from a stdlib table) loads none
+    of it; yaml is imported only to read a --config file, so none of these
+    loads it.  Matrix exponentials run on numpy alone, so matrix_exp,
+    evolve_static, expm-mode evolve_timedep and check_time_translation load
+    none either."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
@@ -596,7 +597,7 @@ def test_cli_import_and_attractor_leave_scipy_unloaded(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))\n"
         "import covlind.cli\n"
         "assert not loaded(), ('import covlind.cli', loaded())\n"
-        "for name in ('attractor', 'fig2', 'jc-sim'):\n"
+        "for name in ('fig2', 'jc-sim', 'eigenops', 'attractor', 'coefficients', 'touchard'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        code = covlind.cli.main([name, '--out', {str(tmp_path)!r} + '/' + name])\n"
         "    assert code == 0, (name, code)\n"

@@ -6,6 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from covlind import (
@@ -260,6 +263,50 @@ class TestFloquetMonodromy:
         assert np.linalg.matrix_rank(op_vectors(eset), tol=1e-8) == 9
 
 
+def haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def floquet_phases(family, d, rng):
+    """d eigenphases of a monodromy-like unitary, drawn from one family."""
+    if family == "degenerate":  # 1 to d - 1 distinct phases, each repeated
+        return rng.choice(rng.uniform(-math.pi, math.pi, rng.integers(1, d)), d)
+    if family == "plus-minus":
+        theta = rng.uniform(0.0, math.pi, (d + 1) // 2)
+        return np.concatenate([theta, -theta])[:d]
+    if family == "near-zero":
+        return rng.uniform(-1e-3, 1e-3, d)
+    # clusters 1e-9 wide about a few centres
+    centres = rng.uniform(-math.pi, math.pi, rng.integers(1, d))
+    return rng.choice(centres, d) + rng.uniform(-5e-10, 5e-10, d)
+
+
+class TestFloquetStates:
+    @pytest.mark.parametrize("family", ["haar", "degenerate", "plus-minus",
+                                        "near-zero", "clusters"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 24), rotate=st.booleans())
+    def test_matches_schur(self, family, seed, d, rotate):
+        # unrotated, the eigenvalues of a diagonal unitary are exactly
+        # degenerate where its phases are
+        rng = np.random.default_rng(seed)
+        if family == "haar":
+            u = haar_unitary(d, rng)
+        else:
+            u = np.diag(np.exp(1j * floquet_phases(family, d, rng)))
+            if rotate:
+                v = haar_unitary(d, rng)
+                u = v @ u @ v.conj().T
+        z, u_diag = eigenoperators._floquet_states(u)
+        assert np.max(np.abs(u @ z - z * u_diag)) <= 1e-12
+        assert np.max(np.abs(z.conj().T @ z - np.eye(d))) <= 1e-12
+        schur_diag = np.diag(scipy.linalg.schur(u, output="complex")[0])
+        rows, cols = scipy.optimize.linear_sum_assignment(
+            np.abs(u_diag[:, None] - schur_diag[None, :]))
+        assert np.max(np.abs(u_diag[rows] - schur_diag[cols])) <= 1e-12
+
+
 class TestHamiltonianCalls:
     def test_integrate_unitary(self):
         h = CountingHamiltonian(lambda t: math.cos(t) * Q["sx"])
@@ -474,7 +521,6 @@ class TestFloquetTiling:
         assert np.max(np.abs(tiled - plain)) < 1e-12
 
     def test_random_drive_matches_dop853(self):
-        scipy_integrate = pytest.importorskip("scipy.integrate")
         rng = np.random.default_rng(606)
         d, t0, periods, m, every = 6, 0.3, 6, 128, 8
         h0, v = scaled_hermitian(d, rng, 1.0), scaled_hermitian(d, rng, 0.5)
@@ -489,7 +535,7 @@ class TestFloquetTiling:
         assert counted.calls == 2 * m + 1
         plain = eigenoperators._unitary_path(DrivenGenerator(h), t0, t1, periods * m, every)
         times = t0 + (t1 - t0) / (periods * m) * np.arange(every, periods * m + 1, every)
-        sol = scipy_integrate.solve_ivp(
+        sol = scipy.integrate.solve_ivp(
             lambda t, y: (-1j * h(t) @ y.reshape(d, d)).reshape(-1), (t0, t1),
             np.eye(d, dtype=complex).reshape(-1), method="DOP853", rtol=1e-12, atol=1e-12,
             t_eval=times)

@@ -297,22 +297,25 @@ class TestEvolveTimedep:
         assert traj.rhos.tobytes() == rhos.tobytes()
         assert traj.metadata["step_halving_error"] == err
 
+    @pytest.mark.parametrize("mode", ["rk4", "expm"])
     @pytest.mark.parametrize("bad", [
         lambda t: np.full((4, 4), np.nan, dtype=complex),
+        lambda t: np.diag([np.inf, 0, 0, 0]).astype(complex),
         lambda t: 1e300 * driven_master().generator(t).data,
         lambda t: 1e300 * np.eye(4, dtype=complex),
-    ], ids=["nan", "scaled-generator", "scaled-identity"])
-    def test_expm_of_non_finite_generator_drifts_trace(self, bad):
-        # from t = 0.5 on the step maps are NaN, or overflow in matrix_exp's
-        # squarings, with no RuntimeWarning (the suite makes one an error);
-        # the trace check names the first state they reach
+    ], ids=["nan", "inf", "scaled-generator", "scaled-identity"])
+    def test_non_finite_generator_drifts_trace(self, bad, mode):
+        # past t = 0.5 the step maps are NaN, or overflow in the RK4
+        # products or matrix_exp's squarings, with no RuntimeWarning (the
+        # suite makes one an error); the trace check names the first state
+        # they reach
         good = driven_master().generator
 
         def l_of_t(t):
-            return good(t).data if t < 0.5 else bad(t)
+            return good(t).data if t <= 0.5 else bad(t)
 
         with pytest.raises(IntegrationError, match=r"^trace drifted to nan at t=0\.75$"):
-            evolve_timedep(l_of_t, GROUND, TimeGrid(0, 1, 4), mode="expm")
+            evolve_timedep(l_of_t, GROUND, TimeGrid(0, 1, 4), mode=mode)
 
     def test_rk4_maps_of_an_empty_stack(self):
         empty = np.empty((0, 4, 4), dtype=complex)
