@@ -161,6 +161,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The rows of the C-contiguous array ``a`` end to end, as a view of it;
+    a reshape of any other layout would copy, and what is written to the
+    copy would be lost."""
+    if not a.flags.c_contiguous:
+        raise ValueError("a flat view needs a C-contiguous array")
+    return a.reshape(-1)
+
+
 def _grid_step(ts: np.ndarray) -> float | None:
     """The step dt = (t_last - t_0) / (len(ts) - 1) when every ts[k] is
     ts[0] + k dt to within 4 ulp of max |t| plus the rounding of dt summed
@@ -199,11 +208,14 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
     weight w is a time-independent product of r_m and the B, C, E, G
     coefficients (with 1/Omega_n folded in); r_n, Omega_n and the weights
     are built once per call, not per chunk.  A chunk forms the seven trig
-    products one at a time in its trig temporary (sin^2, cos^2 and cos sin
-    over the M + 1 phases, read at columns m and m + 1, and the four
-    products of a phase at m with one at m + 1) and reduces each against
-    its weights by ``_row_dots``.  Each sum is one row reduction, so a
-    time's sums do not depend on the other times of its chunk.
+    products one at a time in its trig temporary and reduces each against
+    its weights by ``_row_dots``.  sin^2, cos^2 and cos sin run over the
+    M + 1 phases and are read at columns m and m + 1.  The four cross
+    products x_m y_{m+1} each run as one contiguous pass over the chunk's
+    rows end to end (``_flat`` views of the workspace), where entry M of a
+    row pairs its last phase with the next row's first and is never read.
+    Each sum is one row reduction, so a time's sums do not depend on the
+    other times of its chunk.
 
     Each phase is a base phase plus an offset: cos = c_q c_j - s_q s_j and
     sin = s_q c_j + c_q s_j.  On a uniform grid (``_grid_step``) a chunk's
@@ -242,6 +254,8 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
 
     rows = _KRAUS_CHUNK_TERMS // (hi - lo + 1)
     n = min(rows, len(ts))
+    # at M <= _DOT_TERMS, _row_dots would make exactly this one call
+    dots = np.vecdot if hi - lo + 1 <= _DOT_TERMS else _row_dots
     dt = _grid_step(ts)
     if dt is not None:
         offset = om * (np.arange(n) * dt / 2.0)[:, None]
@@ -265,10 +279,15 @@ def _kraus_kernel(p: JCParams, ts: np.ndarray, lo: int, hi: int):
         for x, y, at_m, at_next in same:
             np.multiply(trig[x], trig[y], out=tmp)
             for weights, xy in ((at_m, tmp[:, :-1]), (at_next, tmp[:, 1:])):
-                s.update((key, _row_dots(xy, w)) for key, w in weights.items())
+                for key, w in weights.items():
+                    s[key] = dots(xy, w)
+        # entry M of each row pairs it with the next row and is never read
+        flat, flat_tmp = {x: _flat(trig[x]) for x in trig}, _flat(tmp)[:-1]
         for x, y, weights in cross:
-            xy = np.multiply(trig[x][:, :-1], trig[y][:, 1:], out=tmp[:, :-1])
-            s.update((key, _row_dots(xy, w)) for key, w in weights.items())
+            np.multiply(flat[x][:-1], flat[y][1:], out=flat_tmp)
+            xy = tmp[:, :-1]
+            for key, w in weights.items():
+                s[key] = dots(xy, w)
         # D and P are diagonal and unitary, so they keep these entry moduli
         deficit = max(np.max(np.abs(s["AA"] + s["BB"] + s["EE"] - 1.0)),
                       np.max(np.abs(s["CC"] + s["FF"] + s["GG"] - 1.0)),

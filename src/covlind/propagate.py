@@ -210,7 +210,11 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     for the order of the scheme and stored in
     ``metadata['step_halving_error']``.  It estimates the fine run's error
     at t_{2 floor(N/2)}, the last grid point both runs reach: t1 for even N,
-    the point one step before it for odd N.
+    the point one step before it for odd N.  The same estimate at every even
+    grid point t_0, t_2, ..., taken as the companion is chained, gives the
+    largest over the trajectory in ``metadata['max_step_halving_error']``,
+    at the time ``metadata['max_step_halving_error_t']`` (the first such
+    point on a tie); it is never below ``step_halving_error``.
     """
     if mode not in _HALVING_DIVISOR:
         raise ContractError(f"mode must be 'rk4' or 'expm', got {mode!r}")
@@ -242,6 +246,8 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
     ys = np.empty((len(times), d * d), dtype=complex)  # row k: vec(rho(t_k))
     ys[0] = vec(rho0.data)
     coarse = ys[0]  # companion state at the even grid points, t_0, t_2, ...
+    # the largest max|fine - coarse| over the even grid points, and its point
+    worst, worst_k = 0.0, 0
     # a non-finite or huge generator makes the states inf or NaN quietly, for
     # the trace check to name the first time they reach
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,15 +255,24 @@ def evolve_timedep(l_of_t, rho0: DensityMatrix, grid: TimeGrid,
                                     else rk4_blocks()):
             for k, step in enumerate(maps, k0):
                 np.matmul(step, ys[k], out=ys[k + 1])
-            for step in pair_maps:
-                coarse = step @ coarse
+            if not len(pair_maps):
+                continue
+            companion = np.empty((len(pair_maps), d * d), dtype=complex)
+            for step, out in zip(pair_maps, companion):
+                coarse = np.matmul(step, coarse, out=out)
+            gaps = np.max(np.abs(ys[k0 + 2:k0 + 2 * len(pair_maps) + 1:2] - companion), axis=1)
+            j = int(np.argmax(gaps))
+            if gaps[j] > worst:
+                worst, worst_k = float(gaps[j]), k0 + 2 * (j + 1)
         # for a scheme of order p the fine run's error is about
         # |fine - coarse| / (2^p - 1): p = 4 for RK4, 2 for the midpoint exponential
         last = ys[2 * (grid.steps // 2)]
         err = float(np.max(np.abs(last - coarse))) / _HALVING_DIVISOR[mode]
 
     return Trajectory(times, _checked_states(ys, rho0, times), rho0.dims,
-                      {"mode": mode, "dt": grid.dt, "step_halving_error": err})
+                      {"mode": mode, "dt": grid.dt, "step_halving_error": err,
+                       "max_step_halving_error": worst / _HALVING_DIVISOR[mode],
+                       "max_step_halving_error_t": float(times[worst_k])})
 
 
 def expectation_series(traj: Trajectory, ops) -> list:

@@ -164,16 +164,20 @@ def kraus_completeness_oracle(p: JCParams, t: float, window):
     return out
 
 
-def kraus_row_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
-    """The 19 Kraus sums of ``jaynes_cummings._kraus_kernel`` at every time,
-    from six real (times, M) entry rows and 19 pairwise row dot products.
+KRAUS_SUMS = "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()
+
+
+def _kraus_entry_rows(p: JCParams, ts, lo: int, hi: int):
+    """For each chunk of ``jaynes_cummings._kraus_kernel``'s rows, yield
+    (k0, coef, trig): entry P of the Kraus operators is coef[P] * trig[P],
+    coef[P] its time-independent (M,) coefficient row and trig[P] its
+    (times, M) cos or sin row, a strided view of the M + 1 phases.
 
     The rows are A = r_m c_m, B = delta r_m s_m, C = 2 g sqrt(m) r_{m-1} s_m,
-    E = 2 g sqrt(m+1) r_{m+1} s_{m+1}, F = r_m c_{m+1}, G = delta r_m s_{m+1}
-    and the sum PQ is sum_m P_m Q_m.  The phases are the kernel's: chunks of
-    the kernel's rows, each phase by angle addition from the chunk's first
-    time and a table of offsets on a uniform grid, and from its own time
-    with the zero offset on any other grid.
+    E = 2 g sqrt(m+1) r_{m+1} s_{m+1}, F = r_m c_{m+1}, G = delta r_m s_{m+1}.
+    The phases are the kernel's: each phase by angle addition from the
+    chunk's first time and a table of offsets on a uniform grid, and from
+    its own time with the zero offset on any other grid.
     """
     ts = np.asarray(ts, dtype=float)
     ext = np.arange(lo - 1, hi + 2)
@@ -188,8 +192,6 @@ def kraus_row_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
             "F": r_m, "G": p.delta * r_m * inv[1:]}
     rows = jaynes_cummings._KRAUS_CHUNK_TERMS // (hi - lo + 1)
     dt = jaynes_cummings._grid_step(ts)
-    keys = "AA BB CC EE FF GG AC BC EF EG AE BE AF BG AG BF CE CG CF".split()
-    out = {key: np.empty(len(ts)) for key in keys}
     for k0 in range(0, len(ts), rows):
         t = ts[k0:k0 + rows]
         if dt is None:
@@ -200,11 +202,33 @@ def kraus_row_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
         half = om * base / 2.0
         c_q, s_q = np.cos(half), np.sin(half)
         cos, sin = c_q * c_j - s_q * s_j, s_q * c_j + c_q * s_j
-        trig = {"A": cos[:, :-1], "B": sin[:, :-1], "C": sin[:, :-1],
-                "E": sin[:, 1:], "F": cos[:, 1:], "G": sin[:, 1:]}
+        yield k0, coef, {"A": cos[:, :-1], "B": sin[:, :-1], "C": sin[:, :-1],
+                         "E": sin[:, 1:], "F": cos[:, 1:], "G": sin[:, 1:]}
+
+
+def kraus_row_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
+    """The 19 Kraus sums PQ = sum_m P_m Q_m of ``jaynes_cummings._kraus_kernel``
+    at every time, from six real (times, M) entry rows
+    (``_kraus_entry_rows``) and 19 pairwise row dot products."""
+    out = {key: np.empty(len(ts)) for key in KRAUS_SUMS}
+    for k0, coef, trig in _kraus_entry_rows(p, ts, lo, hi):
         row = {key: coef[key] * trig[key] for key in coef}
-        for pq in keys:
-            out[pq][k0:k0 + rows] = jaynes_cummings._row_dots(row[pq[0]], row[pq[1]])
+        for pq in KRAUS_SUMS:
+            out[pq][k0:k0 + len(trig["A"])] = jaynes_cummings._row_dots(row[pq[0]], row[pq[1]])
+    return out
+
+
+def kraus_strided_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
+    """The 19 Kraus sums with the kernel's arithmetic, each product formed on
+    strided (times, M) views: sum PQ is ``_row_dots`` of the product of P's
+    and Q's phase rows against the weight coef[P] coef[Q].  A product of two
+    doubles is the same in either order, so these are the kernel's bits
+    whichever factor it takes first and however it lays the products out."""
+    out = {key: np.empty(len(ts)) for key in KRAUS_SUMS}
+    for k0, coef, trig in _kraus_entry_rows(p, ts, lo, hi):
+        for pq in KRAUS_SUMS:
+            xy, w = trig[pq[0]] * trig[pq[1]], coef[pq[0]] * coef[pq[1]]
+            out[pq][k0:k0 + len(xy)] = jaynes_cummings._row_dots(xy, w)
     return out
 
 
@@ -270,11 +294,11 @@ def per_step_rk4_oracle(l_of_t, rho0, grid):
     """RK4 ``evolve_timedep`` as one ``_rk4_maps`` call per step: L at each
     endpoint, then the midpoint, and the step-halving companion from L at
     t_{k-1}, t_k and t_{k+1} after every odd step k.  Returns the checked
-    stack of states and the error estimate."""
+    stack of states and the error estimates (``halving_estimates``)."""
     times = grid.times()
     l_prev = np.asarray(l_of_t(times[0]), dtype=complex)
     y = vec(rho0.data)
-    ys, coarse = [y], y
+    ys, coarse, gaps = [y], y, [0.0]
     for i in range(grid.steps):
         t, dt = times[i], times[i + 1] - times[i]
         l_next = np.asarray(l_of_t(times[i + 1]), dtype=complex)
@@ -283,31 +307,42 @@ def per_step_rk4_oracle(l_of_t, rho0, grid):
         if i % 2:
             coarse = propagate._rk4_maps(l_even, l_prev, l_next,
                                          times[i + 1] - times[i - 1]) @ coarse
+            gaps.append(float(np.max(np.abs(y - coarse))))
         else:
             l_even = l_prev
         l_prev = l_next
         ys.append(y)
-    err = float(np.max(np.abs(ys[2 * (grid.steps // 2)] - coarse))) / 15.0
-    return propagate._checked_states(ys, rho0, times), err
+    return propagate._checked_states(ys, rho0, times), halving_estimates(gaps, times, 15.0)
 
 
 def per_step_expm_oracle(l_of_t, rho0, grid):
     """Expm ``evolve_timedep`` as one ``matrix_exp`` call per step: L at
     each midpoint, and the step-halving companion from L at t_k before
     every odd step k.  Returns the checked stack of states and the error
-    estimate."""
+    estimates (``halving_estimates``)."""
     times = grid.times()
     y = vec(rho0.data)
-    ys, coarse = [y], y
+    ys, coarse, gaps = [y], y, [0.0]
     for i in range(grid.steps):
         t, dt = times[i], times[i + 1] - times[i]
         if i % 2:
             l_mid = np.asarray(l_of_t(t), dtype=complex)
             coarse = matrix_exp(l_mid * (times[i + 1] - times[i - 1])) @ coarse
         y = matrix_exp(np.asarray(l_of_t(t + dt / 2), dtype=complex) * dt) @ y
+        if i % 2:
+            gaps.append(float(np.max(np.abs(y - coarse))))
         ys.append(y)
-    err = float(np.max(np.abs(ys[2 * (grid.steps // 2)] - coarse))) / 3.0
-    return propagate._checked_states(ys, rho0, times), err
+    return propagate._checked_states(ys, rho0, times), halving_estimates(gaps, times, 3.0)
+
+
+def halving_estimates(gaps, times, divisor) -> dict:
+    """The step-halving metadata of ``evolve_timedep`` from gaps[p], the
+    max |fine - companion| at the even grid point t_{2p}: the estimate at
+    the last of them, the largest, and the first time it is reached."""
+    worst = int(np.argmax(gaps))
+    return {"step_halving_error": gaps[-1] / divisor,
+            "max_step_halving_error": gaps[worst] / divisor,
+            "max_step_halving_error_t": float(times[2 * worst])}
 
 
 def unitary_path_oracle(gen, t0, t1, steps, every, h0=None):

@@ -38,8 +38,8 @@ from covlind.jaynes_cummings import (
 )
 from covlind.operators import validate_states
 from oracles import (coherent_state, envelope_peaks_oracle, jc_block_propagator, jc_hamiltonian,
-                     kraus_completeness_oracle, kraus_row_sums_oracle, kraus_sum_oracle,
-                     touchard_exact)
+                     kraus_completeness_oracle, kraus_row_sums_oracle, kraus_strided_sums_oracle,
+                     kraus_sum_oracle, touchard_exact)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(31415)
@@ -253,6 +253,58 @@ class TestKrausKernel:
             assert s.keys() == oracle.keys()
             for key, value in s.items():
                 assert np.max(np.abs(value - oracle[key][k0:k0 + rows])) < 1e-14, (k0, key)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.5, 1000.0),
+           phase=st.floats(-math.pi, math.pi), delta=st.floats(-0.5, 0.5),
+           g=st.floats(0.0, 0.5), t0=st.floats(-30.0, 30.0), span=st.floats(0.1, 40.0),
+           n=st.integers(1, 40), jitter=st.booleans())
+    @example(seed=1, modulus=1000.0, phase=0.7, delta=0.2, g=0.1, t0=0.0, span=20.0,
+             n=7, jitter=False)
+    @example(seed=2, modulus=600.0, phase=-2.0, delta=-0.3, g=0.4, t0=5.0, span=1.0,
+             n=9, jitter=True)
+    @example(seed=3, modulus=100.0, phase=0.4, delta=0.1, g=0.05, t0=0.5, span=19.5,
+             n=40, jitter=False)
+    @example(seed=4, modulus=3.0, phase=1.0, delta=0.0, g=0.3, t0=2.0, span=1.0,
+             n=1, jitter=False)
+    def test_sums_bitwise_the_strided_products(self, seed, modulus, phase, delta, g, t0,
+                                               span, n, jitter):
+        # the cross products run over each chunk's rows end to end, through
+        # flat views of its workspace; the sums keep the bits of the same
+        # products on strided views.  alpha above 500 opens windows of more
+        # than _DOT_TERMS Fock numbers (3 to 4 rows per chunk, so partial
+        # last chunks), alpha = 100 splits 40 times into 32 and 8, n = 1 is
+        # a single time
+        p = JCParams(1.0, 1.0 + delta, g, modulus * np.exp(1j * phase))
+        lo, hi = default_kraus_window(p)
+        times = np.linspace(t0, t0 + span, n)
+        if jitter:
+            times += np.random.default_rng(seed).uniform(0.0, 1e-3, size=n)
+        rows, sums = _kraus_kernel(p, times, lo, hi)
+        oracle = kraus_strided_sums_oracle(p, times, lo, hi)
+        views, real_flat = [], jaynes_cummings._flat
+
+        def flat(a):
+            views.append((a, real_flat(a)))
+            return views[-1][1]
+
+        with mock.patch.object(jaynes_cummings, "_flat", flat):
+            for k0 in range(0, n, rows):
+                s = sums(k0)[0]
+                assert s.keys() == oracle.keys()
+                for key, value in s.items():
+                    assert np.array_equal(value, oracle[key][k0:k0 + rows]), (k0, key)
+        # cos, sin and the trig temporary of every chunk, each a view of the
+        # one workspace that the thread keeps
+        assert len(views) == 3 * len(range(0, n, rows))
+        workspace = views[0][0].base
+        for a, a_flat in views:
+            assert a.base is workspace and a_flat.base is workspace
+            assert a_flat.shape == (a.size,) and np.shares_memory(a_flat, a)
+
+    def test_flat_view_rejects_a_strided_array(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            jaynes_cummings._flat(np.zeros((3, 4))[:, :-1])
 
     def test_first_chunk_workspace_fits_two_megabytes(self):
         # alpha = 100: M = 2022 and 32 rows per chunk; cos, sin and the trig
