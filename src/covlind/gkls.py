@@ -68,6 +68,19 @@ def _check_real(value, name: str):
         raise ContractError(f"{name} must be real, got {value!r}")
 
 
+def _finite_real_entry(chi) -> complex | None:
+    """c of a chi given as the nested list [[c]] of a finite real Python
+    float or complex (NumPy's float64 and complex128 too), as a complex;
+    None for any other chi, which takes the array path."""
+    if type(chi) in (list, tuple) and len(chi) == 1:
+        row = chi[0]
+        if type(row) in (list, tuple) and len(row) == 1 and isinstance(row[0], (float, complex)):
+            c = complex(row[0])
+            if c.imag == 0.0 and math.isfinite(c.real):
+                return c
+    return None
+
+
 @dataclass(frozen=True)
 class Channel:
     """One dissipation channel: jump operator, forward and reverse rates."""
@@ -116,21 +129,24 @@ class DissipatorSpec:
     lamb_shift: object = None
 
     def __post_init__(self):
-        jumps = [_as_matrix(ch.op) for ch in self.channels]
+        ops = []  # every operator, for the dimension check
         pairs = []  # the terms as Lindblad pairs (A, B, c), in order
-        for fm, ch in zip(jumps, self.channels):
+        for ch in self.channels:
+            fm = _as_matrix(ch.op)
             fdag = fm.conj().T
-            pairs += [p for p in ((fm, fdag, ch.rate), (fdag, fm, ch.rate_rev)) if p[2]]
-        vms = []
+            ops.append(fm)
+            if ch.rate:
+                pairs.append((fm, fdag, ch.rate))
+            if ch.rate_rev:
+                pairs.append((fdag, fm, ch.rate_rev))
         for v, lam in self.dephasing_hermitian:
             _check_real(lam, "dephasing weight")
             if not 0 <= lam < math.inf:
                 raise ContractError(f"dephasing weight {lam} must be finite and >= 0")
             vm = _as_matrix(v)
             _check_hermitian(vm, "dephasing operator")
-            vms.append(vm)
+            ops.append(vm)
             pairs.append((vm, vm, 2 * lam))
-        wms = []
         if self.dephasing_invariant is not None:
             ws, chi = self.dephasing_invariant
             if len(ws) == 0:
@@ -139,27 +155,36 @@ class DissipatorSpec:
             wms = [_as_matrix(w) for w in ws]
             for wm in wms:
                 _check_hermitian(wm, "invariant operator")
-            chi = np.asarray(chi, dtype=complex)
-            if chi.shape != (len(ws), len(ws)):
-                raise DimensionError("chi must be square over the invariant list")
-            _check_hermitian(chi, "chi")
-            # a Hermitian 1x1 chi is its own (real) eigenvalue; the bound is
-            # -1e-10 max(1, max |chi|), as a change of time unit scales chi
-            # (the scale taken only where -1e-10 fails)
-            lowest = float(chi[0, 0].real if chi.shape == (1, 1) else np.linalg.eigvalsh(chi)[0])
-            if lowest < -1e-10 and lowest < -1e-10 * float(np.abs(chi).max()):
+            ops += wms
+            c = _finite_real_entry(chi) if len(wms) == 1 else None
+            if c is not None:
+                # a finite real [[c]] is Hermitian and its own eigenvalue
+                lowest, rows = c.real, [[c]]
+            else:
+                chi = np.asarray(chi, dtype=complex)
+                if chi.shape != (len(ws), len(ws)):
+                    raise DimensionError("chi must be square over the invariant list")
+                _check_hermitian(chi, "chi")
+                # a Hermitian 1x1 chi is its own (real) eigenvalue
+                lowest = float(chi[0, 0].real if chi.shape == (1, 1)
+                               else np.linalg.eigvalsh(chi)[0])
+                rows = chi.tolist()
+            # the bound is -1e-10 max(1, max |chi|), as a change of time unit
+            # scales chi (the scale taken only where -1e-10 fails)
+            if lowest < -1e-10 and lowest < -1e-10 * float(np.abs(rows).max()):
                 raise ContractError("chi must be positive semi-definite")
-            pairs += [(wi, wj, c) for wi, row in zip(wms, chi.tolist())
+            pairs += [(wi, wj, c) for wi, row in zip(wms, rows)
                       for wj, c in zip(wms, row) if c != 0]
         self._lamb = None if self.lamb_shift is None else _as_matrix(self.lamb_shift)
-        ops = jumps + vms + wms + [self._lamb]
+        ops.append(self._lamb)
         dims = {m.shape[0] for m in ops if m is not None}
         if len(dims) > 1:
             raise DimensionError(f"DissipatorSpec terms have different dimensions "
                                  f"{sorted(dims)}")
         self._dim = dims.pop() if dims else None
-        self._ab = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=complex)
-        self._coeff = np.array([p[2] for p in pairs], dtype=complex)
+        a_ops, b_ops, coeffs = zip(*pairs) if pairs else ((), (), ())
+        self._ab = np.array(a_ops + b_ops, dtype=complex)
+        self._coeff = np.array(coeffs, dtype=complex)
 
     @functools.cached_property
     def _jumps(self) -> np.ndarray:
@@ -173,84 +198,123 @@ class DissipatorSpec:
 
 
 # Lindblad pairs per assembly block: 1 MiB of (d^2, d^2) complex terms,
-# 16 B per entry, so assembly holds one such buffer (two below _SLAB_DIM)
-# however many pairs a spec has; a block of about half a core's L2 stays
-# in it while the next pass reads it (on an Intel Xeon with 2 MiB of L2
-# per core, a d = 14 build with dense assembly took 0.092-0.101 s with
-# 4 MiB blocks and 0.067-0.079 s with 1 MiB, one pair each; the fastest
-# of 8-12 calls in each of three runs)
+# 16 B per entry, so assembly holds one such buffer however many pairs a
+# spec has (below _SLAB_DIM it holds K, L and R, three per pair); a block
+# of about half a core's L2 stays in it while the next pass reads it (on
+# an Intel Xeon with 2 MiB of L2 per core, a d = 14 build with dense
+# assembly took 0.092-0.101 s with 4 MiB blocks and 0.067-0.079 s with
+# 1 MiB, one pair each; the fastest of 8-12 calls in each of three runs)
 _BLOCK_BYTES = 2**20
 
 
 # Smallest d whose Lindblad pairs take the three-pass slab assembly; below
 # it the slab passes' extra numpy calls cost more than the dense entries
 # they skip (build_dissipator on a thermal spec of every downward
-# transition, fastest of 7 runs of 0.15 s, 2 cores: a one-channel qubit
-# 30-33 us dense and 37-44 us with slabs, d = 3 69-83 against 76-101 us,
-# d = 4 114-130 against 106-121 us, d = 6 915-985 against 357-382 us)
-_SLAB_DIM = 4
+# transition, fastest of 9 interleaved runs, in each of three runs, 2
+# cores: a one-channel qubit 25-36 us dense and 36-55 us with slabs, d = 3
+# 37-54 against 48-75 us, d = 4 80-99 against 81-116 us, d = 5 186-225
+# against 172-214 us, d = 6 496-581 against 351-456 us)
+_SLAB_DIM = 5
 
 
-def _pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def _pair_terms(ab: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Sum of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) over the pairs of the
-    (n, d, d) stacks, a fresh d^2 x d^2 matrix with the terms added in order.
+    (2, n, d, d) stack of the A_n and the B_n, a fresh d^2 x d^2 matrix with
+    the terms added in order to a sum started at +0.
 
     The term is (K - (L + R)/2) c with K = kron(B^T, A), L = kron(I, BA)
     and R = kron((BA)^T, I).  In the (i, j), (k, l) indices of a d^2 x d^2
     term, L is nonzero only on the slab i = k and R only on the slab
-    j = l, 2 d^3 - d^2 of the d^4 entries together.  Blocks of at most
-    max(1, _BLOCK_BYTES // (16 d^4)) pairs are formed as broadcasts over
-    the block in one reused buffer, and each term is added to the sum
-    before the next block is formed.  From d = _SLAB_DIM on, each block
-    takes three passes: K; then BA/2 subtracted on the slab i = k,
-    (BA)^T/2 on the slab j = l and (BA_jj + BA_ii)/2 from K on their
-    intersection, in the L + R order; then the scaling by c.  Below it,
-    each block forms L, R and K densely with that formula's arithmetic.
-    The two agree bitwise except in the sign of a zero: off the slabs the
-    dense formula computes (K - (+-0)) c, so a term's entries differ at
-    most by that sign, which the sum, started at +0, never shows.
+    j = l, 2 d^3 - d^2 of the d^4 entries together.  The pairs go in
+    blocks of at most _BLOCK_BYTES of terms, each formed by broadcasts over
+    the block and added to the sum before the next block is formed.  From
+    d = _SLAB_DIM on, a block takes three passes over its terms
+    (``_slab_pair_terms``); below it, K, L and R are formed densely with
+    that formula's arithmetic (``_dense_pair_terms``).  The two agree
+    bitwise except in the sign of a zero: off the slabs the dense formula
+    computes (K - (+-0)) c, so a term's entries differ at most by that
+    sign, which the sum, started at +0, never shows.
     """
+    n, d = ab.shape[1:3]
+    if n == 0:
+        return np.zeros((d * d, d * d), dtype=complex)
+    if d < _SLAB_DIM:
+        return _dense_pair_terms(ab, coeff)
+    return _slab_pair_terms(ab[0], ab[1], coeff)
+
+
+def _slab_pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``_pair_terms`` from d = _SLAB_DIM on.  A block of at most
+    max(1, _BLOCK_BYTES // (16 d^4)) pairs takes three passes over one
+    reused buffer: K; then BA/2 subtracted on the slab i = k, (BA)^T/2 on
+    the slab j = l and (BA_jj + BA_ii)/2 from K on their intersection, in
+    the L + R order; then the scaling by c."""
     n, d = a.shape[:2]
     dd = d * d
     total = np.zeros((dd, dd), dtype=complex)
     step = max(1, min(n, _BLOCK_BYTES // (16 * dd * dd)))
-    # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block
+    # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block;
+    # writable strided views of terms[:, i, j, i, l], terms[:, i, j, k, j]
+    # and terms[:, i, j, i, j]
     terms = np.empty((step, d, d, d, d), dtype=complex)
-    if d >= _SLAB_DIM:
-        # writable strided views of terms[:, i, j, i, l], terms[:, i, j, k, j]
-        # and terms[:, i, j, i, j]
-        sp, si, sj, sk, sl = terms.strides
-        slab_ik = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si + sk, sj, sl))
-        slab_jl = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si, sj + sl, sk))
-        both = np.ndarray((step, d, d), complex, terms, 0, (sp, si + sk, sj + sl))
-    else:
-        eye = _identity(d)
-        half = np.empty_like(terms)
+    sp, si, sj, sk, sl = terms.strides
+    slab_ik = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si + sk, sj, sl))
+    slab_jl = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si, sj + sl, sk))
+    both = np.ndarray((step, d, d), complex, terms, 0, (sp, si + sk, sj + sl))
     for start in range(0, n, step):
         ab, bb = a[start:start + step], b[start:start + step]
         m = len(ab)
         ba = bb @ ab
         t = terms[:m]
-        if d >= _SLAB_DIM:
-            np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
-            diag = ba.diagonal(axis1=1, axis2=2)
-            corner = both[:m] - (diag[:, None, :] + diag[:, :, None]) * 0.5
-            ba *= 0.5
-            slab_ik[:m] -= ba[:, None]
-            slab_jl[:m] -= ba.transpose(0, 2, 1)[:, :, None]
-            both[:m] = corner
-        else:
-            h = half[:m]
-            np.multiply(eye[:, None, :, None], ba[:, None, :, None, :], h)
-            np.multiply(ba.transpose(0, 2, 1)[:, :, None, :, None], eye[:, None, :], t)
-            h += t
-            h *= 0.5
-            np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
-            t -= h
+        np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
+        diag = ba.diagonal(axis1=1, axis2=2)
+        corner = both[:m] - (diag[:, None, :] + diag[:, :, None]) * 0.5
+        ba *= 0.5
+        slab_ik[:m] -= ba[:, None]
+        slab_jl[:m] -= ba.transpose(0, 2, 1)[:, :, None]
+        both[:m] = corner
         t *= coeff[start:start + m, None, None, None, None]
         for term in t.reshape(m, dd, dd):
             total += term
     return total
+
+
+def _dense_pair_terms(ab: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``_pair_terms`` below _SLAB_DIM.  A block's K, L and R are one
+    broadcast product of the stacks [B^T, I, (BA)^T] and [A, BA, I], whose
+    (K - (L + R)/2) c go after the running sum (+0 before the first block)
+    in one reused buffer, summed in order into the next running sum.  The
+    terms are laid out ((k, i), (j, l)), where the product needs no strided
+    view, and the sum is put in the (i, j), (k, l) order at the end."""
+    n, d = ab.shape[1:3]
+    dd = d * d
+    # the (3, step + 1) terms of a block, the sum's slot too, in _BLOCK_BYTES
+    step = max(1, min(n, _BLOCK_BYTES // (48 * dd * dd) - 1))
+    # s = [A, BA, I, B]: s[:3] is [A, BA, I], and s[3:0:-1], [B, I, BA],
+    # holds [B^T, I, (BA)^T] transposed
+    s = np.empty((4, step, d, d), dtype=complex)
+    s[2] = _identity(d)
+    klr = np.zeros((3, step + 1, dd, dd), dtype=complex)
+    total = None
+    for start in range(0, n, step):
+        if total is not None:
+            klr[0, 0] = total
+        block = ab[:, start:start + step]
+        m = block.shape[1]
+        s[::3, :m] = block
+        np.matmul(block[1], block[0], out=s[1, :m])
+        terms = klr[:, 1:m + 1]
+        # entry ((k, i), (j, l)) of kron(X, Y) is X[i, k] Y[j, l]
+        np.multiply(s[3:0:-1, :m].reshape(3, m, dd, 1), s[:3, :m].reshape(3, m, 1, dd), terms)
+        k, half = terms[0], terms[1]
+        half += terms[2]
+        half *= 0.5
+        k -= half
+        k *= coeff[start:start + m, None, None]
+        # accumulate adds in order whatever the layout, where a reduction
+        # over a lone contiguous axis (d = 1) sums pairwise
+        total = np.add.accumulate(klr[0, :m + 1], axis=0)[m]
+    return total.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(dd, dd)
 
 
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
@@ -259,14 +323,14 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
     The sum of the spec's Lindblad pairs (A, B, c), each the term
     c (A . B - 1/2 {B A, .}), in the spec's order (``_pair_terms``).  The
     pairs are formed in blocks of at most 1 MiB of terms, so memory stays
-    one block buffer (two below d = 4) whatever the number of pairs.  From
-    d = 4 on a block takes three passes over its terms: the Kronecker
-    product kron(B^T, A); the anticommutator subtracted on the slabs i = k
-    and j = l of the (i, j), (k, l) entries, the only ones where it is
-    nonzero (2 d^3 - d^2 of d^4); the scaling by c.  Smaller blocks take
-    the dense formula, whose fewer numpy calls cost less there.  Either
-    way the result is bitwise the term-by-term sum, since a sum started at
-    +0 does not keep the sign of a zero term.
+    one block buffer whatever the number of pairs.  From d = 5 on a block
+    takes three passes over its terms: the Kronecker product kron(B^T, A);
+    the anticommutator subtracted on the slabs i = k and j = l of the
+    (i, j), (k, l) entries, the only ones where it is nonzero (2 d^3 - d^2
+    of d^4); the scaling by c.  Smaller blocks take the dense formula,
+    whose fewer numpy calls cost less there.  Either way the result is
+    bitwise the term-by-term sum, since a sum started at +0 does not keep
+    the sign of a zero term.
 
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
     An empty spec with an explicit dimension gives the zero superoperator;
@@ -277,8 +341,7 @@ def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperato
         d = spec.dim
     elif spec._dim is not None:
         _check_dim(d, spec._dim, "dissipator", "the spec's terms")
-    a, b = spec._ab.reshape(2, -1, d, d)
-    total = _pair_terms(a, b, spec._coeff)
+    total = _pair_terms(spec._ab.reshape(2, -1, d, d), spec._coeff)
     _check_trace_annihilating(total, d, "assembled dissipator")
     return Superoperator._adopt(total, d)
 

@@ -18,6 +18,7 @@ covariance carries H_sc, F_pm and W from t = 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import threading
@@ -76,6 +77,16 @@ class JCParams:
     def rabi(self) -> float:
         return float(self.omega_n(self.nbar))
 
+    @functools.cached_property
+    def _h_sc0(self) -> np.ndarray:
+        """H_sc(0) of ``jc_semiclassical_hamiltonian``, read-only, formed
+        once per parameter set."""
+        drive = self.g * np.conj(self.alpha)
+        h0 = np.array([[-0.5 * self.omega_eg, drive], [np.conj(drive), 0.5 * self.omega_eg]],
+                      dtype=complex)
+        h0.setflags(write=False)
+        return h0
+
     @classmethod
     def with_rabi(cls, omega_c: float, delta: float, rabi: float, alpha: complex) -> "JCParams":
         """Fix g so the generalized Rabi frequency takes the given value."""
@@ -108,14 +119,26 @@ def _rabi_block(omega: float, kappa: float, delta: float, t) -> np.ndarray:
     return np.cos(half)[..., None, None] * np.eye(2) + s[..., None, None] * minus_2i_h
 
 
+@functools.lru_cache(maxsize=4)
+def _frame(t: float, omega_c: float) -> np.ndarray:
+    """The read-only factor [[1, e^{i omega_c t}], [e^{-i omega_c t}, 1]] of
+    ``_co_rotating`` at one time, shared by the operators co-rotated at the
+    same (t, omega_c), as a driven generator's H_sc, F_- and W are.  Keys
+    that compare equal give equal bytes: a float t and the same value as an
+    int or a NumPy scalar form the same phase, and so do t = 0.0 and -0.0."""
+    phase = cmath.exp(1j * omega_c * t)
+    frame = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+    frame.setflags(write=False)
+    return frame
+
+
 def _co_rotating(x0: np.ndarray, t, omega_c: float) -> np.ndarray:
     """X(t) = V(t) X(0) V(t)^dag, V(t) = exp(-i omega_c sigma_z t / 2), for a
     2x2 X(0): X_01 gains e^{i omega_c t}, X_10 its conjugate.  A float t
     gives the 2x2 X(t); an ndarray of times gives shape t.shape + (2, 2),
     each matrix bitwise the one its time gives alone."""
     if not isinstance(t, np.ndarray):
-        phase = cmath.exp(1j * omega_c * t)
-        return x0 * np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+        return x0 * _frame(t, omega_c)
     phase = np.exp(1j * omega_c * t.astype(float, copy=False))
     frame = np.ones(phase.shape + (2, 2), dtype=complex)
     frame[..., 0, 1] = phase
@@ -332,11 +355,12 @@ def _autonomous_states(rho0: np.ndarray, p: JCParams, ts, window=None) -> np.nda
     in time order and writes its states, real combinations of the chunk's
     sums (sum_m chi~ q chi~^dag, q = D^dag rho0 D) over its own times only,
     so the states are bitwise the same for any thread count.  The calling
-    thread is one worker and starts a helper thread for each other one (the
-    kernel's ufuncs and vecdot release the GIL), so one worker starts no
-    thread.  A failing chunk stops the workers from taking more, and the
-    earliest failing chunk's error is raised after the join, as a serial
-    run raises it.  P D acts once on the whole stack after the chunks.
+    thread is one worker and starts a helper thread for each other one, so
+    one worker starts no thread.  Workers overlap only in the kernel's
+    ufuncs, which release the GIL; its np.vecdot row dots hold it.  A
+    failing chunk stops the workers from taking more, and the earliest
+    failing chunk's error is raised after the join, as a serial run raises
+    it.  P D acts once on the whole stack after the chunks.
     """
     lo, hi = _kraus_window(p, window)
     ts = np.asarray(ts, dtype=float)
@@ -413,9 +437,7 @@ def jc_semiclassical_hamiltonian(t, p: JCParams) -> np.ndarray:
     which is V(t) H_sc(0) V(t)^dag (``_co_rotating``).  A float t gives the
     2x2 matrix; an ndarray of n times gives the (n, 2, 2) stack in one
     call, bitwise the single-time matrices."""
-    drive = p.g * np.conj(p.alpha)
-    h0 = np.array([[-0.5 * p.omega_eg, drive], [np.conj(drive), 0.5 * p.omega_eg]], dtype=complex)
-    return _co_rotating(h0, t, p.omega_c)
+    return _co_rotating(p._h_sc0, t, p.omega_c)
 
 
 def jc_semiclassical_propagator(t, p: JCParams) -> np.ndarray:

@@ -13,7 +13,9 @@ sigma_z = |e><e| - |g><g| = diag(-1, +1) and sigma_minus = |g><e|.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,8 +86,10 @@ class Operator:
         ``dims`` taken as given."""
         data.setflags(write=False)
         op = object.__new__(cls)
-        object.__setattr__(op, "data", data)
-        object.__setattr__(op, "dims", dims)
+        # the frozen fields go straight into the instance dict, at about
+        # half the cost of object.__setattr__
+        fields = op.__dict__
+        fields["data"], fields["dims"] = data, dims
         return op
 
 
@@ -148,8 +152,8 @@ class Superoperator:
         holds no other reference to: read-only, without the defensive copy."""
         data.setflags(write=False)
         sup = object.__new__(cls)
-        object.__setattr__(sup, "data", data)
-        object.__setattr__(sup, "source_dim", source_dim)
+        fields = sup.__dict__  # as in Operator._adopt
+        fields["data"], fields["source_dim"] = data, source_dim
         return sup
 
     def apply(self, x):
@@ -195,11 +199,21 @@ def _identity(d: int) -> np.ndarray:
 
 
 def _commutator(hm: np.ndarray) -> np.ndarray:
-    """Matrix of X -> [H, X] on vec'd operators."""
-    eye = _identity(hm.shape[0])
-    out = _kron(eye, hm)
-    out -= _kron(hm.T, eye)
-    return out
+    """Matrix of X -> [H, X] on vec'd operators: kron(I, H) - kron(H^T, I),
+    each Kronecker product one broadcast with ``_kron``'s products."""
+    d = hm.shape[0]
+    eye = _identity(d)
+    out = eye[:, None, :, None] * hm[:, None, :]
+    out -= hm.T[:, None, :, None] * eye[:, None, :]
+    return out.reshape(d * d, d * d)
+
+
+def _nan_max(values: list) -> float:
+    """The largest of a list of floats >= 0, NaN when any is NaN, as
+    np.maximum.reduce gives (Python's max skips a NaN that is not first);
+    such floats sum to NaN exactly when one is NaN."""
+    total = sum(values)
+    return max(values) if total == total else total
 
 
 def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
@@ -207,9 +221,23 @@ def _check_trace_annihilating(l_mat: np.ndarray, d: int, stage: str):
     1e-10 relative to L's largest entry; a non-finite L fails too.  vec(I)
     is 1 at rows j*(d+1), so this sums those rows of L: tr L[X] = 0 for
     every X."""
-    # ufunc reductions rather than the array methods: no Python wrapper per call
-    worst = float(np.maximum.reduce(np.abs(np.add.reduce(l_mat[::d + 1])), axis=None))
-    scale = float(np.maximum.reduce(np.abs(l_mat), axis=None))  # inf or NaN when any entry is
+    worst = None
+    if 0 < d <= 2:  # Python scalars from one tolist(), without numpy's per-call cost
+        rows = l_mat.tolist()
+        try:
+            worst = _nan_max([abs(sum(col, 0j)) for col in zip(*rows[::d + 1])])
+            # a finite sum of the entries makes each finite: then worst
+            # <= 1e-10 passes whatever the scale
+            if worst <= 1e-10 and cmath.isfinite(sum(itertools.chain.from_iterable(rows), 0j)):
+                return
+            scale = _nan_max([abs(x) for row in rows for x in row])
+        except OverflowError:  # a finite |z| beyond the float range, inf in numpy
+            worst = None
+    if worst is None:
+        # ufunc reductions rather than the array methods: no Python wrapper per call
+        worst = float(np.maximum.reduce(np.abs(np.add.reduce(l_mat[::d + 1])), axis=None))
+        scale = float(np.maximum.reduce(np.abs(l_mat), axis=None))
+    # scale is inf or NaN when any entry is
     if not (math.isfinite(scale) and worst <= 1e-10 * max(1.0, scale)):
         raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e}; "
                             f"largest entry {scale:.2e})")
@@ -240,10 +268,17 @@ def _check_hermitian(m: np.ndarray, stage):
         over[over] = ~(worst[over] < 1e-10 * np.abs(m[over]).max(axis=(1, 2)))
         i = int(np.argmax(over))
         m, stage = m[i], stage(i)
-    if m.shape == (1, 1):  # a scalar, as a one-term chi is, without numpy's per-call cost
-        c = complex(m[0, 0])
-        worst = abs(c - c.conjugate())
-    else:
+    worst = None
+    if 0 < m.shape[0] <= 2:  # Python scalars from one tolist(), without numpy's per-call cost
+        rows = m.tolist()
+        # the corners [[a, b], [c, e]], all four the one entry of a 1x1 M
+        a, b, c, e = rows[0][0], rows[0][-1], rows[-1][0], rows[-1][-1]
+        try:
+            worst = _nan_max([abs(a - a.conjugate()), abs(b - c.conjugate()),
+                              abs(e - e.conjugate())])
+        except OverflowError:  # a finite |z| beyond the float range, inf in numpy
+            pass
+    if worst is None:
         worst = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
     if not worst <= 1e-10 and not worst < 1e-10 * float(np.abs(m).max()):
         raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")

@@ -232,6 +232,30 @@ def kraus_strided_sums_oracle(p: JCParams, ts, lo: int, hi: int) -> dict:
     return out
 
 
+def check_hermitian_oracle(m, stage):
+    """_check_hermitian on one matrix with numpy throughout: the same
+    decision and message as the library's Python-scalar branch for d <= 2."""
+    worst = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
+    if not worst <= 1e-10 and not worst < 1e-10 * float(np.abs(m).max()):
+        raise ContractError(f"{stage} is not Hermitian ({worst:.2e})")
+
+
+def check_trace_annihilating_oracle(l_mat, d, stage):
+    """_check_trace_annihilating with numpy throughout: the same decision
+    and message as the library's Python-scalar branch for d <= 2."""
+    worst = float(np.maximum.reduce(np.abs(np.add.reduce(l_mat[::d + 1])), axis=None))
+    scale = float(np.maximum.reduce(np.abs(l_mat), axis=None))
+    if not (math.isfinite(scale) and worst <= 1e-10 * max(1.0, scale)):
+        raise ContractError(f"{stage} is not trace-annihilating ({worst:.2e}; "
+                            f"largest entry {scale:.2e})")
+
+
+def liouvillian_kron_oracle(h, d_super):
+    """-1j (kron(I, H) - kron(H^T, I)) + D with np.kron."""
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + d_super
+
+
 def lindblad_pair_oracle(a, b, coeff):
     """coeff (A . B - 1/2 {B A, .}) with np.kron: kron(B.T, A) for X -> A X B."""
     eye = np.eye(a.shape[0])

@@ -31,6 +31,7 @@ from covlind import (
     total_liouvillian,
     vec,
 )
+from covlind import gkls
 from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
 from covlind.gkls import (
@@ -44,7 +45,7 @@ from covlind.gkls import (
 )
 from covlind.operators import hermitian_eig
 from oracles import (dissipator_kron_oracle, effective_hamiltonian_oracle,
-                     lindblad_pair_oracle)
+                     lindblad_pair_oracle, liouvillian_kron_oracle)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(4242)
@@ -788,10 +789,97 @@ class TestBlockAssembly:
         with pytest.raises(ValueError, match="read-only"):
             d_super.data[0, 0] = 1.0
 
-    @pytest.mark.parametrize("chi", [[[0.1j]], [[np.nan]], [[np.inf]]])
+    @pytest.mark.parametrize("chi", [[[0.1j]], [[np.nan]], [[np.inf]], [[complex(0.2, 1e-3)]]])
     def test_scalar_chi_must_be_hermitian(self, chi):
         with pytest.raises(ContractError, match="chi is not Hermitian"):
             DissipatorSpec(dephasing_invariant=([Q["sz"]], chi))
+
+
+class TestSmallDimAssembly:
+    """Below _SLAB_DIM a block's K, L and R are one broadcast product and
+    its terms one reduction; the dissipator and the Liouvillian built on it
+    stay bitwise the term-by-term np.kron formulas."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n_pairs=st.integers(0, 6),
+           sparse=st.booleans())
+    def test_dense_assembly_matches_the_oracle_bitwise(self, seed, d, n_pairs, sparse):
+        assert _SLAB_DIM > 3
+        rng = np.random.default_rng(seed)
+
+        def op():
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            # about half the entries an exact zero of either sign, where only
+            # the signs of zeros differ
+            return (m * (rng.uniform(size=m.shape) < 0.5) if sparse else m) / math.sqrt(2 * d)
+
+        def hermitian():
+            m = op()
+            return 0.5 * (m + m.conj().T)
+
+        channels, dephasing, invariant = [], [], None
+        left = n_pairs
+        if left >= 4 and rng.uniform() < 0.5:
+            # a 2 x 2 chi with complex off-diagonal entries: four pairs
+            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            invariant = ([hermitian(), hermitian()], 0.5 * b @ b.conj().T)
+            left -= 4
+        while left:
+            kind = rng.integers(3)
+            if kind == 0 and left >= 2:
+                channels.append(Channel(op(), float(rng.uniform(0.1, 1.5)),
+                                        float(rng.uniform(0.1, 1.5))))
+                left -= 2
+            elif kind == 1:
+                rates = (float(rng.uniform(0.1, 1.5)), 0.0)
+                channels.append(Channel(op(), *(rates if rng.uniform() < 0.5 else rates[::-1])))
+                left -= 1
+            else:
+                dephasing.append((hermitian(), float(rng.uniform(0.0, 1.0))))
+                left -= 1
+        spec = DissipatorSpec(channels=channels, dephasing_hermitian=dephasing,
+                              dephasing_invariant=invariant)
+        assert len(spec._coeff) == n_pairs
+        d_super = build_dissipator(spec, d=d)
+        assert d_super.data.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+        h = random_hermitian(d, rng)
+        got = liouvillian(h, d_super).data
+        assert got.tobytes() == liouvillian_kron_oracle(h, d_super.data).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_carry_the_running_sum(self, d, monkeypatch):
+        # two pairs per block: the later blocks start from the running sum
+        monkeypatch.setattr(gkls, "_BLOCK_BYTES", 48 * d**4 * 3)
+        rng = np.random.default_rng(d)
+        ops = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        spec = DissipatorSpec(channels=[Channel(f, 0.3 + k, 0.2 * k) for k, f in enumerate(ops)])
+        assert len(spec._coeff) == 9
+        got = build_dissipator(spec).data
+        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+
+    @pytest.mark.parametrize("chi", [[[0.23]], [[np.float64(0.23)]], ((0.23 + 0j,),),
+                                     [[0.0]], np.array([[0.23]])])
+    def test_scalar_chi_forms(self, chi):
+        # a nested [[c]] of a real Python or NumPy scalar is read without numpy
+        w = Q["sz"] / math.sqrt(2.0)
+        got = DissipatorSpec(dephasing_invariant=([w], chi))
+        want = DissipatorSpec(dephasing_invariant=([w], np.asarray(chi, dtype=complex)))
+        assert got._ab.tobytes() == want._ab.tobytes()
+        assert got._coeff.tobytes() == want._coeff.tobytes()
+
+    @pytest.mark.parametrize("ws, chi, error, match", [
+        ([Q["sz"]], [[-1.0]], ContractError, "chi must be positive semi-definite"),
+        ([Q["sz"]], [[-1e-11]], None, None),
+        ([Q["sz"], np.eye(2)], [[0.2]], DimensionError, "chi must be square"),
+        ([Q["sz"]], [[0.2, 0.1]], DimensionError, "chi must be square"),
+    ])
+    def test_scalar_chi_checks(self, ws, chi, error, match):
+        for form in (chi, np.asarray(chi, dtype=complex)):
+            if error is None:
+                DissipatorSpec(dephasing_invariant=(ws, form))
+            else:
+                with pytest.raises(error, match=match):
+                    DissipatorSpec(dephasing_invariant=(ws, form))
 
 
 class TestOperatorSpaceDissipator:

@@ -771,6 +771,68 @@ class TestCoRotatingFrame:
                 assert getattr(single, "data", single).tobytes() == x.tobytes()
 
 
+class TestSharedFrame:
+    """H_sc, F_- and W at one float time share one cached co-rotation
+    frame, keyed on (t, omega_c); no call is served another key's frame."""
+
+    @staticmethod
+    def stacked(fn, t):
+        # the ndarray path forms its own phases, without the cache
+        return fn(np.array([t], dtype=float))[0]
+
+    @staticmethod
+    def single(fn, t):
+        x = fn(t)
+        return getattr(x, "data", x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), wc=st.floats(0.5, 2.0), shift=st.floats(1e-9, 0.5))
+    def test_parameters_with_another_omega_c_at_the_same_time(self, t, wc, shift):
+        ps = [JCParams(wc, wc + 0.1, 0.2, 2.0), JCParams(wc + shift, wc + 0.1, 0.2, 2.0)]
+        fns = [[lambda x, p=p: jc_semiclassical_hamiltonian(x, p), *jc_eigenoperators(p)]
+               for p in ps]
+        # alternate the two frequencies at one time, three times over
+        for _ in range(3):
+            for row in fns:
+                for fn in row:
+                    assert self.single(fn, t).tobytes() == self.stacked(fn, t).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, 1.0, -2.5, 7.0])
+    def test_float_and_numpy_scalar_times(self, t):
+        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+        fns = [lambda x: jc_semiclassical_hamiltonian(x, p), *jc_eigenoperators(p)]
+        # keys that compare equal: a float32 time is the float of its value
+        times = [t, np.float64(t), np.float32(t), float(np.float32(t))]
+        times += [int(t)] if t == int(t) else []
+        for fn in fns:
+            for x in times + times[::-1]:
+                want = self.stacked(fn, float(x)).tobytes()
+                assert self.single(fn, x).tobytes() == want
+
+    def test_frame_is_read_only_and_results_fresh(self):
+        p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
+        h1, h2 = jc_semiclassical_hamiltonian(0.4, p), jc_semiclassical_hamiltonian(0.4, p)
+        assert not np.shares_memory(h1, h2)
+        h1[...] = 7.0
+        assert jc_semiclassical_hamiltonian(0.4, p).tobytes() == h2.tobytes()
+        assert not jaynes_cummings._frame(0.4, p.omega_c).flags.writeable
+
+    def test_equal_parameters_do_not_share_a_stale_hamiltonian(self):
+        # JCParams(g = 0.0) == JCParams(g = -0.0), but H_sc(0) differs in the
+        # sign of its zero drive; each parameter set forms its own
+        plus, minus = JCParams(1.0, 1.1, 0.0, 2.0), JCParams(1.0, 1.1, -0.0, 2.0)
+        assert plus == minus
+        got = {}
+        for p in (plus, minus, plus, minus):
+            drive = p.g * np.conj(p.alpha)
+            h0 = np.array([[-0.5 * p.omega_eg, drive], [np.conj(drive), 0.5 * p.omega_eg]],
+                          dtype=complex)
+            want = jaynes_cummings._co_rotating(h0, np.array([0.5]), p.omega_c)[0]
+            got[id(p)] = jc_semiclassical_hamiltonian(0.5, p).tobytes()
+            assert got[id(p)] == want.tobytes()
+        assert got[id(plus)] != got[id(minus)]
+
+
 class TestZeroRabiFrequency:
     """Omega = 0, where sin(Omega t / 2) / Omega is t / 2; hypothesis rarely
     draws delta = 0.0 exactly, so these are explicit."""

@@ -35,11 +35,13 @@ from covlind.gkls import detailed_balance_rates
 from covlind.jaynes_cummings import (JCParams, default_kraus_window, touchard,
                                      touchard_asymptotic)
 from covlind.operators import (_LOG_FACT_CUT, _THETA13, POSITIVITY_TOL, _add_log_factorial,
-                               _check_hermitian, _coherent_amplitudes, _eigen_fidelity,
+                               _check_hermitian, _check_trace_annihilating,
+                               _coherent_amplitudes, _eigen_fidelity,
                                _min_eigenvalues, _poisson_window, liouville_unitary,
                                validate_states)
 from covlind.propagate import TimeGrid
-from oracles import (coherent_amplitudes_oracle, coherent_state, destroy,
+from oracles import (check_hermitian_oracle, check_trace_annihilating_oracle,
+                     coherent_amplitudes_oracle, coherent_state, destroy,
                      hermitian_eig_loop_oracle, jc_block_propagator, jc_hamiltonian)
 
 Q = qubit_ops()
@@ -200,6 +202,95 @@ class TestCheckHermitian:
             _check_hermitian(m, "M")
         with pytest.raises(ContractError, match=re.escape("M0 is not Hermitian (inf)")):
             _check_hermitian(m[None], lambda i: f"M{i}")
+
+
+def check_outcome(check, *args):
+    """The ContractError message a check raises, or None when it passes."""
+    try:
+        check(*args)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+NON_FINITE = st.sampled_from([None, complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                              complex(0.5, math.inf), complex(math.nan, 0.0),
+                              complex(1.0, math.nan), complex(math.inf, math.nan)])
+
+
+class TestScalarChecks:
+    """Below d = 3, _check_hermitian and _check_trace_annihilating read the
+    matrix as Python scalars; each keeps the numpy formula's decision and
+    message (tests/oracles.py) at every scale, for inf and NaN entries too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2),
+           log_scale=st.integers(-300, 300),
+           eps=st.sampled_from([0.0, 1e-17, 1e-13, 1e-11, 1e-10, 1e-9, 1e-6, 1.0]),
+           bad=NON_FINITE)
+    def test_hermitian_branch_matches_numpy(self, seed, d, log_scale, eps, bad):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = (random_hermitian(d, rng) + eps * noise) * 10.0 ** log_scale
+        if bad is not None:
+            m[rng.integers(d), rng.integers(d)] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = check_outcome(check_hermitian_oracle, m, "M")
+            assert check_outcome(_check_hermitian, m, "M") == want
+            # a stack's chosen matrix takes the same branch
+            got = check_outcome(_check_hermitian, np.array([np.eye(d), m]), lambda i: "M")
+        assert got == want
+
+    @pytest.mark.parametrize("m, message", [
+        ([[1.0, np.inf], [5.0, 1.0]], "M is not Hermitian (inf)"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "M is not Hermitian (nan)"),
+        # NaN after a larger finite excess: numpy's max is NaN, Python's is not
+        ([[1.0, 2.0], [0.0, np.nan]], "M is not Hermitian (nan)"),
+        # |M_01 - conj M_10| overflows in the modulus alone: inf, as in numpy
+        ([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]], "M is not Hermitian (inf)"),
+        ([[1j]], "M is not Hermitian (2.00e+00)"),
+        ([[1.0 + 1e-11j, 0.0], [0.0, 1.0]], None),
+    ])
+    def test_hermitian_messages(self, m, message):
+        m = np.array(m, dtype=complex)
+        assert check_outcome(_check_hermitian, m, "M") == message
+        assert check_outcome(check_hermitian_oracle, m, "M") == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2),
+           log_scale=st.integers(-300, 300),
+           eps=st.sampled_from([0.0, 1e-17, 1e-12, 1e-10, 1e-8, 1.0]), bad=NON_FINITE)
+    def test_trace_branch_matches_numpy(self, seed, d, log_scale, eps, bad):
+        rng = np.random.default_rng(seed)
+        l_mat = random_generator("gkls", d * d, rng)
+        # eps moves the trace rows off zero relative to the scale
+        l_mat = (l_mat + eps * np.abs(l_mat).max() * rng.normal(size=l_mat.shape)) * 10.0 ** log_scale
+        if bad is not None:
+            l_mat[rng.integers(d * d), rng.integers(d * d)] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = check_outcome(check_trace_annihilating_oracle, l_mat, d, "L")
+            assert check_outcome(_check_trace_annihilating, l_mat, d, "L") == want
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ((1, 2), np.nan, "L is not trace-annihilating (0.00e+00; largest entry nan)"),
+        ((0, 1), np.inf, "L is not trace-annihilating (inf; largest entry inf)"),
+        ((3, 3), complex(np.inf, np.nan), "L is not trace-annihilating (inf; largest entry inf)"),
+        ((0, 0), 1e-9, "L is not trace-annihilating (1.00e-09; largest entry 1.00e-09)"),
+        ((0, 0), 1e-11, None),
+    ])
+    def test_trace_messages(self, entry, value, message):
+        l_mat = np.zeros((4, 4), dtype=complex)
+        l_mat[entry] = value
+        assert check_outcome(_check_trace_annihilating, l_mat, 2, "L") == message
+        assert check_outcome(check_trace_annihilating_oracle, l_mat, 2, "L") == message
+
+    def test_entries_whose_sum_overflows_pass_at_their_scale(self):
+        # each entry finite, their sum not: the scale, not the sum, decides
+        l_mat = np.zeros((4, 4), dtype=complex)
+        l_mat[1, :] = 1e308
+        l_mat[2, :] = 1e308
+        assert check_outcome(_check_trace_annihilating, l_mat, 2, "L") is None
+        assert check_outcome(check_trace_annihilating_oracle, l_mat, 2, "L") is None
 
 
 def random_generator(kind, n, rng):
