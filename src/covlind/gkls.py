@@ -11,9 +11,10 @@ A fixed point is exp(-H_bar)/Z with [H_bar, F_k] = -delta_k F_k for every
 jump.  The least-squares normal equations of these relations, paired with
 their adjoints, are the dissipator of the same jumps at unit forward and
 reverse rates, D_1, with -D_1[H_bar] = sum_k delta_k [F_k^dag, F_k].  D_1
-is formed from one product of the stacked jumps, and the fixed point's
-residual applies the spec's GKLS formula to the d x d state, so neither
-assembles a dissipator term by term.
+and every assembled dissipator come from one formula: the matrix product
+of the stacked Lindblad pairs, less the anticommutator read off its
+diagonal.  The fixed point's residual applies the spec's GKLS formula to
+the d x d state instead, an independent check of that assembly.
 
 A DissipatorSpec converts, checks and dimensions its operators once, and
 every function here reads that normal form; a Hamiltonian, Lamb shift or
@@ -40,12 +41,12 @@ from .operators import (
     Operator,
     Superoperator,
     _as_matrix,
+    _check_count,
     _check_dim,
     _check_hermitian,
     _check_trace_annihilating,
     _commutator,
     _identity,
-    _kron,
     liouville_unitary,
     matrix_exp,
     unvec,
@@ -197,151 +198,53 @@ class DissipatorSpec:
         return self._dim
 
 
-# Lindblad pairs per assembly block: 1 MiB of (d^2, d^2) complex terms,
-# 16 B per entry, so assembly holds one such buffer however many pairs a
-# spec has (below _SLAB_DIM it holds K, L and R, three per pair); a block
-# of about half a core's L2 stays in it while the next pass reads it (on
-# an Intel Xeon with 2 MiB of L2 per core, a d = 14 build with dense
-# assembly took 0.092-0.101 s with 4 MiB blocks and 0.067-0.079 s with
-# 1 MiB, one pair each; the fastest of 8-12 calls in each of three runs)
-_BLOCK_BYTES = 2**20
-
-
-# Smallest d whose Lindblad pairs take the three-pass slab assembly; below
-# it the slab passes' extra numpy calls cost more than the dense entries
-# they skip (build_dissipator on a thermal spec of every downward
-# transition, fastest of 9 interleaved runs, in each of three runs, 2
-# cores: a one-channel qubit 25-36 us dense and 36-55 us with slabs, d = 3
-# 37-54 against 48-75 us, d = 4 80-99 against 81-116 us, d = 5 186-225
-# against 172-214 us, d = 6 496-581 against 351-456 us)
-_SLAB_DIM = 5
-
-
-def _pair_terms(ab: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def _pair_sum(ab: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Sum of coeff_n (A_n . B_n - 1/2 {B_n A_n, .}) over the pairs of the
-    (2, n, d, d) stack of the A_n and the B_n, a fresh d^2 x d^2 matrix with
-    the terms added in order to a sum started at +0.
+    (2, n, d, d) stack of the A_n and the B_n, a fresh d^2 x d^2 matrix.
 
-    The term is (K - (L + R)/2) c with K = kron(B^T, A), L = kron(I, BA)
-    and R = kron((BA)^T, I).  In the (i, j), (k, l) indices of a d^2 x d^2
-    term, L is nonzero only on the slab i = k and R only on the slab
-    j = l, 2 d^3 - d^2 of the d^4 entries together.  The pairs go in
-    blocks of at most _BLOCK_BYTES of terms, each formed by broadcasts over
-    the block and added to the sum before the next block is formed.  From
-    d = _SLAB_DIM on, a block takes three passes over its terms
-    (``_slab_pair_terms``); below it, K, L and R are formed densely with
-    that formula's arithmetic (``_dense_pair_terms``).  The two agree
-    bitwise except in the sign of a zero: off the slabs the dense formula
-    computes (K - (+-0)) c, so a term's entries differ at most by that
-    sign, which the sum, started at +0, never shows.
+    With the A_n and the B_n flattened to (n, d^2) rows, M = (c B)^T A,
+    one matrix product for all pairs, has entry ((k, i), (j, l))
+    sum_n c_n B_n[k, i] A_n[j, l]; G = sum_n c_n B_n A_n is read off it as
+    G_il = sum_k M[i, k, k, l].  Entry ((i, j), (k, l)) of the sum is then
+    M[k, i, j, l] - (delta_ik G_jl + G_ki delta_jl)/2: M's transpose, less
+    the anticommutator's two broadcasts, each formed in M's buffer, so the
+    result and M are the only d^2 x d^2 arrays held.
     """
-    n, d = ab.shape[1:3]
-    if n == 0:
-        return np.zeros((d * d, d * d), dtype=complex)
-    if d < _SLAB_DIM:
-        return _dense_pair_terms(ab, coeff)
-    return _slab_pair_terms(ab[0], ab[1], coeff)
-
-
-def _slab_pair_terms(a: np.ndarray, b: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """``_pair_terms`` from d = _SLAB_DIM on.  A block of at most
-    max(1, _BLOCK_BYTES // (16 d^4)) pairs takes three passes over one
-    reused buffer: K; then BA/2 subtracted on the slab i = k, (BA)^T/2 on
-    the slab j = l and (BA_jj + BA_ii)/2 from K on their intersection, in
-    the L + R order; then the scaling by c."""
-    n, d = a.shape[:2]
-    dd = d * d
-    total = np.zeros((dd, dd), dtype=complex)
-    step = max(1, min(n, _BLOCK_BYTES // (16 * dd * dd)))
-    # kron(X, Y)[(i, j), (k, l)] = X[i, k] Y[j, l], for each pair of a block;
-    # writable strided views of terms[:, i, j, i, l], terms[:, i, j, k, j]
-    # and terms[:, i, j, i, j]
-    terms = np.empty((step, d, d, d, d), dtype=complex)
-    sp, si, sj, sk, sl = terms.strides
-    slab_ik = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si + sk, sj, sl))
-    slab_jl = np.ndarray((step, d, d, d), complex, terms, 0, (sp, si, sj + sl, sk))
-    both = np.ndarray((step, d, d), complex, terms, 0, (sp, si + sk, sj + sl))
-    for start in range(0, n, step):
-        ab, bb = a[start:start + step], b[start:start + step]
-        m = len(ab)
-        ba = bb @ ab
-        t = terms[:m]
-        np.multiply(bb.transpose(0, 2, 1)[:, :, None, :, None], ab[:, None, :, None, :], t)
-        diag = ba.diagonal(axis1=1, axis2=2)
-        corner = both[:m] - (diag[:, None, :] + diag[:, :, None]) * 0.5
-        ba *= 0.5
-        slab_ik[:m] -= ba[:, None]
-        slab_jl[:m] -= ba.transpose(0, 2, 1)[:, :, None]
-        both[:m] = corner
-        t *= coeff[start:start + m, None, None, None, None]
-        for term in t.reshape(m, dd, dd):
-            total += term
-    return total
-
-
-def _dense_pair_terms(ab: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """``_pair_terms`` below _SLAB_DIM.  A block's K, L and R are one
-    broadcast product of the stacks [B^T, I, (BA)^T] and [A, BA, I], whose
-    (K - (L + R)/2) c go after the running sum (+0 before the first block)
-    in one reused buffer, summed in order into the next running sum.  The
-    terms are laid out ((k, i), (j, l)), where the product needs no strided
-    view, and the sum is put in the (i, j), (k, l) order at the end."""
-    n, d = ab.shape[1:3]
-    dd = d * d
-    # the (3, step + 1) terms of a block, the sum's slot too, in _BLOCK_BYTES
-    step = max(1, min(n, _BLOCK_BYTES // (48 * dd * dd) - 1))
-    # s = [A, BA, I, B]: s[:3] is [A, BA, I], and s[3:0:-1], [B, I, BA],
-    # holds [B^T, I, (BA)^T] transposed
-    s = np.empty((4, step, d, d), dtype=complex)
-    s[2] = _identity(d)
-    klr = np.zeros((3, step + 1, dd, dd), dtype=complex)
-    total = None
-    for start in range(0, n, step):
-        if total is not None:
-            klr[0, 0] = total
-        block = ab[:, start:start + step]
-        m = block.shape[1]
-        s[::3, :m] = block
-        np.matmul(block[1], block[0], out=s[1, :m])
-        terms = klr[:, 1:m + 1]
-        # entry ((k, i), (j, l)) of kron(X, Y) is X[i, k] Y[j, l]
-        np.multiply(s[3:0:-1, :m].reshape(3, m, dd, 1), s[:3, :m].reshape(3, m, 1, dd), terms)
-        k, half = terms[0], terms[1]
-        half += terms[2]
-        half *= 0.5
-        k -= half
-        k *= coeff[start:start + m, None, None]
-        # accumulate adds in order whatever the layout, where a reduction
-        # over a lone contiguous axis (d = 1) sums pairwise
-        total = np.add.accumulate(klr[0, :m + 1], axis=0)[m]
-    return total.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(dd, dd)
+    _, n, d = ab.shape[:3]
+    rows = ab.reshape(2, n, d * d)
+    m = ((coeff[:, None] * rows[1]).T @ rows[0]).reshape(d, d, d, d)
+    half = m.trace(axis1=1, axis2=2)
+    half *= 0.5
+    total = m.transpose(1, 2, 0, 3).copy()
+    eye = _identity(d)
+    total -= np.multiply(eye[:, None, :, None], half[:, None, :], out=m)
+    total -= np.multiply(half.T[:, None, :, None], eye[:, None, :], out=m)
+    return total.reshape(d * d, d * d)
 
 
 def build_dissipator(spec: DissipatorSpec, d: int | None = None) -> Superoperator:
     """Assemble the dissipator superoperator from a DissipatorSpec.
 
     The sum of the spec's Lindblad pairs (A, B, c), each the term
-    c (A . B - 1/2 {B A, .}), in the spec's order (``_pair_terms``).  The
-    pairs are formed in blocks of at most 1 MiB of terms, so memory stays
-    one block buffer whatever the number of pairs.  From d = 5 on a block
-    takes three passes over its terms: the Kronecker product kron(B^T, A);
-    the anticommutator subtracted on the slabs i = k and j = l of the
-    (i, j), (k, l) entries, the only ones where it is nonzero (2 d^3 - d^2
-    of d^4); the scaling by c.  Smaller blocks take the dense formula,
-    whose fewer numpy calls cost less there.  Either way the result is
-    bitwise the term-by-term sum, since a sum started at +0 does not keep
-    the sign of a zero term.
+    c (A . B - 1/2 {B A, .}), formed by ``_pair_sum`` from one matrix
+    product over all pairs.  Beside the result it holds M, of the result's
+    size, and, during the product, the scaled B rows, half the size of the
+    spec's pair stack: no per-pair d^2 x d^2 term.  Where BLAS splits that product over threads, the
+    last bits of the sum may follow the BLAS thread count.
 
     The result annihilates the trace: vec(I)^dag D = 0 within 1e-10.
     An empty spec with an explicit dimension gives the zero superoperator;
-    any other spec takes only its own dimension.  The returned matrix is
-    read-only and shares no memory with the spec.
+    any other spec takes only its own dimension.  An explicit d must be an
+    integer >= 1.  The returned matrix is read-only and shares no memory
+    with the spec.
     """
     if d is None:
         d = spec.dim
-    elif spec._dim is not None:
-        _check_dim(d, spec._dim, "dissipator", "the spec's terms")
-    total = _pair_terms(spec._ab.reshape(2, -1, d, d), spec._coeff)
+    else:
+        _check_count(d, 1, "dissipator dimension d")
+        if spec._dim is not None:
+            _check_dim(d, spec._dim, "dissipator", "the spec's terms")
+    total = _pair_sum(spec._ab.reshape(2, -1, d, d), spec._coeff)
     _check_trace_annihilating(total, d, "assembled dissipator")
     return Superoperator._adopt(total, d)
 
@@ -459,24 +362,13 @@ class AttractorResult:
 
 def _unit_normal_matrix(jumps) -> np.ndarray:
     """-D_1 as a d^2 x d^2 matrix, D_1 the dissipator of ``jumps`` at unit
-    forward and reverse rates.
-
-    Over the stack G of the 2K operators F_k and F_k^dag, D_1 is
-    sum_G kron(conj G, G) - (1/2)(kron(I, S) + kron(S^T, I)) with
-    S = sum_G G^dag G, and the kron sum is one (d^2, 2K) . (2K, d^2)
-    product.
-    """
+    forward and reverse rates: ``_pair_sum`` of the pairs (F_k, F_k^dag)
+    and (F_k^dag, F_k) at coefficient -1."""
     f = np.asarray(jumps, dtype=complex)
-    k, d = f.shape[:2]
-    g = np.concatenate([f, f.conj().transpose(0, 2, 1)]).reshape(2 * k, d * d)
-    # entry ((p, r), (q, s)) of conj(g)^T g is sum_G conj(G[p, r]) G[q, s],
-    # which is entry ((p, q), (r, s)) of sum_G kron(conj G, G)
-    m = (g.conj().T @ g).reshape(d, d, d, d)
-    s = np.einsum("prps->rs", m)
-    sandwich = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    eye = np.eye(d)
-    normal = 0.5 * (_kron(eye, s) + _kron(s.T, eye)) - sandwich
-    _check_trace_annihilating(normal, d, "unit-rate normal matrix")
+    fdag = f.conj().transpose(0, 2, 1)
+    ab = np.stack([np.concatenate([f, fdag]), np.concatenate([fdag, f])])
+    normal = _pair_sum(ab, np.full(2 * len(f), -1.0))
+    _check_trace_annihilating(normal, f.shape[1], "unit-rate normal matrix")
     return normal
 
 
@@ -487,8 +379,9 @@ def _solve_effective_hamiltonian(jumps, deltas):
     which a Hermitian H satisfies exactly when it satisfies the first.  The
     normal equations of the pairs are -D_1[H] = sum_k delta_k [F_k^dag, F_k]
     with D_1 the dissipator of the same jumps at unit forward and reverse
-    rates, formed by ``_unit_normal_matrix`` from one product of the stacked
-    jumps.  D_1 maps Hermitian matrices to Hermitian matrices, so the
+    rates, formed by ``_unit_normal_matrix`` with ``build_dissipator``'s one
+    product over the pairs, so its last bits, and H's, may follow the BLAS
+    thread count where BLAS splits that product.  D_1 maps Hermitian matrices to Hermitian matrices, so the
     minimum-norm solution of this d^2 x d^2 system is the minimum-norm
     Hermitian least-squares H: sum_k (delta_k/2)(F^dag F - F F^dag) when the
     channels do not share levels, and otherwise the unique potential

@@ -31,12 +31,9 @@ from covlind import (
     total_liouvillian,
     vec,
 )
-from covlind import gkls
 from covlind.bath import BathSpec, jc_kinetic_coefficients
 from covlind.errors import ContractError, DimensionError
 from covlind.gkls import (
-    _BLOCK_BYTES,
-    _SLAB_DIM,
     ZeroTemperatureWarning,
     _deltas_from_rates,
     _apply_dissipator,
@@ -44,8 +41,8 @@ from covlind.gkls import (
     _unit_normal_matrix,
 )
 from covlind.operators import hermitian_eig
-from oracles import (dissipator_kron_oracle, effective_hamiltonian_oracle,
-                     lindblad_pair_oracle, liouvillian_kron_oracle)
+from oracles import (dissipator_kron_oracle, dissipator_rounding_bound,
+                     effective_hamiltonian_oracle, liouvillian_kron_oracle)
 
 Q = qubit_ops()
 RNG = np.random.default_rng(4242)
@@ -56,6 +53,13 @@ GG = np.array([[1, 0], [0, 0]], dtype=complex)
 def random_hermitian(d, rng=RNG):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def assert_within_rounding(got, spec, d):
+    """``got`` is the spec's dissipator within the a-priori rounding bound
+    of its term-by-term assembly, entry by entry."""
+    err = np.abs(got - dissipator_kron_oracle(spec, d))
+    assert (err <= dissipator_rounding_bound(spec, d)).all()
 
 
 def thermal_qubit_spec(omega_eg=1.0, beta=1.0, gamma=0.7):
@@ -636,7 +640,7 @@ class TestAssemblyProperties:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, d, n_channels, n_hermitian, n_invariant)
         d_super = build_dissipator(spec, d=d)
-        assert np.array_equal(d_super.data, dissipator_kron_oracle(spec, d))
+        assert_within_rounding(d_super.data, spec, d)
         h = random_hermitian(d, rng)
         l_super = liouvillian(h, d_super)
         eye = np.eye(d)
@@ -665,47 +669,17 @@ def thermal_two_way_spec(d, rng):
 
 
 class TestBlockAssembly:
-    """build_dissipator forms its Lindblad pairs in blocks of at most
-    _BLOCK_BYTES of terms and adds each term in the library's order."""
-
-    def test_block_boundary_matches_oracle_bitwise(self):
-        rng = np.random.default_rng(25)
-        d = 8
-
-        def op():
-            return (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
-
-        # every 5th forward and every 7th reverse rate is zero
-        channels = [Channel(op(), 0.0 if k % 5 == 0 else float(rng.uniform(0.1, 1.5)),
-                            0.0 if k % 7 == 3 else float(rng.uniform(0.1, 1.5)))
-                    for k in range(40)]
-        ws = [random_hermitian(d, rng) / math.sqrt(d) for _ in range(4)]
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        chi = 0.25 * b @ b.conj().T
-        assert np.count_nonzero(chi - np.diag(np.diag(chi))) == 12
-        spec = DissipatorSpec(channels=channels,
-                              dephasing_hermitian=[(random_hermitian(d, rng) / math.sqrt(d), 0.3)],
-                              dephasing_invariant=(ws, chi))
-        n_channel = sum((ch.rate != 0) + (ch.rate_rev != 0) for ch in channels)
-        # one block holds 16 pairs, and there are 83: the 66 channel pairs
-        # cross into the fifth block, which holds the last 2 of them, the
-        # Hermitian pair and 13 of the 16 chi pairs; the last 3 fill the sixth
-        assert _BLOCK_BYTES // (16 * d**4) == 16
-        assert n_channel == 66 and len(spec._coeff) == 83
-        got = build_dissipator(spec).data
-        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+    """build_dissipator forms all Lindblad pairs as one block, by one matrix
+    product, within an a-priori rounding bound of the term-by-term oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), sparse=st.booleans())
-    def test_slab_and_dense_assembly_match_the_oracle_bitwise(self, seed, d, sparse):
-        # d = 2..8 takes both formulas: dense blocks below _SLAB_DIM, slab
-        # passes from it on
-        assert 2 < _SLAB_DIM <= 8
+    def test_assembly_matches_the_oracle_within_rounding(self, seed, d, sparse):
         rng = np.random.default_rng(seed)
 
         def masked(m):
             # about half the entries an exact zero, of either sign (0 times a
-            # negative entry is -0), where only the signs of zeros differ
+            # negative entry is -0)
             return m * (rng.uniform(size=m.shape) < 0.5) if sparse else m
 
         def op():
@@ -728,8 +702,7 @@ class TestBlockAssembly:
         spec = DissipatorSpec(channels=channels,
                               dephasing_hermitian=[(hermitian(), float(rng.uniform(0.0, 1.0)))],
                               dephasing_invariant=([hermitian() for _ in range(3)], chi))
-        got = build_dissipator(spec).data
-        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+        assert_within_rounding(build_dissipator(spec).data, spec, d)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
@@ -749,13 +722,14 @@ class TestBlockAssembly:
     def test_lindblad_term_is_the_oracle_pair(self, d):
         rng = np.random.default_rng(d)
         f = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2 * d)
-        got = build_dissipator(DissipatorSpec(channels=[Channel(f, 0.7)])).data
-        want = np.zeros((d * d, d * d), dtype=complex) + lindblad_pair_oracle(f, f.conj().T, 0.7)
-        assert got.tobytes() == want.tobytes()
+        spec = DissipatorSpec(channels=[Channel(f, 0.7)])
+        assert_within_rounding(build_dissipator(spec).data, spec, d)
 
-    def test_memory_stays_a_few_blocks(self):
-        spec = thermal_two_way_spec(14, np.random.default_rng(14))
-        assert len(spec.channels) == 91
+    @pytest.mark.parametrize("d, bound", [(14, 16 * 2**20), (32, 2.1 * 16 * 32**4)],
+                             ids=["d14", "d32"])
+    def test_memory_stays_about_twice_the_result(self, d, bound):
+        spec = thermal_two_way_spec(d, np.random.default_rng(d))
+        assert len(spec.channels) == d * (d - 1) // 2
         assert all(ch.rate > 0 and ch.rate_rev > 0 for ch in spec.channels)
         tracemalloc.start()
         try:
@@ -763,9 +737,17 @@ class TestBlockAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two 1 MiB block buffers, the (182, 14, 14) pair stacks and the
-        # result; the 182 terms at once would take 182 x 0.6 MB = 112 MB
-        assert peak < 16 * 2**20
+        # the product's d^2 x d^2 result and the result it is copied into,
+        # with the scaled (n, d^2) pair rows before that; all n terms at once
+        # would take n d^4 x 16 B, 112 MB at d = 14 and 16 GB at d = 32
+        assert peak < bound
+
+    @pytest.mark.parametrize("d", [0, -1, 2.0])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        for spec in (DissipatorSpec(), DissipatorSpec(channels=[SM_CHANNEL])):
+            with pytest.raises(ContractError, match=rf"dissipator dimension d must be an "
+                                                    rf"integer >= 1, got {d}"):
+                build_dissipator(spec, d=d)
 
     def test_results_are_read_only_and_unaliased(self):
         p = JCParams.with_rabi(1.0, 0.1, 0.6, 2.0)
@@ -796,21 +778,19 @@ class TestBlockAssembly:
 
 
 class TestSmallDimAssembly:
-    """Below _SLAB_DIM a block's K, L and R are one broadcast product and
-    its terms one reduction; the dissipator and the Liouvillian built on it
-    stay bitwise the term-by-term np.kron formulas."""
+    """At d <= 3 the dissipator stays within the a-priori rounding bound of
+    the term-by-term np.kron formulas, and the Liouvillian built on it is
+    bitwise theirs."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n_pairs=st.integers(0, 6),
            sparse=st.booleans())
-    def test_dense_assembly_matches_the_oracle_bitwise(self, seed, d, n_pairs, sparse):
-        assert _SLAB_DIM > 3
+    def test_small_assembly_matches_the_oracle_within_rounding(self, seed, d, n_pairs, sparse):
         rng = np.random.default_rng(seed)
 
         def op():
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            # about half the entries an exact zero of either sign, where only
-            # the signs of zeros differ
+            # about half the entries an exact zero of either sign
             return (m * (rng.uniform(size=m.shape) < 0.5) if sparse else m) / math.sqrt(2 * d)
 
         def hermitian():
@@ -841,21 +821,10 @@ class TestSmallDimAssembly:
                               dephasing_invariant=invariant)
         assert len(spec._coeff) == n_pairs
         d_super = build_dissipator(spec, d=d)
-        assert d_super.data.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
+        assert_within_rounding(d_super.data, spec, d)
         h = random_hermitian(d, rng)
         got = liouvillian(h, d_super).data
         assert got.tobytes() == liouvillian_kron_oracle(h, d_super.data).tobytes()
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_blocks_carry_the_running_sum(self, d, monkeypatch):
-        # two pairs per block: the later blocks start from the running sum
-        monkeypatch.setattr(gkls, "_BLOCK_BYTES", 48 * d**4 * 3)
-        rng = np.random.default_rng(d)
-        ops = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
-        spec = DissipatorSpec(channels=[Channel(f, 0.3 + k, 0.2 * k) for k, f in enumerate(ops)])
-        assert len(spec._coeff) == 9
-        got = build_dissipator(spec).data
-        assert got.tobytes() == dissipator_kron_oracle(spec, d).tobytes()
 
     @pytest.mark.parametrize("chi", [[[0.23]], [[np.float64(0.23)]], ((0.23 + 0j,),),
                                      [[0.0]], np.array([[0.23]])])
@@ -883,8 +852,9 @@ class TestSmallDimAssembly:
 
 
 class TestOperatorSpaceDissipator:
-    """The fixed point's residual and normal matrix, formed without
-    build_dissipator, held to its term-by-term assembly."""
+    """The fixed point's residual D[rho], formed without build_dissipator,
+    held to it; the unit-rate normal matrix, which shares its formula, held
+    to the term-by-term oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
@@ -904,8 +874,10 @@ class TestOperatorSpaceDissipator:
         rng = np.random.default_rng(seed)
         jumps = list((rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d)))
                      / math.sqrt(2 * d))
-        want = -build_dissipator(DissipatorSpec([Channel(fm, 1.0, 1.0) for fm in jumps]), d).data
-        assert np.max(np.abs(_unit_normal_matrix(jumps) - want)) <= 1e-12 * np.max(np.abs(want))
+        # held to the oracle, as the normal matrix and build_dissipator share
+        # their formula
+        spec = DissipatorSpec([Channel(fm, 1.0, 1.0) for fm in jumps])
+        assert_within_rounding(-_unit_normal_matrix(jumps), spec, d)
 
     # a NaN state, and a finite one whose residual overflows to an infinite
     # trace, which a relative trace bound alone lets through
